@@ -14,8 +14,6 @@ import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .fields import Field, PrimeField
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
 from .linalg import is_zero_vector, unit_vector, vec_add, zero_vector
@@ -336,46 +334,6 @@ def _use_fast_path(field: Field, instances: int) -> bool:
     )
 
 
-def _dense_bracket_matrix(t: SkewBracketTensor, xs: list[tuple[int, ...]]) -> np.ndarray:
-    p = t.field.p
-    out = np.zeros((len(xs), t.dim), dtype=np.int64)
-    for r, key in enumerate(xs):
-        value = t.table.get(key)
-        if value is not None:
-            out[r] = [v % p for v in value]
-    return out
-
-
-def _ad_stack(t: SkewBracketTensor, ys: list[tuple[int, ...]]) -> np.ndarray:
-    """ADS[y, :, k] = bracket(e_k, Y) as a column, signs folded in mod p."""
-    p = t.field.p
-    d = t.dim
-    ads = np.zeros((len(ys), d, d), dtype=np.int64)
-    for yi, y in enumerate(ys):
-        inside = set(y)
-        for k in range(d):
-            if k in inside:
-                continue
-            canon, sign = canonicalize_index((k,) + y, d)
-            value = t.table.get(canon)
-            if value is None:
-                continue
-            col = np.fromiter((v % p for v in value), dtype=np.int64, count=d)
-            ads[yi, :, k] = col if sign > 0 else (-col) % p
-    return ads
-
-
-def _dense_product(product: SymProductTensor) -> np.ndarray:
-    p = product.field.p
-    d = product.dim
-    out = np.zeros((d, d, d), dtype=np.int64)
-    for (i, j), value in product.table.items():
-        row = np.fromiter((v % p for v in value), dtype=np.int64, count=d)
-        out[i, j] = row
-        out[j, i] = row
-    return out
-
-
 def check_generalized_jacobi(t: SkewBracketTensor, max_instances: int | None = None) -> Verdict:
     """Check bracket(bracket(x1..xn), y2..yn) == sum_i bracket(x1,..,bracket(xi,y2..yn),..,xn)
     over all strictly increasing basis tuples (complete by multilinearity)."""
@@ -385,7 +343,8 @@ def check_generalized_jacobi(t: SkewBracketTensor, max_instances: int | None = N
     total = len(xs) * len(ys)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "generalized Jacobi check")
     if _use_fast_path(f, total):
-        hit = _fp_jacobi_first_failure(t, xs, ys)
+        from ._fpdense import jacobi_first_failure
+        hit = jacobi_first_failure(t, xs, ys)
         if hit is None:
             return Verdict(True, None, total)
         return Verdict(False, _jacobi_witness(t, *hit), total)
@@ -418,35 +377,6 @@ def _jacobi_sides(t: SkewBracketTensor, x: tuple[int, ...], y: tuple[int, ...]):
 def _jacobi_witness(t, x, y) -> Witness:
     lhs, rhs = _jacobi_sides(t, x, y)
     return Witness("generalized_jacobi", {"x": x, "y": y, "lhs": lhs, "rhs": rhs})
-
-
-def _fp_jacobi_first_failure(t, xs, ys):
-    p = t.field.p
-    d, n = t.dim, t.arity
-    tmat = _dense_bracket_matrix(t, xs)
-    ads = _ad_stack(t, ys)
-    yindex = {y: i for i, y in enumerate(ys)}
-    a_idx = np.empty((len(xs), n), dtype=np.intp)
-    c_idx = np.empty((len(xs), n), dtype=np.intp)
-    for r, x in enumerate(xs):
-        for s in range(n):
-            a_idx[r, s] = yindex[x[:s] + x[s + 1 :]]
-            c_idx[r, s] = x[s]
-    signs = np.array([1 if s % 2 == 0 else p - 1 for s in range(n)], dtype=np.int64)
-    best = None
-    for yi in range(len(ys)):
-        lhs = ads[yi] @ tmat.T % p
-        prods = ads @ ads[yi] % p
-        gathered = prods[a_idx, :, c_idx]
-        rhs = (gathered * signs[None, :, None]).sum(axis=1) % p
-        bad = np.nonzero((rhs != lhs.T).any(axis=1))[0]
-        if bad.size:
-            xi = int(bad[0])
-            if best is None or (xi, yi) < best:
-                best = (xi, yi)
-    if best is None:
-        return None
-    return xs[best[0]], ys[best[1]]
 
 
 def check_assoc_comm_unital(
@@ -491,7 +421,8 @@ def check_leibniz(alg: NLiePoissonAlgebra, max_instances: int | None = None) -> 
     total = d * d * len(ys)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "Leibniz check")
     if _use_fast_path(f, total):
-        hit = _fp_leibniz_first_failure(t, product, ys)
+        from ._fpdense import leibniz_first_failure
+        hit = leibniz_first_failure(t, product, ys)
         if hit is None:
             return Verdict(True, None, total)
         return Verdict(False, _leibniz_witness(t, product, *hit), total)
@@ -520,27 +451,6 @@ def _leibniz_witness(t, product, i, j, y) -> Witness:
     return Witness("leibniz", {"i": i, "j": j, "y": y, "lhs": lhs, "rhs": rhs})
 
 
-def _fp_leibniz_first_failure(t, product, ys):
-    p = t.field.p
-    ads = _ad_stack(t, ys)
-    pt = _dense_product(product)
-    best = None
-    for yi in range(len(ys)):
-        w = ads[yi]
-        lhs = np.einsum("ijk,mk->ijm", pt, w, optimize=True) % p
-        term1 = np.einsum("tj,itm->ijm", w, pt, optimize=True)
-        term2 = np.einsum("ti,jtm->ijm", w, pt, optimize=True)
-        rhs = (term1 + term2) % p
-        bad = np.argwhere((lhs != rhs).any(axis=2))
-        if bad.size:
-            i, j = int(bad[0][0]), int(bad[0][1])
-            if best is None or (i, j, yi) < best:
-                best = (i, j, yi)
-    if best is None:
-        return None
-    return best[0], best[1], ys[best[2]]
-
-
 def check_poisson_identity(alg: NLiePoissonAlgebra, max_instances: int | None = None) -> Verdict:
     """Check the derived compatibility bracket(a*b, c, u3..un) ==
     bracket(a, b*c, u..) + bracket(b, a*c, u..) on basis tuples.
@@ -556,7 +466,8 @@ def check_poisson_identity(alg: NLiePoissonAlgebra, max_instances: int | None = 
     total = d * d * d * len(us)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "compatibility check")
     if _use_fast_path(f, total):
-        hit = _fp_shift_first_failure(t, product, us)
+        from ._fpdense import shift_first_failure
+        hit = shift_first_failure(t, product, us)
         if hit is None:
             return Verdict(True, None, total)
         return Verdict(False, _shift_witness(t, product, *hit), total)
@@ -588,35 +499,3 @@ def _shift_witness(t, product, a, b, c, u) -> Witness:
     return Witness(
         "poisson_compatibility", {"a": a, "b": b, "c": c, "u": u, "lhs": lhs, "rhs": rhs}
     )
-
-
-def _fp_shift_first_failure(t, product, us):
-    p = t.field.p
-    d = t.dim
-    pt = _dense_product(product)
-    best = None
-    for ui, u in enumerate(us):
-        b3 = np.zeros((d, d, d), dtype=np.int64)
-        for x in range(d):
-            for y in range(x + 1, d):
-                canon, sign = canonicalize_index((x, y) + u, d)
-                if sign == 0:
-                    continue
-                value = t.table.get(canon)
-                if value is None:
-                    continue
-                col = np.fromiter((v % p for v in value), dtype=np.int64, count=d)
-                b3[x, y] = col if sign > 0 else (-col) % p
-                b3[y, x] = (-b3[x, y]) % p
-        lhs = np.einsum("ijk,klm->ijlm", pt, b3, optimize=True) % p
-        term1 = np.einsum("jlk,ikm->ijlm", pt, b3, optimize=True)
-        term2 = np.einsum("ilk,jkm->ijlm", pt, b3, optimize=True)
-        rhs = (term1 + term2) % p
-        bad = np.argwhere((lhs != rhs).any(axis=3))
-        if bad.size:
-            i, j, l = (int(v) for v in bad[0])
-            if best is None or (i, j, l, ui) < best:
-                best = (i, j, l, ui)
-    if best is None:
-        return None
-    return best[0], best[1], best[2], us[best[3]]

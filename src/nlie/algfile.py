@@ -257,8 +257,3 @@ def to_document(alg: NLieAlgebra | NLiePoissonAlgebra) -> dict:
 
 def dumps(alg: NLieAlgebra | NLiePoissonAlgebra) -> str:
     return json.dumps(to_document(alg), indent=2, sort_keys=True) + "\n"
-
-
-def dump_path(alg: NLieAlgebra | NLiePoissonAlgebra, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(alg))

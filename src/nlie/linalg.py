@@ -28,10 +28,6 @@ def vec_add(field: Field, a: Sequence, b: Sequence) -> tuple:
     return tuple(field.add(x, y) for x, y in zip(a, b, strict=True))
 
 
-def vec_sub(field: Field, a: Sequence, b: Sequence) -> tuple:
-    return tuple(field.sub(x, y) for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(field: Field, c, a: Sequence) -> tuple:
     return tuple(field.mul(c, x) for x in a)
 
@@ -58,10 +54,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [unit_vector(field, n, i) for i in range(n)])
 
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [zero_vector(field, ncols)] * nrows)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -79,14 +71,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, zip(*self.rows)) if self.rows else Matrix(self.field, [])
 
-    def add(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(f, [vec_add(f, a, b) for a, b in zip(self.rows, other.rows, strict=True)])
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, [vec_scale(f, c, r) for r in self.rows])
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
@@ -100,13 +84,6 @@ class Matrix:
     def matvec(self, v: Sequence) -> tuple:
         f = self.field
         return tuple(_dot(f, row, v) for row in self.rows)
-
-    def trace(self):
-        f = self.field
-        t = f.zero
-        for i in range(min(self.nrows, self.ncols)):
-            t = f.add(t, self.rows[i][i])
-        return t
 
     def is_zero(self) -> bool:
         return all(is_zero_vector(r) for r in self.rows)

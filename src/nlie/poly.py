@@ -13,6 +13,7 @@ degrees.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -530,7 +531,7 @@ def truncated_derived_span(
     fn, nvars = _bracket_fn(bracket, arity)
     drop = arity if bracket == "jac" else arity - 1
     inputs = monomials_up_to(nvars, degree_bound + drop)
-    total = _ncombinations(len(inputs), arity)
+    total = math.comb(len(inputs), arity)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "truncated derived span")
     coords = monomials_up_to(nvars, degree_bound)
     coord_index = {e: i for i, e in enumerate(coords)}
@@ -586,9 +587,3 @@ def truncated_center(
     else:
         basis = kernel(matrix)
     return TruncatedSubspace(nvars, degree_bound, tuple(coords), basis)
-
-
-def _ncombinations(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)

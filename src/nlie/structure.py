@@ -5,20 +5,19 @@ derived-modulo-center pipeline.
 
 Subspaces are the working currency; everything returns canonical
 SubspaceBasis values so results compare by value.  Over prime fields the
-closure engine runs on int64 arrays; over the rationals it stays on exact
-fractions.
+closure engine runs on int64 arrays (in _fpdense, loaded on first use);
+over the rationals it stays on exact fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from collections.abc import Sequence
-
-import numpy as np
 
 from .algebra import (
     NLieAlgebra,
@@ -222,86 +221,6 @@ def is_poisson_ideal(
     return is_nlie_ideal(alg, S) and is_associative_ideal(product, S)
 
 
-class _FpEchelon:
-    """Forward-echelon accumulator on int64 rows mod p.  Stored rows stay
-    mutually reduced (each pivot column is zero in every other row), so
-    membership tests are a single pass and conversion to the canonical
-    SubspaceBasis is a sort."""
-
-    __slots__ = ("p", "dim", "rows", "pivots")
-
-    def __init__(self, p: int, dim: int):
-        self.p = p
-        self.dim = dim
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce_batch(self, batch: np.ndarray) -> np.ndarray:
-        b = np.mod(batch, self.p)
-        for r, j in zip(self.rows, self.pivots):
-            c = b[:, j]
-            hit = c != 0
-            if hit.any():
-                b[hit] = np.mod(b[hit] - c[hit, None] * r, self.p)
-        return b
-
-    def add_batch(self, batch: np.ndarray) -> list[np.ndarray]:
-        """Insert the independent rows of the batch; returns them."""
-        added: list[np.ndarray] = []
-        b = self.reduce_batch(batch)
-        while self.rank < self.dim:
-            live = np.nonzero(b.any(axis=1))[0]
-            if live.size == 0:
-                break
-            row = b[live[0]]
-            j = int(np.nonzero(row)[0][0])
-            row = np.mod(row * pow(int(row[j]), self.p - 2, self.p), self.p)
-            for k, r in enumerate(self.rows):
-                if r[j] != 0:
-                    self.rows[k] = np.mod(r - r[j] * row, self.p)
-            self.rows.append(row)
-            self.pivots.append(j)
-            added.append(row)
-            b = b[live[0] + 1 :]
-            if b.shape[0] == 0:
-                break
-            c = b[:, j]
-            hit = c != 0
-            if hit.any():
-                b[hit] = np.mod(b[hit] - c[hit, None] * row, self.p)
-        return added
-
-    def to_subspace(self, field: PrimeField) -> SubspaceBasis:
-        order = sorted(range(self.rank), key=lambda i: self.pivots[i])
-        rows = [tuple(int(c) for c in self.rows[i]) for i in order]
-        pivots = [self.pivots[i] for i in order]
-        return SubspaceBasis._trusted(field, self.dim, rows, pivots)
-
-
-def _ops_tensor(ops: list[Matrix]) -> np.ndarray:
-    if not ops:
-        return np.zeros((0, 0, 0), dtype=np.int64)
-    d = ops[0].nrows
-    return np.array([[list(row) for row in m.rows] for m in ops], dtype=np.int64).reshape(
-        len(ops), d, d
-    )
-
-
-def _fp_closure(p: int, dim: int, seeds: np.ndarray, ops_tensor: np.ndarray) -> _FpEchelon:
-    ech = _FpEchelon(p, dim)
-    queue = ech.add_batch(seeds)
-    if ops_tensor.shape[0] == 0:
-        return ech
-    while queue and ech.rank < dim:
-        v = queue.pop()
-        queue.extend(ech.add_batch(np.mod(ops_tensor @ v, p)))
-    return ech
-
-
 def _closure(
     field: Field, dim: int, seed_vectors: Sequence[Sequence], ops: list[Matrix]
 ) -> SubspaceBasis:
@@ -309,9 +228,8 @@ def _closure(
     if not ops:
         return span(field, dim, seed_vectors)
     if isinstance(field, PrimeField):
-        seeds = np.array([[int(c) for c in v] for v in seed_vectors], dtype=np.int64)
-        seeds = seeds.reshape(len(seed_vectors), dim)
-        return _fp_closure(field.p, dim, seeds, _ops_tensor(ops)).to_subspace(field)
+        from . import _fpdense
+        return _fpdense.closure(field, dim, seed_vectors, ops)
     acc = EchelonAccumulator(field, dim)
     queue = [r for v in seed_vectors if (r := acc.add(v)) is not None]
     while queue and acc.dim < dim:
@@ -532,13 +450,6 @@ class SimplicityVerdict:
     seed: int = 0
 
 
-def _projective_coeffs(p: int, k: int):
-    """Representatives of projective classes: first nonzero coordinate 1."""
-    for lead in range(k):
-        for tail in itertools.product(range(p), repeat=k - 1 - lead):
-            yield (0,) * lead + (1,) + tail
-
-
 def _projective_count(p: int, k: int) -> int:
     return (p**k - 1) // (p - 1)
 
@@ -546,19 +457,18 @@ def _projective_count(p: int, k: int) -> int:
 def _exhaustive_projective(
     t: SkewBracketTensor, kind: IdealKind, ops: list[Matrix], seed: int
 ) -> SimplicityVerdict:
+    from . import _fpdense
     p, d = t.field.p, t.dim
-    tensor = _ops_tensor(ops)
-    for point in _projective_coeffs(p, d):
-        ech = _fp_closure(p, d, np.array([point], dtype=np.int64), tensor)
-        if ech.rank < d:
-            return SimplicityVerdict(
-                "not_simple",
-                kind,
-                None,
-                ech.to_subspace(t.field),
-                "a projective point generates a proper invariant subspace",
-                seed,
-            )
+    ech = _fpdense.first_proper_closure(p, d, _fpdense.ops_tensor(ops))
+    if ech is not None:
+        return SimplicityVerdict(
+            "not_simple",
+            kind,
+            None,
+            ech.to_subspace(t.field),
+            "a projective point generates a proper invariant subspace",
+            seed,
+        )
     certificate = {
         "method": "ExhaustiveProjective",
         "p": p,
@@ -566,10 +476,6 @@ def _exhaustive_projective(
         "points": _projective_count(p, d),
     }
     return SimplicityVerdict("simple", kind, certificate, None, None, seed)
-
-
-def _fp_nullspace(field: PrimeField, m: np.ndarray) -> SubspaceBasis:
-    return kernel(Matrix(field, [[int(c) for c in row] for row in m]))
 
 
 def _assert_invariant(S: SubspaceBasis, ops: list[Matrix]) -> None:
@@ -598,22 +504,17 @@ def _kernel_seeds(
     transposed-kernel point on the dual side finds a proper invariant
     subspace whenever one exists; if nothing traps, the algebra is simple.
     """
+    from . import _fpdense
     field = t.field
     p, d = field.p, t.dim
     ops = [m for _, m in labeled]
-    tensor = _ops_tensor(ops)
-
-    def nullity(arr: np.ndarray) -> int:
-        ech = _FpEchelon(p, d)
-        ech.add_batch(arr)
-        return d - ech.rank
-
+    tensor = _fpdense.ops_tensor(ops)
     candidates = sorted(
         (n, i)
         for i, m in enumerate(tensor)
-        if 1 <= (n := nullity(m.copy())) < d
+        if 1 <= (n := _fpdense.nullity(p, m)) < d
     )
-    chosen: np.ndarray | None = None
+    chosen = None
     label: dict | None = None
     chosen_nullity = 0
     for n, i in candidates:
@@ -625,8 +526,8 @@ def _kernel_seeds(
         for _ in range(_COMBO_TRIALS):
             i, j = rng.sample(range(len(ops)), 2)
             c = rng.randrange(1, p) if p > 2 else 1
-            combo = np.mod(tensor[i] + c * tensor[j], p)
-            n = nullity(combo.copy())
+            combo = _fpdense.combination(p, tensor[i], c, tensor[j])
+            n = _fpdense.nullity(p, combo)
             if 1 <= n < d and 2 * _projective_count(p, n) <= limit:
                 if chosen is None or n < chosen_nullity:
                     chosen, chosen_nullity = combo, n
@@ -641,39 +542,29 @@ def _kernel_seeds(
             "no invariant operation has a kernel small enough to enumerate "
             f"within {limit} closures; raise the enumeration limit"
         )
-    ker = _fp_nullspace(field, chosen)
-    ker_rows = np.array([[int(c) for c in row] for row in ker.rows], dtype=np.int64)
-    for coeffs in _projective_coeffs(p, ker.dim):
-        point = np.mod(np.array(coeffs, dtype=np.int64) @ ker_rows, p)
-        ech = _fp_closure(p, d, point[None, :], tensor)
-        if ech.rank < d:
-            witness = ech.to_subspace(field)
-            return SimplicityVerdict(
-                "not_simple",
-                kind,
-                None,
-                witness,
-                "a kernel point of a singular invariant operation generates a proper subspace",
-                seed,
-            )
-    tensor_t = tensor.transpose(0, 2, 1).copy()
-    ker_t = _fp_nullspace(field, chosen.T)
-    ker_t_rows = np.array([[int(c) for c in row] for row in ker_t.rows], dtype=np.int64)
-    for coeffs in _projective_coeffs(p, ker_t.dim):
-        point = np.mod(np.array(coeffs, dtype=np.int64) @ ker_t_rows, p)
-        ech = _fp_closure(p, d, point[None, :], tensor_t)
-        if ech.rank < d:
-            dual = ech.to_subspace(field)
-            witness = kernel(Matrix(field, [list(row) for row in dual.rows]))
-            _assert_invariant(witness, ops)
-            return SimplicityVerdict(
-                "not_simple",
-                kind,
-                None,
-                witness,
-                "the annihilator of a transposed-operation closure is a proper invariant subspace",
-                seed,
-            )
+    ech = _fpdense.kernel_point_closure(field, chosen, tensor)
+    if ech is not None:
+        return SimplicityVerdict(
+            "not_simple",
+            kind,
+            None,
+            ech.to_subspace(field),
+            "a kernel point of a singular invariant operation generates a proper subspace",
+            seed,
+        )
+    ech = _fpdense.kernel_point_closure(field, chosen, tensor, dual=True)
+    if ech is not None:
+        dual = ech.to_subspace(field)
+        witness = kernel(Matrix(field, [list(row) for row in dual.rows]))
+        _assert_invariant(witness, ops)
+        return SimplicityVerdict(
+            "not_simple",
+            kind,
+            None,
+            witness,
+            "the annihilator of a transposed-operation closure is a proper invariant subspace",
+            seed,
+        )
     certificate = {
         "method": "KernelSeeds",
         "p": p,
@@ -715,7 +606,7 @@ def _reduce_mod_p(
     scale = 1
     for _, vec in t.sorted_items():
         for c in vec:
-            scale = scale * Fraction(c).denominator // _gcd(scale, Fraction(c).denominator)
+            scale = scale * Fraction(c).denominator // math.gcd(scale, Fraction(c).denominator)
     if scale % p == 0:
         return None
     field = PrimeField(p)
@@ -741,12 +632,6 @@ def _reduce_mod_p(
                 ptable[key] = tuple(row)
         reduced_product = SymProductTensor(product.dim, field, ptable)
     return reduced_t, reduced_product, scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _is_simple_fp(

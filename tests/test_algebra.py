@@ -21,7 +21,11 @@ from nlie.algebra import (
     check_leibniz,
     check_poisson_identity,
 )
-from nlie.constructions import truncated_polynomial_algebra, jacobian_from_derivations
+from nlie.constructions import (
+    jacobian_from_derivations,
+    truncated_polynomial_algebra,
+    w_from_derivations,
+)
 from nlie.fields import PrimeField, QQ
 
 F3 = PrimeField(3)
@@ -216,6 +220,43 @@ class TestFastPathAgreement:
         for checker in (check_leibniz, check_poisson_identity):
             slow = self._with_fast_path(monkeypatch, False, lambda: checker(alg))
             fast = self._with_fast_path(monkeypatch, True, lambda: checker(alg))
+            assert slow == fast
+
+    def test_failing_leibniz_and_shift_agreement(self, monkeypatch):
+        # first-row determinant bracket of arity 3 against the carrier
+        # product: 2916 Leibniz and 6561 shift instances, failing early
+        carrier = truncated_polynomial_algebra(2, 3)
+        w = w_from_derivations(carrier.derivations, 3)
+        alg = NLiePoissonAlgebra(carrier.product, carrier.unit, w.bracket)
+        expected = {
+            check_leibniz: (2916, {"i": 0, "j": 0, "y": (1, 2)}),
+            check_poisson_identity: (6561, {"a": 0, "b": 0, "c": 1, "u": (2,)}),
+        }
+        for checker, (instances, where) in expected.items():
+            slow = self._with_fast_path(monkeypatch, False, lambda: checker(alg))
+            fast = self._with_fast_path(monkeypatch, True, lambda: checker(alg))
+            assert not slow.ok and slow.instances == instances
+            assert {k: slow.witness.data[k] for k in where} == where
+            assert slow == fast
+
+    def test_perturbed_c5_agreement(self, monkeypatch):
+        # one entry of the dim-25 Jacobian bracket over F_5 moved by one
+        c5 = jacobian_from_derivations(truncated_polynomial_algebra(2, 5).derivations)
+        table = dict(c5.bracket.table)
+        value = list(table[(4, 18)])
+        value[0] = (value[0] + 1) % 5
+        table[(4, 18)] = tuple(value)
+        bracket = SkewBracketTensor(25, 2, F5, table)
+        alg = NLiePoissonAlgebra(c5.product, c5.unit, bracket)
+        checks = (
+            lambda: check_generalized_jacobi(bracket),
+            lambda: check_leibniz(alg),
+            lambda: check_poisson_identity(alg),
+        )
+        for check in checks:
+            slow = self._with_fast_path(monkeypatch, False, check)
+            fast = self._with_fast_path(monkeypatch, True, check)
+            assert not slow.ok
             assert slow == fast
 
     def test_assoc_agreement(self, monkeypatch):

@@ -1,9 +1,14 @@
 """End-to-end command line coverage via in-process main() calls."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlie
 from nlie.cli import main
 
 CROSS = {
@@ -110,6 +115,11 @@ class TestMalformedInput:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["check", str(tmp_path / "absent.json")])
         assert code == 2
+
+    def test_prime_beyond_primality_bound(self, capsys, tmp_path):
+        doc = dict(CROSS, field={"Fp": 2**127 - 1}, bracket=[])
+        code, _, err = run(capsys, ["check", self.bad_file(tmp_path, doc)])
+        assert code == 2 and "3317044064679887385961981" in err
 
 
 class TestGenerate:
@@ -259,3 +269,42 @@ class TestPoly:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+_IMPORT_WEIGHT = """
+import contextlib, io, json, sys
+import nlie
+loaded = ["numpy" in sys.modules]
+from nlie.cli import main
+cross, c3 = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["check", "--poisson", c3]),
+        main(["analyze", cross]),
+        main(["poly", "verify", "--bracket", "jac", "--n", "2", "--identity", "jacobi",
+              "--degree", "2"]),
+    ]
+loaded.append("numpy" in sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(main(["simple", "--format", "json", cross]))
+loaded.append("numpy" in sys.modules)
+verdict = json.loads(out.getvalue())["results"]["verdict"]
+print(json.dumps({"codes": codes, "loaded": loaded, "verdict": verdict}))
+"""
+
+
+def test_numpy_loaded_only_by_dense_paths(cross_path, char3_path):
+    # pytest has imported numpy already, so the check needs a fresh interpreter
+    src = str(Path(nlie.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_WEIGHT, cross_path, char3_path],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0, 0, 0]
+    # after import nlie, after check/analyze/poly verify, after simple
+    assert got["loaded"] == [False, False, True]
+    assert got["verdict"]["certificate"]["method"] == "ModPReduction"
+    assert got["verdict"]["certificate"]["p"] == 5

@@ -1,11 +1,12 @@
 """Field arithmetic and exact linear algebra."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlie.fields import PrimeField, QQ
+from nlie.fields import PrimeField, QQ, _is_prime
 from nlie.linalg import (
     EchelonAccumulator,
     Matrix,
@@ -42,6 +43,35 @@ class TestFields:
             PrimeField(6)
         with pytest.raises(ValueError):
             PrimeField(1)
+
+    def test_is_prime_agrees_with_sieve(self):
+        n = 200_000
+        sieve = [False, False] + [True] * (n - 2)
+        for i in range(2, int(n**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(range(i * i, n, i))
+        assert [_is_prime(k) for k in range(n)] == sieve
+
+    @pytest.mark.parametrize("n", [
+        561,  # Carmichael
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to bases 2..31
+        318665857834031151167461,  # strong pseudoprime to bases 2..37
+    ])
+    def test_rejects_pseudoprimes(self, n):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+    def test_large_primes_are_quick(self):
+        start = time.perf_counter()
+        for p in (3037000493, 2**61 - 1):
+            assert PrimeField(p).p == p
+        assert time.perf_counter() - start < 1.0
+
+    def test_refuses_beyond_the_deterministic_bound(self):
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            PrimeField(2**127 - 1)
 
     def test_inv_zero(self):
         with pytest.raises(ZeroDivisionError):
