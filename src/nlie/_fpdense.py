@@ -1,7 +1,7 @@
-"""Dense int64 kernels over F_p, rows with entries in [0, p): the checkers'
-vectorized paths, then the echelon and closure engine behind F_p ideal
-closures and simplicity.  The only module that imports numpy; `algebra` and
-`structure` import it inside the prime-field branches that run it."""
+"""Dense int64 kernels over F_p, rows with entries in [0, p): the echelon
+and closure engine behind F_p ideal closures and simplicity.  The only
+module that imports numpy; `structure` imports it inside the prime-field
+branches that run it, and only where `fits_int64(p, dim)` holds."""
 
 from __future__ import annotations
 
@@ -9,131 +9,14 @@ import itertools
 
 import numpy as np
 
-from .algebra import SkewBracketTensor, SymProductTensor, canonicalize_index
 from .fields import PrimeField
 from .linalg import Matrix, SubspaceBasis, kernel
 
 
-def dense_bracket_matrix(t: SkewBracketTensor, xs: list[tuple[int, ...]]) -> np.ndarray:
-    p = t.field.p
-    out = np.zeros((len(xs), t.dim), dtype=np.int64)
-    for r, key in enumerate(xs):
-        value = t.table.get(key)
-        if value is not None:
-            out[r] = [v % p for v in value]
-    return out
-
-
-def ad_stack(t: SkewBracketTensor, ys: list[tuple[int, ...]]) -> np.ndarray:
-    """ADS[y, :, k] = bracket(e_k, Y) as a column, signs folded in mod p."""
-    p = t.field.p
-    d = t.dim
-    ads = np.zeros((len(ys), d, d), dtype=np.int64)
-    for yi, y in enumerate(ys):
-        inside = set(y)
-        for k in range(d):
-            if k in inside:
-                continue
-            canon, sign = canonicalize_index((k,) + y, d)
-            value = t.table.get(canon)
-            if value is None:
-                continue
-            col = np.fromiter((v % p for v in value), dtype=np.int64, count=d)
-            ads[yi, :, k] = col if sign > 0 else (-col) % p
-    return ads
-
-
-def dense_product(product: SymProductTensor) -> np.ndarray:
-    p = product.field.p
-    d = product.dim
-    out = np.zeros((d, d, d), dtype=np.int64)
-    for (i, j), value in product.table.items():
-        row = np.fromiter((v % p for v in value), dtype=np.int64, count=d)
-        out[i, j] = row
-        out[j, i] = row
-    return out
-
-
-def jacobi_first_failure(t, xs, ys):
-    p = t.field.p
-    d, n = t.dim, t.arity
-    tmat = dense_bracket_matrix(t, xs)
-    ads = ad_stack(t, ys)
-    yindex = {y: i for i, y in enumerate(ys)}
-    a_idx = np.empty((len(xs), n), dtype=np.intp)
-    c_idx = np.empty((len(xs), n), dtype=np.intp)
-    for r, x in enumerate(xs):
-        for s in range(n):
-            a_idx[r, s] = yindex[x[:s] + x[s + 1 :]]
-            c_idx[r, s] = x[s]
-    signs = np.array([1 if s % 2 == 0 else p - 1 for s in range(n)], dtype=np.int64)
-    best = None
-    for yi in range(len(ys)):
-        lhs = ads[yi] @ tmat.T % p
-        prods = ads @ ads[yi] % p
-        gathered = prods[a_idx, :, c_idx]
-        rhs = (gathered * signs[None, :, None]).sum(axis=1) % p
-        bad = np.nonzero((rhs != lhs.T).any(axis=1))[0]
-        if bad.size:
-            xi = int(bad[0])
-            if best is None or (xi, yi) < best:
-                best = (xi, yi)
-    if best is None:
-        return None
-    return xs[best[0]], ys[best[1]]
-
-
-def leibniz_first_failure(t, product, ys):
-    p = t.field.p
-    ads = ad_stack(t, ys)
-    pt = dense_product(product)
-    best = None
-    for yi in range(len(ys)):
-        w = ads[yi]
-        lhs = np.einsum("ijk,mk->ijm", pt, w, optimize=True) % p
-        term1 = np.einsum("tj,itm->ijm", w, pt, optimize=True)
-        term2 = np.einsum("ti,jtm->ijm", w, pt, optimize=True)
-        rhs = (term1 + term2) % p
-        bad = np.argwhere((lhs != rhs).any(axis=2))
-        if bad.size:
-            i, j = int(bad[0][0]), int(bad[0][1])
-            if best is None or (i, j, yi) < best:
-                best = (i, j, yi)
-    if best is None:
-        return None
-    return best[0], best[1], ys[best[2]]
-
-
-def shift_first_failure(t, product, us):
-    p = t.field.p
-    d = t.dim
-    pt = dense_product(product)
-    best = None
-    for ui, u in enumerate(us):
-        b3 = np.zeros((d, d, d), dtype=np.int64)
-        for x in range(d):
-            for y in range(x + 1, d):
-                canon, sign = canonicalize_index((x, y) + u, d)
-                if sign == 0:
-                    continue
-                value = t.table.get(canon)
-                if value is None:
-                    continue
-                col = np.fromiter((v % p for v in value), dtype=np.int64, count=d)
-                b3[x, y] = col if sign > 0 else (-col) % p
-                b3[y, x] = (-b3[x, y]) % p
-        lhs = np.einsum("ijk,klm->ijlm", pt, b3, optimize=True) % p
-        term1 = np.einsum("jlk,ikm->ijlm", pt, b3, optimize=True)
-        term2 = np.einsum("ilk,jkm->ijlm", pt, b3, optimize=True)
-        rhs = (term1 + term2) % p
-        bad = np.argwhere((lhs != rhs).any(axis=3))
-        if bad.size:
-            i, j, l = (int(v) for v in bad[0])
-            if best is None or (i, j, l, ui) < best:
-                best = (i, j, l, ui)
-    if best is None:
-        return None
-    return best[0], best[1], best[2], us[best[3]]
+def fits_int64(p: int, dim: int) -> bool:
+    """Whether the kernels here are exact on F_p^dim: a dot product of two
+    rows sums dim products of residues below p, and must stay below 2**63."""
+    return dim * (p - 1) ** 2 < 2**63
 
 
 class FpEchelon:

@@ -11,18 +11,13 @@ witness.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dc_field
 
-from .fields import Field, PrimeField
+from .fields import Field
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
 from .linalg import is_zero_vector, unit_vector, vec_add, zero_vector
-
-# Above this instance count, checkers over F_p switch to a vectorized
-# integer path (exact: all intermediate values stay far below 2**63).
-_FAST_PATH_MIN = 2_000
-_FAST_PATH_MAX_P = 10**6
-
 
 def canonicalize_index(indices: Sequence[int], dim: int) -> tuple[tuple[int, ...] | None, int]:
     """Sort an index tuple, tracking the permutation sign.
@@ -322,61 +317,107 @@ class Verdict:
     instances: int = 0
 
 
-def _basis(field: Field, dim: int, i: int) -> tuple:
-    return unit_vector(field, dim, i)
+# ---------------------------------------------------------------------------
+# identity checkers
+#
+# One sparse engine serves all four checkers.  Every instance of an identity
+# is a sum of contractions of a sparse vector against sparse columns read
+# off the `table` dicts: adjoint columns [e_k, z] of the bracket (Filippov:
+# Jacobi says each ad_z is a derivation of the bracket, Leibniz that it is
+# one of the product) and multiplication columns e_i * e_k.  Sums accumulate
+# unreduced (ints over F_p, Fractions over Q) and are normalised once
+# through the field, so the check is exact for every p.  An instance whose
+# terms all vanish holds trivially and is skipped; the others run in
+# lexicographic order, so the witness is the first failing instance.
+
+_NO_COLUMNS: dict = {}
 
 
-def _use_fast_path(field: Field, instances: int) -> bool:
-    return (
-        isinstance(field, PrimeField)
-        and field.p <= _FAST_PATH_MAX_P
-        and instances >= _FAST_PATH_MIN
-    )
+def _sparse(value) -> list:
+    return [(m, c) for m, c in enumerate(value) if c != 0] if value else []
+
+
+def _ad_columns(t: SkewBracketTensor) -> dict[tuple[int, ...], dict[int, list]]:
+    """ad[z][k] = bracket(e_k, e_z1, .., e_z(n-1)) for sorted z; only
+    nonzero columns are stored."""
+    ad: dict = {}
+    for key, value in t.table.items():
+        col = _sparse(value)
+        neg = [(m, -c) for m, c in col]
+        for s, k in enumerate(key):
+            ad.setdefault(key[:s] + key[s + 1 :], {})[k] = neg if s % 2 else col
+    return ad
+
+
+def _holders(ad: dict, dim: int) -> list[set]:
+    """holders[k] = the tuples z with a nonzero column ad[z][k]."""
+    holders: list[set] = [set() for _ in range(dim)]
+    for z, cols in ad.items():
+        for k in cols:
+            holders[k].add(z)
+    return holders
+
+
+def _mult_columns(product: SymProductTensor) -> list[dict[int, list]]:
+    """mult[i][k] = e_i * e_k; only nonzero columns are stored."""
+    mult: list[dict] = [{} for _ in range(product.dim)]
+    for (i, j), value in product.table.items():
+        mult[i][j] = mult[j][i] = _sparse(value)
+    return mult
+
+
+def _contract(terms, acc: dict, sign: int = 1) -> dict:
+    """acc += sign * sum of c0 * (cols applied to vec) over the terms
+    (cols, vec, c0), unreduced."""
+    for cols, vec, c0 in terms:
+        for k, c in vec:
+            col = cols.get(k)
+            if col:
+                c *= sign * c0
+                for m, a in col:
+                    acc[m] = acc.get(m, 0) + c * a
+    return acc
+
+
+def _verdict(
+    f: Field, d: int, kind: str, names: tuple[str, ...], instances, total: int
+) -> Verdict:
+    """Verdict over (key, lhs terms, rhs terms) instances given in
+    lexicographic key order; the witness names the key's parts `names`."""
+    norm = f.from_int  # also maps an unreduced sum of field values to its value
+    for key, lhs, rhs in instances:
+        if any(map(norm, _contract(rhs, _contract(lhs, {}), -1).values())):
+            data = dict(zip(names, key))
+            for side, terms in (("lhs", lhs), ("rhs", rhs)):
+                acc = _contract(terms, {})
+                data[side] = tuple(norm(acc.get(m, 0)) for m in range(d))
+            return Verdict(False, Witness(kind, data), total)
+    return Verdict(True, None, total)
 
 
 def check_generalized_jacobi(t: SkewBracketTensor, max_instances: int | None = None) -> Verdict:
     """Check bracket(bracket(x1..xn), y2..yn) == sum_i bracket(x1,..,bracket(xi,y2..yn),..,xn)
     over all strictly increasing basis tuples (complete by multilinearity)."""
-    d, n, f = t.dim, t.arity, t.field
-    xs = list(itertools.combinations(range(d), n))
-    ys = list(itertools.combinations(range(d), n - 1))
-    total = len(xs) * len(ys)
+    d, n = t.dim, t.arity
+    total = math.comb(d, n) * math.comb(d, n - 1)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "generalized Jacobi check")
-    if _use_fast_path(f, total):
-        from ._fpdense import jacobi_first_failure
-        hit = jacobi_first_failure(t, xs, ys)
-        if hit is None:
-            return Verdict(True, None, total)
-        return Verdict(False, _jacobi_witness(t, *hit), total)
-    for x in xs:
-        for y in ys:
-            lhs, rhs = _jacobi_sides(t, x, y)
-            if lhs != rhs:
-                return Verdict(False, _jacobi_witness(t, x, y), total)
-    return Verdict(True, None, total)
+    ad = _ad_columns(t)
+    holders = _holders(ad, d)
 
+    def instances():
+        # lhs = ad_y(bracket(x)); rhs = sum_s (-1)^s ad_{x without x_s}(ad_y(e_{x_s}))
+        for x in itertools.combinations(range(d), n):
+            vx = _sparse(t.table.get(x))
+            faces = [ad.get(x[:s] + x[s + 1 :], _NO_COLUMNS) for s in range(n)]
+            ys = set().union(
+                *(holders[m] for m, _ in vx), *(holders[k] for k, face in zip(x, faces) if face)
+            )
+            for y in sorted(ys):
+                ady = ad[y]
+                rhs = [(faces[s], ady.get(x[s], ()), -1 if s % 2 else 1) for s in range(n)]
+                yield (x, y), [(ady, vx, 1)], rhs
 
-def _jacobi_sides(t: SkewBracketTensor, x: tuple[int, ...], y: tuple[int, ...]):
-    f, d, n = t.field, t.dim, t.arity
-    ybasis = [_basis(f, d, i) for i in y]
-    vx = t.entry(x)
-    lhs = t.eval([vx, *ybasis]) if not is_zero_vector(vx) else zero_vector(f, d)
-    rhs = zero_vector(f, d)
-    for s in range(n):
-        w = t.component((x[s],) + y)
-        if is_zero_vector(w):
-            continue
-        rest = x[:s] + x[s + 1 :]
-        term = t.eval([w, *(_basis(f, d, i) for i in rest)])
-        if s % 2 == 1:
-            term = tuple(f.neg(c) for c in term)
-        rhs = vec_add(f, rhs, term)
-    return lhs, rhs
-
-
-def _jacobi_witness(t, x, y) -> Witness:
-    lhs, rhs = _jacobi_sides(t, x, y)
-    return Witness("generalized_jacobi", {"x": x, "y": y, "lhs": lhs, "rhs": rhs})
+    return _verdict(t.field, d, "generalized_jacobi", ("x", "y"), instances(), total)
 
 
 def check_assoc_comm_unital(
@@ -389,7 +430,7 @@ def check_assoc_comm_unital(
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "associativity check")
     if unit is not None:
         for i in range(d):
-            e = _basis(f, d, i)
+            e = unit_vector(f, d, i)
             got = product.eval(tuple(unit), e)
             if got != e:
                 return Verdict(
@@ -397,58 +438,40 @@ def check_assoc_comm_unital(
                     Witness("unit", {"index": i, "lhs": got, "rhs": e}),
                     total,
                 )
-    basis = [_basis(f, d, i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            pij = product.entry(i, j)
-            for k in range(d):
-                lhs = product.eval(pij, basis[k])
-                rhs = product.eval(basis[i], product.entry(j, k))
-                if lhs != rhs:
-                    return Verdict(
-                        False,
-                        Witness("associativity", {"triple": (i, j, k), "lhs": lhs, "rhs": rhs}),
-                        total,
-                    )
-    return Verdict(True, None, total)
+    mult = _mult_columns(product)
+
+    def instances():
+        # (e_i e_j) e_k == e_i (e_j e_k)
+        for i in range(d):
+            for j in range(d):
+                pij = mult[i].get(j, ())
+                for k in sorted(set(mult[j]).union(*(mult[m] for m, _ in pij))):
+                    yield ((i, j, k),), [(mult[k], pij, 1)], [(mult[i], mult[j].get(k, ()), 1)]
+
+    return _verdict(f, d, "associativity", ("triple",), instances(), total)
 
 
 def check_leibniz(alg: NLiePoissonAlgebra, max_instances: int | None = None) -> Verdict:
     """Check bracket(a*b, u2..un) == a*bracket(b, u..) + bracket(a, u..)*b on basis tuples."""
-    t, product = alg.bracket, alg.product
-    d, n, f = t.dim, t.arity, t.field
-    ys = list(itertools.combinations(range(d), n - 1))
-    total = d * d * len(ys)
+    t = alg.bracket
+    d, n = t.dim, t.arity
+    total = d * d * math.comb(d, n - 1)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "Leibniz check")
-    if _use_fast_path(f, total):
-        from ._fpdense import leibniz_first_failure
-        hit = leibniz_first_failure(t, product, ys)
-        if hit is None:
-            return Verdict(True, None, total)
-        return Verdict(False, _leibniz_witness(t, product, *hit), total)
-    for i in range(d):
-        for j in range(d):
-            for y in ys:
-                lhs, rhs = _leibniz_sides(t, product, i, j, y)
-                if lhs != rhs:
-                    return Verdict(False, _leibniz_witness(t, product, i, j, y), total)
-    return Verdict(True, None, total)
+    ad = _ad_columns(t)
+    holders = _holders(ad, d)
+    mult = _mult_columns(alg.product)
 
+    def instances():
+        for i in range(d):
+            for j in range(d):
+                pij = mult[i].get(j, ())
+                ys = set().union(holders[i], holders[j], *(holders[m] for m, _ in pij))
+                for y in sorted(ys):
+                    ady = ad[y]
+                    rhs = [(mult[i], ady.get(j, ()), 1), (mult[j], ady.get(i, ()), 1)]
+                    yield (i, j, y), [(ady, pij, 1)], rhs
 
-def _leibniz_sides(t, product, i, j, y):
-    f, d = t.field, t.dim
-    ybasis = [_basis(f, d, k) for k in y]
-    pij = product.entry(i, j)
-    lhs = t.eval([pij, *ybasis]) if not is_zero_vector(pij) else zero_vector(f, d)
-    wj = t.component((j,) + y)
-    wi = t.component((i,) + y)
-    rhs = vec_add(f, product.eval(_basis(f, d, i), wj), product.eval(wi, _basis(f, d, j)))
-    return lhs, rhs
-
-
-def _leibniz_witness(t, product, i, j, y) -> Witness:
-    lhs, rhs = _leibniz_sides(t, product, i, j, y)
-    return Witness("leibniz", {"i": i, "j": j, "y": y, "lhs": lhs, "rhs": rhs})
+    return _verdict(t.field, d, "leibniz", ("i", "j", "y"), instances(), total)
 
 
 def check_poisson_identity(alg: NLiePoissonAlgebra, max_instances: int | None = None) -> Verdict:
@@ -458,44 +481,45 @@ def check_poisson_identity(alg: NLiePoissonAlgebra, max_instances: int | None = 
     It follows from Leibniz, so a failure here pins an incompatible pair even
     when the Leibniz check is skipped.
     """
-    t, product = alg.bracket, alg.product
-    d, n, f = t.dim, t.arity, t.field
+    t = alg.bracket
+    d, n = t.dim, t.arity
     if n < 2:
         raise ValueError("the compatibility identity needs arity >= 2")
-    us = list(itertools.combinations(range(d), n - 2))
-    total = d * d * d * len(us)
+    total = d * d * d * math.comb(d, n - 2)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "compatibility check")
-    if _use_fast_path(f, total):
-        from ._fpdense import shift_first_failure
-        hit = shift_first_failure(t, product, us)
-        if hit is None:
-            return Verdict(True, None, total)
-        return Verdict(False, _shift_witness(t, product, *hit), total)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for u in us:
-                    lhs, rhs = _shift_sides(t, product, a, b, c, u)
-                    if lhs != rhs:
-                        return Verdict(False, _shift_witness(t, product, a, b, c, u), total)
-    return Verdict(True, None, total)
+    mult = _mult_columns(alg.product)
+    # slots[k][u] = (ad[z], sign) with bracket(v, e_k, e_u..) = sign * ad[z](v);
+    # pairs[m, k] = the u with bracket(e_m, e_k, e_u..) != 0
+    slots: list[dict] = [{} for _ in range(d)]
+    pairs: dict[tuple[int, int], set] = {}
+    for z, cols in _ad_columns(t).items():
+        for q, k in enumerate(z):
+            u = z[:q] + z[q + 1 :]
+            slots[k][u] = (cols, -1 if q % 2 else 1)
+            for m in cols:
+                pairs.setdefault((m, k), set()).add(u)
+    none = (_NO_COLUMNS, 0)
 
+    def meets(vec, k):
+        return set().union(*[pairs.get((m, k), ()) for m, _ in vec])
 
-def _shift_sides(t, product, a, b, c, u):
-    f, d = t.field, t.dim
-    ubasis = [_basis(f, d, k) for k in u]
-    ea, eb, ec = _basis(f, d, a), _basis(f, d, b), _basis(f, d, c)
-    lhs = t.eval([product.entry(a, b), ec, *ubasis])
-    rhs = vec_add(
-        f,
-        t.eval([ea, product.entry(b, c), *ubasis]),
-        t.eval([eb, product.entry(a, c), *ubasis]),
-    )
-    return lhs, rhs
+    def instances():
+        for a in range(d):
+            for b in range(d):
+                pab = mult[a].get(b, ())
+                for c in range(d):
+                    pbc, pac = mult[b].get(c, ()), mult[a].get(c, ())
+                    us = meets(pab, c) if pab else set()
+                    if pbc:
+                        us |= meets(pbc, a)
+                    if pac:
+                        us |= meets(pac, b)
+                    for u in sorted(us):
+                        cc, sc = slots[c].get(u, none)
+                        ca, sa = slots[a].get(u, none)
+                        cb, sb = slots[b].get(u, none)
+                        rhs = [(ca, pbc, -sa), (cb, pac, -sb)]
+                        yield (a, b, c, u), [(cc, pab, sc)], rhs
 
-
-def _shift_witness(t, product, a, b, c, u) -> Witness:
-    lhs, rhs = _shift_sides(t, product, a, b, c, u)
-    return Witness(
-        "poisson_compatibility", {"a": a, "b": b, "c": c, "u": u, "lhs": lhs, "rhs": rhs}
-    )
+    names = ("a", "b", "c", "u")
+    return _verdict(t.field, d, "poisson_compatibility", names, instances(), total)

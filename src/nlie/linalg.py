@@ -50,10 +50,6 @@ class Matrix:
         self.field = field
         self.rows = frozen
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [unit_vector(field, n, i) for i in range(n)])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -87,29 +83,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(is_zero_vector(r) for r in self.rows)
-
-    def rref(self) -> tuple["Matrix", int]:
-        """Reduced row echelon form (same shape, zero rows at the bottom) and rank."""
-        f = self.field
-        m = [list(r) for r in self.rows]
-        nr, nc = len(m), self.ncols
-        pr = 0
-        for pc in range(nc):
-            pivot = next((r for r in range(pr, nr) if m[r][pc] != 0), None)
-            if pivot is None:
-                continue
-            m[pr], m[pivot] = m[pivot], m[pr]
-            inv = f.inv(m[pr][pc])
-            if inv != f.one:
-                m[pr] = [f.mul(inv, x) for x in m[pr]]
-            for r in range(nr):
-                if r != pr and m[r][pc] != 0:
-                    c = m[r][pc]
-                    m[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(m[r], m[pr])]
-            pr += 1
-            if pr == nr:
-                break
-        return Matrix(f, m), pr
 
     def __eq__(self, other):
         return (
@@ -323,39 +296,3 @@ def kernel(matrix: Matrix) -> SubspaceBasis:
                 v[p] = f.neg(row[free])
         basis.append(v)
     return SubspaceBasis(f, nc, basis)
-
-
-def quotient_complement(whole: SubspaceBasis, sub: SubspaceBasis) -> list[tuple]:
-    """Deterministic coset representatives spanning `whole` modulo `sub`.
-
-    Returns the rows of `whole` whose pivots are not pivots of `sub`; their
-    classes form a basis of the quotient space.
-    """
-    whole._check_compatible(sub)
-    if not whole.contains_subspace(sub):
-        raise ValueError("sub is not contained in whole")
-    skip = set(sub.pivots)
-    return [row for row, p in zip(whole.rows, whole.pivots) if p not in skip]
-
-
-def determinant(field: Field, grid: Sequence[Sequence]):
-    """Determinant of a square scalar matrix by exact Gaussian elimination."""
-    n = len(grid)
-    if any(len(r) != n for r in grid):
-        raise ValueError("determinant of a non-square matrix")
-    m = [list(r) for r in grid]
-    det = field.one
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return field.zero
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = field.neg(det)
-        det = field.mul(det, m[c][c])
-        inv = field.inv(m[c][c])
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                factor = field.mul(inv, m[r][c])
-                m[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(m[r], m[c])]
-    return det

@@ -4,9 +4,11 @@ quotients, certified simplicity verdicts, statement probes, and the
 derived-modulo-center pipeline.
 
 Subspaces are the working currency; everything returns canonical
-SubspaceBasis values so results compare by value.  Over prime fields the
-closure engine runs on int64 arrays (in _fpdense, loaded on first use);
-over the rationals it stays on exact fractions.
+SubspaceBasis values so results compare by value.  Over F_p with
+dim*(p-1)^2 < 2^63 closures run on int64 arrays (in _fpdense, loaded on
+first use); over larger p and over Q they run on exact Python values.
+Simplicity over F_p runs on the int64 engine only, and refuses beyond that
+bound.
 """
 
 from __future__ import annotations
@@ -229,7 +231,8 @@ def _closure(
         return span(field, dim, seed_vectors)
     if isinstance(field, PrimeField):
         from . import _fpdense
-        return _fpdense.closure(field, dim, seed_vectors, ops)
+        if _fpdense.fits_int64(field.p, dim):
+            return _fpdense.closure(field, dim, seed_vectors, ops)
     acc = EchelonAccumulator(field, dim)
     queue = [r for v in seed_vectors if (r := acc.add(v)) is not None]
     while queue and acc.dim < dim:
@@ -642,6 +645,12 @@ def _is_simple_fp(
     seed: int,
     method: str,
 ) -> SimplicityVerdict:
+    from . import _fpdense
+    if not _fpdense.fits_int64(t.field.p, t.dim):
+        raise ValueError(
+            f"simplicity over F_{t.field.p} in dimension {t.dim} needs dim*(p-1)^2 < 2^63 "
+            "for exact int64 arithmetic"
+        )
     labeled = _labeled_ops(t, kind, product)
     ops = [m for _, m in labeled]
     points = _projective_count(t.field.p, t.dim)

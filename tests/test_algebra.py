@@ -5,12 +5,12 @@ and frozen here; property tests cover the invariances that hold for every
 tensor by construction.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import nlie.algebra as algebra
 from nlie.algebra import (
     NLiePoissonAlgebra,
     SkewBracketTensor,
@@ -27,6 +27,8 @@ from nlie.constructions import (
     w_from_derivations,
 )
 from nlie.fields import PrimeField, QQ
+
+from loop_oracle import assoc_oracle, jacobi_oracle, leibniz_oracle, shift_oracle
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -184,24 +186,20 @@ class TestPoissonCheckers:
 
 
 class TestFastPathAgreement:
-    """The vectorized prime-field path must agree with the exact pure path,
-    witness included."""
+    """The sparse engine must agree with the per-instance oracle loops,
+    witness included, value types too (the repr tells an int from a
+    Fraction)."""
 
-    def _with_fast_path(self, monkeypatch, enabled, fn):
-        monkeypatch.setattr(algebra, "_FAST_PATH_MIN", 1 if enabled else 10**18)
-        return fn()
+    @staticmethod
+    def _agree(engine, oracle):
+        assert repr(engine) == repr(oracle)
+        return engine
 
-    def test_jacobi_agreement(self, monkeypatch):
+    def test_jacobi_agreement(self):
         alg = jacobian_from_derivations(truncated_polynomial_algebra(2, 3).derivations)
-        slow = self._with_fast_path(
-            monkeypatch, False, lambda: check_generalized_jacobi(alg.bracket)
-        )
-        fast = self._with_fast_path(
-            monkeypatch, True, lambda: check_generalized_jacobi(alg.bracket)
-        )
-        assert slow == fast
+        self._agree(check_generalized_jacobi(alg.bracket), jacobi_oracle(alg.bracket))
 
-    def test_failing_witness_agreement(self, monkeypatch):
+    def test_failing_witness_agreement(self):
         # seeded random tensor over F_5 that violates the identity
         import random
 
@@ -210,36 +208,32 @@ class TestFastPathAgreement:
         for key in [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]:
             table[key] = tuple(rng.randrange(5) for _ in range(4))
         t = SkewBracketTensor(4, 2, F5, table)
-        slow = self._with_fast_path(monkeypatch, False, lambda: check_generalized_jacobi(t))
-        fast = self._with_fast_path(monkeypatch, True, lambda: check_generalized_jacobi(t))
-        assert not slow.ok
-        assert slow == fast
+        v = self._agree(check_generalized_jacobi(t), jacobi_oracle(t))
+        assert not v.ok
 
-    def test_leibniz_and_shift_agreement(self, monkeypatch):
+    def test_leibniz_and_shift_agreement(self):
         alg = jacobian_from_derivations(truncated_polynomial_algebra(2, 3).derivations)
-        for checker in (check_leibniz, check_poisson_identity):
-            slow = self._with_fast_path(monkeypatch, False, lambda: checker(alg))
-            fast = self._with_fast_path(monkeypatch, True, lambda: checker(alg))
-            assert slow == fast
+        self._agree(check_leibniz(alg), leibniz_oracle(alg))
+        self._agree(check_poisson_identity(alg), shift_oracle(alg))
 
-    def test_failing_leibniz_and_shift_agreement(self, monkeypatch):
+    def test_failing_leibniz_and_shift_agreement(self):
         # first-row determinant bracket of arity 3 against the carrier
         # product: 2916 Leibniz and 6561 shift instances, failing early
         carrier = truncated_polynomial_algebra(2, 3)
         w = w_from_derivations(carrier.derivations, 3)
         alg = NLiePoissonAlgebra(carrier.product, carrier.unit, w.bracket)
         expected = {
-            check_leibniz: (2916, {"i": 0, "j": 0, "y": (1, 2)}),
-            check_poisson_identity: (6561, {"a": 0, "b": 0, "c": 1, "u": (2,)}),
+            (check_leibniz, leibniz_oracle): (2916, {"i": 0, "j": 0, "y": (1, 2)}),
+            (check_poisson_identity, shift_oracle): (
+                6561, {"a": 0, "b": 0, "c": 1, "u": (2,)}
+            ),
         }
-        for checker, (instances, where) in expected.items():
-            slow = self._with_fast_path(monkeypatch, False, lambda: checker(alg))
-            fast = self._with_fast_path(monkeypatch, True, lambda: checker(alg))
-            assert not slow.ok and slow.instances == instances
-            assert {k: slow.witness.data[k] for k in where} == where
-            assert slow == fast
+        for (checker, oracle), (instances, where) in expected.items():
+            v = self._agree(checker(alg), oracle(alg))
+            assert not v.ok and v.instances == instances
+            assert {k: v.witness.data[k] for k in where} == where
 
-    def test_perturbed_c5_agreement(self, monkeypatch):
+    def test_perturbed_c5_agreement(self):
         # one entry of the dim-25 Jacobian bracket over F_5 moved by one
         c5 = jacobian_from_derivations(truncated_polynomial_algebra(2, 5).derivations)
         table = dict(c5.bracket.table)
@@ -248,26 +242,61 @@ class TestFastPathAgreement:
         table[(4, 18)] = tuple(value)
         bracket = SkewBracketTensor(25, 2, F5, table)
         alg = NLiePoissonAlgebra(c5.product, c5.unit, bracket)
-        checks = (
-            lambda: check_generalized_jacobi(bracket),
-            lambda: check_leibniz(alg),
-            lambda: check_poisson_identity(alg),
+        pairs = (
+            (check_generalized_jacobi(bracket), jacobi_oracle(bracket)),
+            (check_leibniz(alg), leibniz_oracle(alg)),
+            (check_poisson_identity(alg), shift_oracle(alg)),
         )
-        for check in checks:
-            slow = self._with_fast_path(monkeypatch, False, check)
-            fast = self._with_fast_path(monkeypatch, True, check)
-            assert not slow.ok
-            assert slow == fast
+        for engine, oracle in pairs:
+            assert not self._agree(engine, oracle).ok
 
-    def test_assoc_agreement(self, monkeypatch):
+    def test_assoc_agreement(self):
         carrier = truncated_polynomial_algebra(2, 3)
-        slow = self._with_fast_path(
-            monkeypatch, False, lambda: check_assoc_comm_unital(carrier.product, carrier.unit)
+        self._agree(
+            check_assoc_comm_unital(carrier.product, carrier.unit),
+            assoc_oracle(carrier.product, carrier.unit),
         )
-        fast = self._with_fast_path(
-            monkeypatch, True, lambda: check_assoc_comm_unital(carrier.product, carrier.unit)
-        )
-        assert slow == fast
+
+
+_PROPERTY_FIELDS = (QQ, PrimeField(2), F3, F5, PrimeField(2**61 - 1))
+
+
+@st.composite
+def _poisson_tables(draw):
+    """A sparse bracket and a commutative product with unit e_0 on F^d,
+    random entries from a few coefficient values so that identities hold
+    now and then and fail otherwise."""
+    f = draw(st.sampled_from(_PROPERTY_FIELDS))
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    if f is QQ:
+        values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3)]
+    else:
+        values = sorted({0, 1, f.p - 1, f.p // 2, (f.p - 1) // 3})
+    coeff = st.sampled_from(values)
+
+    def vector():
+        return tuple(draw(coeff) for _ in range(d))
+
+    keys = list(itertools.combinations(range(d), n))
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=4)) if keys else []
+    bracket = SkewBracketTensor(d, n, f, {key: vector() for key in chosen})
+    table = {(0, j): tuple(f.one if k == j else f.zero for k in range(d)) for j in range(d)}
+    pairs = [(i, j) for i in range(1, d) for j in range(i, d)]
+    for key in draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True)) if pairs else []:
+        table[key] = vector()
+    return NLiePoissonAlgebra(SymProductTensor(d, f, table), table[(0, 0)], bracket)
+
+
+@given(_poisson_tables())
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_oracle_loops(alg):
+    agree = TestFastPathAgreement._agree
+    agree(check_generalized_jacobi(alg.bracket), jacobi_oracle(alg.bracket))
+    agree(check_leibniz(alg), leibniz_oracle(alg))
+    agree(check_assoc_comm_unital(alg.product), assoc_oracle(alg.product))
+    if alg.arity >= 2:
+        agree(check_poisson_identity(alg), shift_oracle(alg))
 
 
 def test_guard_refuses_oversized_enumeration():

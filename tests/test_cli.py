@@ -122,6 +122,12 @@ class TestMalformedInput:
         assert code == 2 and "3317044064679887385961981" in err
 
 
+    def test_simple_refuses_beyond_int64(self, capsys, tmp_path):
+        doc = dict(CROSS, field={"Fp": 2**61 - 1})
+        code, _, err = run(capsys, ["simple", self.bad_file(tmp_path, doc)])
+        assert code == 2 and "2^63" in err
+
+
 class TestGenerate:
     @pytest.mark.parametrize("argv", [
         ["generate", "vector-product", "--n", "3"],
@@ -271,15 +277,60 @@ class TestPoly:
             main(["frobnicate"])
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+_GENERATED = {
+    "c3": ["jacobian-trunc", "--n", "2", "--p", "3"],
+    "c5": ["jacobian-trunc", "--n", "2", "--p", "5"],
+    "w33": ["w-trunc", "--n", "3", "--p", "3"],
+}
+
+
+def _perturbed_c5(path):
+    # one entry of the dim-25 Jacobian bracket over F_5 moved by one
+    from nlie.algebra import NLiePoissonAlgebra, SkewBracketTensor
+    from nlie.constructions import jacobian_from_derivations, truncated_polynomial_algebra
+
+    c5 = jacobian_from_derivations(truncated_polynomial_algebra(2, 5).derivations)
+    table = dict(c5.bracket.table)
+    value = list(table[(4, 18)])
+    value[0] = (value[0] + 1) % 5
+    table[(4, 18)] = tuple(value)
+    bracket = SkewBracketTensor(25, 2, c5.field, table)
+    path.write_text(nlie.dumps(NLiePoissonAlgebra(c5.product, c5.unit, bracket)))
+
+
+@pytest.mark.parametrize("name, exit_code", [
+    ("c3", 0), ("c5", 0), ("c5_perturbed", 1), ("w33", 1), ("q_failing", 1),
+])
+def test_check_reports_match_golden(capsys, tmp_path, name, exit_code):
+    # golden reports were written by the per-instance checkers, before the
+    # sparse engine replaced them; only the input path is dropped
+    path = tmp_path / f"{name}.json"
+    if name in _GENERATED:
+        assert main(["generate", *_GENERATED[name], "-o", str(path)]) == 0
+    elif name == "c5_perturbed":
+        _perturbed_c5(path)
+    else:
+        path = GOLDEN / f"{name}.json"
+    code, out, _ = run(capsys, ["check", "--poisson", "--format", "json", str(path)])
+    assert code == exit_code
+    report = json.loads(out)
+    assert report["input"].pop("path") == str(path)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / f"check_poisson_{name}.json").read_text()
+
+
 _IMPORT_WEIGHT = """
 import contextlib, io, json, sys
 import nlie
 loaded = ["numpy" in sys.modules]
 from nlie.cli import main
-cross, c3 = sys.argv[1:]
+cross, c3, c5 = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         main(["check", "--poisson", c3]),
+        main(["check", "--poisson", c5]),
         main(["analyze", cross]),
         main(["poly", "verify", "--bracket", "jac", "--n", "2", "--identity", "jacobi",
               "--degree", "2"]),
@@ -294,16 +345,18 @@ print(json.dumps({"codes": codes, "loaded": loaded, "verdict": verdict}))
 """
 
 
-def test_numpy_loaded_only_by_dense_paths(cross_path, char3_path):
+def test_numpy_loaded_only_by_dense_paths(cross_path, char3_path, tmp_path):
     # pytest has imported numpy already, so the check needs a fresh interpreter
+    c5_path = str(tmp_path / "c5.json")
+    assert main(["generate", "jacobian-trunc", "--n", "2", "--p", "5", "-o", c5_path]) == 0
     src = str(Path(nlie.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_WEIGHT, cross_path, char3_path],
+        [sys.executable, "-c", _IMPORT_WEIGHT, cross_path, char3_path, c5_path],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     got = json.loads(proc.stdout)
-    assert got["codes"] == [0, 0, 0, 0]
+    assert got["codes"] == [0, 0, 0, 0, 0]
     # after import nlie, after check/analyze/poly verify, after simple
     assert got["loaded"] == [False, False, True]
     assert got["verdict"]["certificate"]["method"] == "ModPReduction"

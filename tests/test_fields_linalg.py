@@ -11,9 +11,7 @@ from nlie.linalg import (
     EchelonAccumulator,
     Matrix,
     SubspaceBasis,
-    determinant,
     kernel,
-    quotient_complement,
     span,
     unit_vector,
 )
@@ -84,11 +82,6 @@ class TestFields:
 
 
 class TestMatrix:
-    def test_rref_rank(self):
-        m = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-        _, rank = m.rref()
-        assert rank == 1
-
     def test_kernel_oracle(self):
         # x + 2y = 0 over Q: kernel spanned by (-2, 1), canonical (1, -1/2)
         m = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)]])
@@ -98,12 +91,8 @@ class TestMatrix:
         assert m.matvec(row) == (Fraction(0), Fraction(0))
 
     def test_matvec_identity(self):
-        m = Matrix.identity(F3, 3)
+        m = Matrix(F3, [unit_vector(F3, 3, i) for i in range(3)])
         assert m.matvec((1, 2, 0)) == (1, 2, 0)
-
-    def test_determinant(self):
-        assert determinant(QQ, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == Fraction(-2)
-        assert determinant(F5, [[2, 0], [0, 3]]) == 1  # 6 mod 5
 
     @given(
         st.lists(
@@ -115,7 +104,7 @@ class TestMatrix:
     @settings(max_examples=30)
     def test_rank_nullity(self, rows):
         m = Matrix(F5, rows)
-        _, rank = m.rref()
+        rank = span(F5, 3, rows).dim  # the row space
         assert rank + kernel(m).dim == 3
 
 
@@ -165,11 +154,6 @@ class TestSubspaces:
         for v in vecs:
             acc.add(v)
         assert acc.to_subspace() == span(F3, 3, vecs)
-
-    def test_quotient_complement(self):
-        S = span(QQ, 3, [(Fraction(1), Fraction(0), Fraction(0))])
-        reps = quotient_complement(SubspaceBasis.full(QQ, 3), S)
-        assert len(reps) == 2
 
     def test_zero_and_full(self):
         z = SubspaceBasis.zero(F2, 3)

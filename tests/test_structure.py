@@ -7,6 +7,7 @@ polynomial quotient rings.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,27 @@ def direct_sum_cross(field) -> NLieAlgebra:
         table[(i, j)] = tuple(left + [field.zero] * 3)
         table[(i + 3, j + 3)] = tuple([field.zero] * 3 + left)
     return NLieAlgebra(SkewBracketTensor(6, 2, field, table))
+
+
+def seeded_basis(alg: NLieAlgebra, seed: int):
+    """The algebra in the basis f_a = M e_a for a seeded lower unitriangular
+    M over F_p, and the map from old to new coordinates (M^-1)."""
+    t, f, d = alg.bracket, alg.field, alg.dim
+    rng = random.Random(seed)
+    M = [[1 if i == j else rng.randrange(f.p) if j < i else 0 for j in range(d)] for i in range(d)]
+
+    def to_new(v):
+        x = list(v)
+        for i in range(d):
+            for j in range(i):
+                x[i] = f.sub(x[i], f.mul(M[i][j], x[j]))
+        return tuple(x)
+
+    cols = [tuple(M[i][a] for i in range(d)) for a in range(d)]
+    table = {
+        (a, b): to_new(t.eval([cols[a], cols[b]])) for a, b in itertools.combinations(range(d), 2)
+    }
+    return NLieAlgebra(SkewBracketTensor(d, 2, f, table)), to_new
 
 
 class TestAdjoints:
@@ -166,6 +188,22 @@ class TestIdealsAndClosures:
             C = ideal_closure(NLieAlgebra(t), [v])
             containing = [S for S in ideals if S.contains(v)]
             assert C == min(containing, key=lambda s: s.dim)
+
+    @pytest.mark.parametrize("p", [101, 3037000493, 2**61 - 1])
+    def test_first_summand_closure_in_a_seeded_basis(self, p):
+        # the two largest primes overflow int64 arithmetic (d*(p-1)^2 >= 2^63)
+        # and take the exact closure loop
+        alg, to_new = seeded_basis(direct_sum_cross(PrimeField(p)), seed=5)
+        summand = [to_new(unit_vector(alg.field, 6, k)) for k in range(3)]
+        C = ideal_closure(alg, summand[:1])
+        assert C.dim == 3
+        assert C == span(alg.field, 6, summand)
+
+    @pytest.mark.parametrize("p", [3037000493, 2**61 - 1])
+    def test_simplicity_refuses_beyond_int64(self, p):
+        alg, _ = seeded_basis(direct_sum_cross(PrimeField(p)), seed=5)
+        with pytest.raises(ValueError, match=r"2\^63"):
+            is_simple(alg)
 
     def test_closure_needs_product_for_assoc_kind(self):
         with pytest.raises(ValueError):
