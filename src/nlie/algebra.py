@@ -19,6 +19,13 @@ from .fields import Field
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
 from .linalg import is_zero_vector, unit_vector, vec_add, zero_vector
 
+# Names the CLI parser offers before it loads the modules that use them:
+# the identities of poly.verify_identity_truncated and the statement probes
+# of structure.probe_lemma.
+IDENTITIES = ("jacobi", "leibniz", "shift")
+PROBE_IDS = ("L1", "L2", "L3", "L5", "L6_0", "L6", "L7", "L8")
+
+
 def canonicalize_index(indices: Sequence[int], dim: int) -> tuple[tuple[int, ...] | None, int]:
     """Sort an index tuple, tracking the permutation sign.
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 import time
@@ -25,6 +24,8 @@ from collections.abc import Sequence
 
 from . import algfile
 from .algebra import (
+    IDENTITIES,
+    PROBE_IDS,
     NLieAlgebra,
     NLiePoissonAlgebra,
     SkewBracketTensor,
@@ -33,36 +34,9 @@ from .algebra import (
     check_leibniz,
     check_poisson_identity,
 )
-from .constructions import (
-    jacobian_from_derivations,
-    truncated_polynomial_algebra,
-    vector_product_algebra,
-    w_from_derivations,
-)
 from .fields import QQ
 from .guards import GuardExceeded
 from .linalg import Matrix, SubspaceBasis, span
-from .poly import (
-    IDENTITIES,
-    Poly,
-    default_var_names,
-    jac_bracket,
-    parse_poly,
-    truncated_center,
-    truncated_derived_span,
-    verify_identity_truncated,
-    w_bracket,
-)
-from .structure import (
-    center,
-    derived_series,
-    derived_subspace,
-    is_simple,
-    nilradical,
-    probe_lemma,
-    theorem1_pipeline,
-    PROBE_IDS,
-)
 
 
 def _render(x):
@@ -88,6 +62,8 @@ def _render(x):
 
 
 def _sha256(path: str) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         h.update(fh.read())
@@ -106,7 +82,8 @@ def _compact(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# handlers; each returns (exit_code, report, text_lines)
+# handlers; each returns (exit_code, report, text_lines), and each imports
+# the layers it runs that not every command needs
 
 
 def _cmd_check(args):
@@ -137,6 +114,13 @@ def _cmd_check(args):
 
 
 def _cmd_generate(args):
+    from .constructions import (
+        jacobian_from_derivations,
+        truncated_polynomial_algebra,
+        vector_product_algebra,
+        w_from_derivations,
+    )
+
     if args.kind == "vector-product":
         alg = vector_product_algebra(args.n)
     elif args.kind == "jacobian-trunc":
@@ -152,6 +136,8 @@ def _cmd_generate(args):
         # bracket can be demonstrated with `check --poisson`.
         alg = NLiePoissonAlgebra(carrier.product, carrier.unit, built.bracket, carrier.names)
     else:
+        if args.dim is None:
+            raise ValueError("generate zero needs --dim")
         alg = NLieAlgebra(SkewBracketTensor(args.dim, args.n, QQ, {}))
     text = algfile.dumps(alg)
     doc = algfile.to_document(alg)
@@ -175,6 +161,8 @@ def _cmd_generate(args):
 
 
 def _cmd_analyze(args):
+    from .structure import center, derived_series, derived_subspace, nilradical
+
     loaded = algfile.load_path(args.file)
     t = loaded.bracket
     axioms = {"generalized_jacobi": check_generalized_jacobi(t)}
@@ -212,6 +200,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_simple(args):
+    from .structure import is_simple
+
     loaded = algfile.load_path(args.file)
     verdict = is_simple(
         loaded.algebra(),
@@ -233,6 +223,8 @@ def _cmd_simple(args):
 
 
 def _cmd_theorem1(args):
+    from .structure import theorem1_pipeline
+
     loaded = algfile.load_path(args.file)
     if not loaded.has_product:
         raise algfile.AlgebraFileError("the pipeline requires a product and unit in the file")
@@ -273,6 +265,8 @@ def _parse_subspace(text: str, loaded: algfile.LoadedAlgebra) -> SubspaceBasis:
 
 
 def _cmd_lemmas(args):
+    from .structure import probe_lemma
+
     loaded = algfile.load_path(args.file)
     sub = _parse_subspace(args.subspace, loaded) if args.subspace else None
     report = probe_lemma(loaded.algebra(), args.lemma, sub, seed=args.seed)
@@ -292,6 +286,17 @@ def _cmd_lemmas(args):
 
 
 def _cmd_poly(args):
+    from .poly import (
+        Poly,
+        default_var_names,
+        jac_bracket,
+        parse_poly,
+        truncated_center,
+        truncated_derived_span,
+        verify_identity_truncated,
+        w_bracket,
+    )
+
     if args.bracket == "jac":
         nvars = args.n
         bracket_fn = jac_bracket
@@ -347,7 +352,7 @@ def _cmd_poly(args):
             "ambient_dim": len(spanned.monomials),
             "is_full": spanned.is_full(),
             "monomials": [
-                _monomial_str(e, names) for e in spanned.member_monomials()
+                Poly.monomial(e).render(names) for e in spanned.member_monomials()
             ],
         }
         if spanned.is_full():
@@ -372,11 +377,9 @@ def _cmd_poly(args):
     return code, _report("poly", options, results), lines
 
 
-def _monomial_str(exponents: tuple[int, ...], names: Sequence[str]) -> str:
-    return Poly.monomial(exponents).render(names)
-
-
 def _center_members(cen, names: Sequence[str]) -> list[str]:
+    from .poly import Poly
+
     members = []
     for row in cen.basis.rows:
         p = Poly.zero(len(names))

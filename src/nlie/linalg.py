@@ -142,8 +142,8 @@ class EchelonAccumulator:
         lead = next((j for j, x in enumerate(v) if x != 0), None)
         if lead is None:
             return None
-        inv = f.inv(v[lead])
-        if inv != f.one:
+        if v[lead] != f.one:
+            inv = f.inv(v[lead])
             v = [f.mul(inv, x) for x in v]
         for i, row in enumerate(self.rows):
             c = row[lead]

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Verdict, Witness
+from .algebra import IDENTITIES, Verdict, Witness
 from .fields import QQ
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
 from .linalg import Matrix, SubspaceBasis, kernel
@@ -384,9 +384,6 @@ def monomials_up_to(nvars: int, degree: int) -> list[Exponents]:
     ]
     out.sort(key=grlex_key)
     return out
-
-
-IDENTITIES = ("jacobi", "leibniz", "shift")
 
 
 def verify_identity_truncated(

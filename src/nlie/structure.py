@@ -22,6 +22,7 @@ from fractions import Fraction
 from collections.abc import Sequence
 
 from .algebra import (
+    PROBE_IDS,
     NLieAlgebra,
     NLiePoissonAlgebra,
     SkewBracketTensor,
@@ -693,7 +694,7 @@ def is_simple(
         kind = IdealKind.POISSON if product is not None else IdealKind.NLIE
     if kind is not IdealKind.NLIE and product is None:
         raise ValueError(f"{kind.value} simplicity requires the product")
-    limit = effective_limit(max_enum, DEFAULT_MAX_ENUM)
+    limit = effective_limit(max_enum, DEFAULT_MAX_ENUM, "max_enum")
     if t.is_zero():
         return _zero_bracket_verdict(t, kind, product, seed)
     if isinstance(t.field, PrimeField):
@@ -764,7 +765,7 @@ def verify_simplicity_certificate(
     t = _bracket_of(alg)
     product = _product_of(alg, product)
     kind = verdict.kind
-    limit = effective_limit(max_enum, DEFAULT_MAX_ENUM)
+    limit = effective_limit(max_enum, DEFAULT_MAX_ENUM, "max_enum")
     if verdict.status == "unknown":
         return True
     if verdict.status == "not_simple":
@@ -819,7 +820,7 @@ def brute_force_ideals(
     if not isinstance(field, PrimeField):
         raise ValueError("subspace enumeration requires a finite field")
     p, d = field.p, t.dim
-    limit = effective_limit(max_subspaces, DEFAULT_MAX_SUBSPACES)
+    limit = effective_limit(max_subspaces, DEFAULT_MAX_SUBSPACES, "max_subspaces")
     total = sum(_gaussian_binomial(d, r, p) for r in range(d + 1))
     if total > limit:
         raise GuardExceeded(f"{total} subspaces exceed the limit {limit}")
@@ -858,8 +859,6 @@ def _gaussian_binomial(d: int, r: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # statement probes
 
-
-PROBE_IDS = ("L1", "L2", "L3", "L5", "L6_0", "L6", "L7", "L8")
 
 _PROBE_TEXT = {
     "L1": (

@@ -305,3 +305,21 @@ def test_guard_refuses_oversized_enumeration():
     t = SkewBracketTensor(3, 2, F3, {(0, 1): (0, 0, 1)})
     with pytest.raises(GuardExceeded):
         check_generalized_jacobi(t, max_instances=1)
+
+
+def test_guard_limit_names_its_source(monkeypatch):
+    from nlie.guards import ENV_VAR, effective_limit
+
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert effective_limit(None, 7, "max_enum") == 7
+    assert effective_limit(3, 7, "max_enum") == 3
+    for bad in (0, -1, "x"):
+        with pytest.raises(ValueError, match=f"max_enum must be an integer >= 1, got {bad!r}"):
+            effective_limit(bad, 7, "max_enum")
+    monkeypatch.setenv(ENV_VAR, "12")
+    assert effective_limit(None, 7, "max_enum") == 12
+    t = SkewBracketTensor(3, 2, F3, {(0, 1): (0, 0, 1)})
+    for bad in ("abc", "0", ""):
+        monkeypatch.setenv(ENV_VAR, bad)
+        with pytest.raises(ValueError, match=f"NLIE_MAX_INSTANCES .* got {bad!r}"):
+            check_generalized_jacobi(t)

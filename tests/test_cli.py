@@ -127,6 +127,19 @@ class TestMalformedInput:
         code, _, err = run(capsys, ["simple", self.bad_file(tmp_path, doc)])
         assert code == 2 and "2^63" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_env_limit_named(self, capsys, monkeypatch, cross_path, value):
+        monkeypatch.setenv("NLIE_MAX_INSTANCES", value)
+        code, out, err = run(capsys, ["simple", cross_path])
+        assert code == 2 and out == ""
+        assert err == f"error: NLIE_MAX_INSTANCES must be an integer >= 1, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_max_enum_below_one(self, capsys, cross_path, value):
+        code, _, err = run(capsys, ["simple", cross_path, "--max-enum", value])
+        assert code == 2
+        assert err == f"error: max_enum must be an integer >= 1, got {value}\n"
+
 
 class TestGenerate:
     @pytest.mark.parametrize("argv", [
@@ -152,6 +165,11 @@ class TestGenerate:
     def test_rejects_bad_parameters(self, capsys):
         code, _, err = run(capsys, ["generate", "jacobian-trunc", "--n", "2", "--p", "4"])
         assert code == 2
+
+    def test_zero_needs_dim(self, capsys):
+        code, out, err = run(capsys, ["generate", "zero", "--n", "2"])
+        assert code == 2 and out == ""
+        assert "--dim" in err and "Traceback" not in err
 
 
 class TestAnalyze:
@@ -323,41 +341,68 @@ def test_check_reports_match_golden(capsys, tmp_path, name, exit_code):
 
 _IMPORT_WEIGHT = """
 import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("nlie."))
+
 import nlie
-loaded = ["numpy" in sys.modules]
+seen = [loaded()]
 from nlie.cli import main
-cross, c3, c5 = sys.argv[1:]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        main(["check", "--poisson", c3]),
-        main(["check", "--poisson", c5]),
-        main(["analyze", cross]),
-        main(["poly", "verify", "--bracket", "jac", "--n", "2", "--identity", "jacobi",
-              "--degree", "2"]),
-    ]
-loaded.append("numpy" in sys.modules)
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    codes.append(main(["simple", "--format", "json", cross]))
-loaded.append("numpy" in sys.modules)
-verdict = json.loads(out.getvalue())["results"]["verdict"]
-print(json.dumps({"codes": codes, "loaded": loaded, "verdict": verdict}))
+codes = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(main(argv))
+    seen.append(loaded())
+print(json.dumps({"codes": codes, "loaded": seen, "last": out.getvalue()}))
 """
 
 
-def test_numpy_loaded_only_by_dense_paths(cross_path, char3_path, tmp_path):
-    # pytest has imported numpy already, so the check needs a fresh interpreter
-    c5_path = str(tmp_path / "c5.json")
-    assert main(["generate", "jacobian-trunc", "--n", "2", "--p", "5", "-o", c5_path]) == 0
+def _fresh_run(*commands):
+    """Run CLI commands in one fresh interpreter (pytest has imported numpy
+    and every nlie module already).  Returns the exit codes, the sorted
+    numpy/nlie.* modules loaded after `import nlie` and after each command,
+    and the last command's stdout."""
     src = str(Path(nlie.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_WEIGHT, cross_path, char3_path, c5_path],
+        [sys.executable, "-c", _IMPORT_WEIGHT, json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     got = json.loads(proc.stdout)
-    assert got["codes"] == [0, 0, 0, 0, 0]
-    # after import nlie, after check/analyze/poly verify, after simple
-    assert got["loaded"] == [False, False, True]
-    assert got["verdict"]["certificate"]["method"] == "ModPReduction"
-    assert got["verdict"]["certificate"]["p"] == 5
+    return got["codes"], got["loaded"], got["last"]
+
+
+def test_numpy_loaded_only_by_dense_paths(cross_path, char3_path, tmp_path):
+    c5_path = str(tmp_path / "c5.json")
+    assert main(["generate", "jacobian-trunc", "--n", "2", "--p", "5", "-o", c5_path]) == 0
+    codes, loaded, last = _fresh_run(
+        ["check", "--poisson", char3_path],
+        ["check", "--poisson", c5_path],
+        ["analyze", cross_path],
+        ["poly", "verify", "--bracket", "jac", "--n", "2", "--identity", "jacobi",
+         "--degree", "2"],
+        ["simple", "--format", "json", cross_path],
+    )
+    assert codes == [0, 0, 0, 0, 0]
+    # after import nlie, after each command
+    assert ["numpy" in mods for mods in loaded] == [False] * 5 + [True]
+    verdict = json.loads(last)["results"]["verdict"]
+    assert verdict["certificate"]["method"] == "ModPReduction"
+    assert verdict["certificate"]["p"] == 5
+
+
+def test_each_command_loads_only_its_layers(cross_path, char3_path):
+    base = ["nlie.algebra", "nlie.algfile", "nlie.cli", "nlie.fields", "nlie.guards",
+            "nlie.linalg"]
+    codes, loaded, _ = _fresh_run(["check", cross_path], ["check", "--poisson", char3_path])
+    assert codes == [0, 0]
+    assert loaded == [[], base, base]
+    codes, loaded, _ = _fresh_run(
+        ["poly", "verify", "--bracket", "w", "--n", "3", "--identity", "jacobi",
+         "--degree", "1"])
+    assert codes == [0]
+    assert loaded[1] == sorted([*base, "nlie.poly"])
+    codes, loaded, _ = _fresh_run(["generate", "jacobian-trunc", "--n", "2", "--p", "3"])
+    assert codes == [0]
+    assert loaded[1] == sorted([*base, "nlie.constructions"])

@@ -75,6 +75,16 @@ class TestFields:
         with pytest.raises(ZeroDivisionError):
             F3.inv(0)
 
+    def test_inv_large_prime(self):
+        p = 2**61 - 1
+        F = PrimeField(p)
+        for a in (1, 2, p - 1, 123456789123456789, -5):
+            assert F.mul(a, F.inv(a)) == 1
+            assert F.inv(a) == pow(a, p - 2, p)
+        for zero in (0, p, -p):
+            with pytest.raises(ZeroDivisionError):
+                F.inv(zero)
+
     @given(st.integers(1, 4), st.integers(1, 4))
     @settings(max_examples=20)
     def test_fp_inverse_property(self, a, b):
