@@ -1,7 +1,9 @@
 """Dense int64 kernels over F_p, rows with entries in [0, p): the echelon
-and closure engine behind F_p ideal closures and simplicity.  The only
-module that imports numpy; `structure` imports it inside the prime-field
-branches that run it, and only where `fits_int64(p, dim)` holds."""
+and closure engine behind the two F_p simplicity searches (exhaustive
+projective and kernel seeds), which close thousands of points each.  The
+only module that imports numpy; `structure` imports it inside the
+simplicity branches that run it, and only where `fits_int64(p, dim)` holds.
+A single ideal closure runs the exact `EchelonAccumulator` loop instead."""
 
 from __future__ import annotations
 
@@ -97,12 +99,6 @@ def fp_closure(p: int, dim: int, seeds: np.ndarray, ops: np.ndarray) -> FpEchelo
         v = queue.pop()
         queue.extend(ech.add_batch(np.mod(ops @ v, p)))
     return ech
-
-
-def closure(field: PrimeField, dim: int, seed_vectors: list, ops: list[Matrix]) -> SubspaceBasis:
-    seeds = np.array([[int(c) for c in v] for v in seed_vectors], dtype=np.int64)
-    seeds = seeds.reshape(len(seed_vectors), dim)
-    return fp_closure(field.p, dim, seeds, ops_tensor(ops)).to_subspace(field)
 
 
 def projective_coeffs(p: int, k: int):

@@ -12,18 +12,32 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
-from .linalg import is_zero_vector, unit_vector, vec_add, zero_vector
+from .linalg import is_zero_vector, unit_vector, zero_vector
 
 # Names the CLI parser offers before it loads the modules that use them:
 # the identities of poly.verify_identity_truncated and the statement probes
 # of structure.probe_lemma.
 IDENTITIES = ("jacobi", "leibniz", "shift")
 PROBE_IDS = ("L1", "L2", "L3", "L5", "L6_0", "L6", "L7", "L8")
+
+
+# Monomial conventions shared by poly's polynomials and the truncated
+# polynomial algebras of constructions: graded lexicographic order (constant
+# first; within a degree, earlier variables carry higher exponents first)
+# and the default variable names.
+def grlex_key(e: tuple[int, ...]) -> tuple:
+    return (sum(e), tuple(-c for c in e))
+
+
+def default_var_names(k: int) -> tuple[str, ...]:
+    if k <= 3:
+        return ("x", "y", "z")[:k]
+    return tuple(f"x{i + 1}" for i in range(k))
 
 
 def canonicalize_index(indices: Sequence[int], dim: int) -> tuple[tuple[int, ...] | None, int]:
@@ -79,25 +93,6 @@ class SkewBracketTensor:
             if not is_zero_vector(value):
                 clean[key] = value
         self.table = clean
-
-    @classmethod
-    def from_terms(
-        cls, dim: int, arity: int, field: Field, terms: Iterable[tuple[Sequence[int], Sequence]]
-    ) -> "SkewBracketTensor":
-        """Accumulate possibly unsorted terms, applying permutation signs."""
-        acc: dict[tuple[int, ...], tuple] = {}
-        for raw, value in terms:
-            canon, sign = canonicalize_index(raw, dim)
-            if sign == 0:
-                continue
-            v = tuple(value)
-            if sign < 0:
-                v = tuple(field.neg(x) for x in v)
-            if canon in acc:
-                acc[canon] = vec_add(field, acc[canon], v)
-            else:
-                acc[canon] = v
-        return cls(dim, arity, field, acc)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -229,6 +224,17 @@ class SymProductTensor:
         return f"SymProductTensor(dim={self.dim}, {self.field})"
 
 
+def unit_failure(product: SymProductTensor, unit: Sequence) -> dict | None:
+    """The first basis index i with unit * e_i != e_i, with both sides;
+    None when `unit` is a unit for the product."""
+    for i in range(product.dim):
+        e = unit_vector(product.field, product.dim, i)
+        got = product.eval(unit, e)
+        if got != e:
+            return {"index": i, "lhs": got, "rhs": e}
+    return None
+
+
 class NLieAlgebra:
     """A finite-dimensional space with an alternating n-ary bracket.
 
@@ -282,10 +288,11 @@ class NLiePoissonAlgebra:
         unit = tuple(unit)
         if len(unit) != product.dim:
             raise ValueError("unit vector has the wrong length")
-        for i in range(product.dim):
-            e = unit_vector(product.field, product.dim, i)
-            if product.eval(unit, e) != e:
-                raise ValueError(f"unit vector is not a two-sided identity (fails on basis {i})")
+        failure = unit_failure(product, unit)
+        if failure is not None:
+            raise ValueError(
+                f"unit vector is not a two-sided identity (fails on basis {failure['index']})"
+            )
         if basis_names is not None and len(basis_names) != product.dim:
             raise ValueError("basis_names length does not match the dimension")
         self.product = product
@@ -435,16 +442,8 @@ def check_assoc_comm_unital(
     d, f = product.dim, product.field
     total = d**3
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "associativity check")
-    if unit is not None:
-        for i in range(d):
-            e = unit_vector(f, d, i)
-            got = product.eval(tuple(unit), e)
-            if got != e:
-                return Verdict(
-                    False,
-                    Witness("unit", {"index": i, "lhs": got, "rhs": e}),
-                    total,
-                )
+    if unit is not None and (failure := unit_failure(product, unit)) is not None:
+        return Verdict(False, Witness("unit", failure), total)
     mult = _mult_columns(product)
 
     def instances():

@@ -121,6 +121,8 @@ def _cmd_generate(args):
         w_from_derivations,
     )
 
+    if args.kind in ("jacobian-trunc", "w-trunc") and args.p is None:
+        raise ValueError(f"generate {args.kind} needs --p")
     if args.kind == "vector-product":
         alg = vector_product_algebra(args.n)
     elif args.kind == "jacobian-trunc":
@@ -288,21 +290,15 @@ def _cmd_lemmas(args):
 def _cmd_poly(args):
     from .poly import (
         Poly,
+        _bracket_fn,
         default_var_names,
-        jac_bracket,
         parse_poly,
         truncated_center,
         truncated_derived_span,
         verify_identity_truncated,
-        w_bracket,
     )
 
-    if args.bracket == "jac":
-        nvars = args.n
-        bracket_fn = jac_bracket
-    else:
-        nvars = args.n - 1
-        bracket_fn = w_bracket
+    bracket_fn, nvars = _bracket_fn(args.bracket, args.n)
     if nvars < 1:
         raise ValueError(f"--n {args.n} leaves no variables for bracket {args.bracket!r}")
     names = default_var_names(nvars)

@@ -19,24 +19,20 @@ from .algebra import (
     SymProductTensor,
     Verdict,
     Witness,
+    default_var_names,
+    grlex_key,
 )
 from .fields import QQ, Field, PrimeField
 from .guards import DEFAULT_MAX_ENUM, check_instances
-from .linalg import Matrix, is_zero_vector, unit_vector, vec_add, zero_vector
-
-# Determinants are expanded over all permutations; beyond this arity the
-# factorial blowup is no longer desk scale.
-_MAX_DET_ARITY = 6
-
-
-def _signed_permutations(n: int):
-    for perm in itertools.permutations(range(n)):
-        inv = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    inv += 1
-        yield perm, (-1) ** inv
+from .linalg import (
+    Matrix,
+    check_det_arity,
+    det_expand,
+    is_zero_vector,
+    unit_vector,
+    vec_add,
+    zero_vector,
+)
 
 
 def check_derivation(product: SymProductTensor, d_matrix: Matrix) -> Verdict:
@@ -136,35 +132,23 @@ def _det_bracket_table(
     arity: int,
     field: Field,
     product: SymProductTensor,
-    entry_vec,
+    rows: list[list[tuple]],
 ) -> dict:
-    """Expand det[entry(r, s)] over permutations for every increasing tuple.
+    """Expand det[rows[r][i_s]] in the carrier algebra for every increasing
+    tuple (i_1, .., i_n): rows[r][i] is the coefficient vector of the
+    determinant entry in row r for basis index i."""
+    zero = zero_vector(field, dim)
 
-    entry_vec(r, col_index) returns the (r, s) determinant entry as a
-    coefficient vector, where col_index is the basis index in slot s.
-    """
+    def add(a, b):
+        return vec_add(field, a, b)
+
+    def neg(a):
+        return tuple(field.neg(c) for c in a)
+
     table = {}
-    perms = list(_signed_permutations(arity))
     for key in itertools.combinations(range(dim), arity):
-        acc = zero_vector(field, dim)
-        for perm, sign in perms:
-            term = entry_vec(0, key[perm[0]])
-            if is_zero_vector(term):
-                continue
-            for r in range(1, arity):
-                nxt = entry_vec(r, key[perm[r]])
-                if is_zero_vector(nxt):
-                    term = None
-                    break
-                term = product.eval(term, nxt)
-                if is_zero_vector(term):
-                    term = None
-                    break
-            if term is None:
-                continue
-            if sign < 0:
-                term = tuple(field.neg(c) for c in term)
-            acc = vec_add(field, acc, term)
+        grid = [[row[i] for i in key] for row in rows]
+        acc = det_expand(grid, zero, add, neg, product.eval, is_zero_vector)
         if not is_zero_vector(acc):
             table[key] = acc
     return table
@@ -178,16 +162,11 @@ def jacobian_from_derivations(ds: DerivationSet) -> NLiePoissonAlgebra:
     n = len(ds.maps)
     if n < 1:
         raise ValueError("need at least one derivation")
-    if n > _MAX_DET_ARITY:
-        raise ValueError(f"determinant expansion is limited to arity {_MAX_DET_ARITY}")
+    check_det_arity(n)
     dim, f = ds.dim, ds.field
     basis = [unit_vector(f, dim, i) for i in range(dim)]
     images = [[ds.maps[r].matvec(basis[i]) for i in range(dim)] for r in range(n)]
-
-    def entry_vec(r: int, col: int):
-        return images[r][col]
-
-    table = _det_bracket_table(dim, n, f, ds.product, entry_vec)
+    table = _det_bracket_table(dim, n, f, ds.product, images)
     bracket = SkewBracketTensor(dim, n, f, table)
     return NLiePoissonAlgebra(ds.product, ds.unit, bracket)
 
@@ -201,20 +180,13 @@ def w_from_derivations(ds: DerivationSet, arity: int) -> NLieAlgebra:
     """
     if arity < 2:
         raise ValueError("need arity >= 2")
-    if arity > _MAX_DET_ARITY:
-        raise ValueError(f"determinant expansion is limited to arity {_MAX_DET_ARITY}")
+    check_det_arity(arity)
     if len(ds.maps) != arity - 1:
         raise ValueError(f"need exactly {arity - 1} maps for arity {arity}, got {len(ds.maps)}")
     dim, f = ds.dim, ds.field
     basis = [unit_vector(f, dim, i) for i in range(dim)]
     images = [[ds.maps[r].matvec(basis[i]) for i in range(dim)] for r in range(arity - 1)]
-
-    def entry_vec(r: int, col: int):
-        if r == 0:
-            return basis[col]
-        return images[r - 1][col]
-
-    table = _det_bracket_table(dim, arity, f, ds.product, entry_vec)
+    table = _det_bracket_table(dim, arity, f, ds.product, [basis, *images])
     return NLieAlgebra(SkewBracketTensor(dim, arity, f, table))
 
 
@@ -227,10 +199,6 @@ class TruncatedCarrier:
     derivations: DerivationSet
     names: tuple[str, ...]
     exponents: tuple[tuple[int, ...], ...]
-
-
-def _grlex_key(e: tuple[int, ...]) -> tuple:
-    return (sum(e), tuple(-c for c in e))
 
 
 def _monomial_name(e: tuple[int, ...], var_names: Sequence[str]) -> str:
@@ -255,9 +223,9 @@ def truncated_polynomial_algebra(nvars: int, p: int, max_dim: int | None = None)
     field = PrimeField(p)
     dim = p**nvars
     check_instances(dim, max_dim, DEFAULT_MAX_ENUM, "truncated polynomial basis")
-    exps = sorted(itertools.product(range(p), repeat=nvars), key=_grlex_key)
+    exps = sorted(itertools.product(range(p), repeat=nvars), key=grlex_key)
     index = {e: i for i, e in enumerate(exps)}
-    var_names = _default_vars(nvars)
+    var_names = default_var_names(nvars)
 
     table = {}
     for i, a in enumerate(exps):
@@ -285,9 +253,3 @@ def truncated_polynomial_algebra(nvars: int, p: int, max_dim: int | None = None)
     ds = DerivationSet(product, unit, maps)
     names = tuple(_monomial_name(e, var_names) for e in exps)
     return TruncatedCarrier(product, unit, ds, names, tuple(exps))
-
-
-def _default_vars(k: int) -> tuple[str, ...]:
-    if k <= 3:
-        return ("x", "y", "z")[:k]
-    return tuple(f"x{i + 1}" for i in range(k))

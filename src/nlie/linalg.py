@@ -1,5 +1,6 @@
 """Dense exact linear algebra: matrices, reduced row echelon form, kernels,
-and canonical subspace bases with lattice operations.
+canonical subspace bases with lattice operations, and the permutation
+expansion of determinants over any commutative ring.
 
 A subspace is always stored by the reduced row echelon form of a spanning
 set (pivot columns strictly increasing, pivot entries 1, pivot columns
@@ -8,6 +9,8 @@ otherwise zero, no zero rows), so equal subspaces compare equal as values.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
@@ -33,7 +36,8 @@ def vec_scale(field: Field, c, a: Sequence) -> tuple:
 
 
 def is_zero_vector(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
+    # field values (ints, Fractions) are false exactly when zero
+    return not any(a)
 
 
 class Matrix:
@@ -57,12 +61,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, zip(*self.rows)) if self.rows else Matrix(self.field, [])
@@ -106,6 +104,16 @@ def _dot(field: Field, a: Sequence, b: Sequence):
     return acc
 
 
+def _reduce(f: Field, rows: Sequence, pivots: Sequence[int], vec: Sequence) -> list:
+    """vec minus its components along mutually reduced echelon rows."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c != 0:
+            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+    return v
+
+
 class EchelonAccumulator:
     """Mutable reduced row echelon accumulator for incremental span growth."""
 
@@ -122,16 +130,7 @@ class EchelonAccumulator:
         return len(self.rows)
 
     def reduce(self, vec: Sequence) -> list:
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec: Sequence) -> bool:
-        return is_zero_vector(self.reduce(vec))
+        return _reduce(self.field, self.rows, self.pivots, vec)
 
     def add(self, vec: Sequence) -> tuple | None:
         """Insert a vector; return its canonical new basis row, or None if already spanned."""
@@ -205,16 +204,10 @@ class SubspaceBasis:
         return len(self.rows) == self.ambient_dim
 
     def reduce(self, vec: Sequence) -> tuple:
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return tuple(v)
+        return tuple(_reduce(self.field, self.rows, self.pivots, vec))
 
     def contains(self, vec: Sequence) -> bool:
-        return is_zero_vector(self.reduce(vec))
+        return is_zero_vector(_reduce(self.field, self.rows, self.pivots, vec))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         self._check_compatible(other)
@@ -296,3 +289,46 @@ def kernel(matrix: Matrix) -> SubspaceBasis:
                 v[p] = f.neg(row[free])
         basis.append(v)
     return SubspaceBasis(f, nc, basis)
+
+
+# Determinants are expanded over all permutations; beyond this arity the
+# factorial blowup is no longer desk scale.
+_MAX_DET_ARITY = 6
+
+
+def check_det_arity(n: int) -> None:
+    if n > _MAX_DET_ARITY:
+        raise ValueError(f"determinant expansion is limited to arity {_MAX_DET_ARITY}")
+
+
+@functools.cache
+def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """Every permutation of range(n) with whether it is even."""
+    check_det_arity(n)
+    return tuple(
+        (perm, sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0)
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def det_expand(grid: Sequence[Sequence], zero, add, neg, mul, is_zero):
+    """Determinant of a square grid over a commutative ring given by its
+    operations: the sum over permutations of signed products of
+    grid[r][perm[r]], taken row by row.  A term is dropped at its first zero
+    factor or zero partial product; each is tested once."""
+    acc = zero
+    n = len(grid)
+    for perm, even in _signed_permutations(n):
+        term = grid[0][perm[0]]
+        if is_zero(term):
+            continue
+        for r in range(1, n):
+            factor = grid[r][perm[r]]
+            if is_zero(factor):
+                break
+            term = mul(term, factor)
+            if is_zero(term):
+                break
+        else:
+            acc = add(acc, term if even else neg(term))
+    return acc

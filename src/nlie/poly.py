@@ -14,28 +14,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import IDENTITIES, Verdict, Witness
+from .algebra import IDENTITIES, Verdict, Witness, default_var_names, grlex_key
 from .fields import QQ
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
-from .linalg import Matrix, SubspaceBasis, kernel
-
-_MAX_DET_ARITY = 6
+from .linalg import Matrix, SubspaceBasis, check_det_arity, det_expand, kernel
 
 Exponents = tuple[int, ...]
-
-
-def grlex_key(e: Exponents) -> tuple:
-    return (sum(e), tuple(-c for c in e))
-
-
-def default_var_names(k: int) -> tuple[str, ...]:
-    if k <= 3:
-        return ("x", "y", "z")[:k]
-    return tuple(f"x{i + 1}" for i in range(k))
 
 
 class Poly:
@@ -309,22 +297,13 @@ def parse_poly(src: str, var_names: Sequence[str]) -> Poly:
     return _Parser(src, var_names).parse()
 
 
-def _signed_permutations(n: int):
-    for perm in itertools.permutations(range(n)):
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        yield perm, (-1) ** inv
-
-
 def jac_bracket(args: Sequence[Poly]) -> Poly:
     """det[partial_r(u_s)] for n arguments in n variables, expanded over
     permutations with exact arithmetic."""
     n = len(args)
     if n < 1:
         raise ValueError("need at least one argument")
-    if n > _MAX_DET_ARITY:
-        raise ValueError(f"determinant expansion is limited to arity {_MAX_DET_ARITY}")
+    check_det_arity(n)
     if any(u.nvars != n for u in args):
         raise ValueError(f"arguments must live in exactly {n} variables")
     grid = [[args[s].partial(r) for s in range(n)] for r in range(n)]
@@ -337,8 +316,7 @@ def w_bracket(args: Sequence[Poly]) -> Poly:
     n = len(args)
     if n < 2:
         raise ValueError("need at least two arguments")
-    if n > _MAX_DET_ARITY:
-        raise ValueError(f"determinant expansion is limited to arity {_MAX_DET_ARITY}")
+    check_det_arity(n)
     if any(u.nvars != n - 1 for u in args):
         raise ValueError(f"arguments must live in exactly {n - 1} variables")
     grid = [list(args)]
@@ -348,23 +326,8 @@ def w_bracket(args: Sequence[Poly]) -> Poly:
 
 
 def _det(grid: list[list[Poly]], nvars: int) -> Poly:
-    n = len(grid)
-    acc = Poly.zero(nvars)
-    for perm, sign in _signed_permutations(n):
-        term = grid[0][perm[0]]
-        if term.is_zero():
-            continue
-        dead = False
-        for r in range(1, n):
-            nxt = grid[r][perm[r]]
-            if nxt.is_zero():
-                dead = True
-                break
-            term = term * nxt
-        if dead or term.is_zero():
-            continue
-        acc = acc + term if sign > 0 else acc - term
-    return acc
+    return det_expand(grid, Poly.zero(nvars), Poly.__add__, Poly.__neg__, Poly.__mul__,
+                      Poly.is_zero)
 
 
 def _bracket_fn(bracket: str, arity: int):

@@ -4,11 +4,11 @@ quotients, certified simplicity verdicts, statement probes, and the
 derived-modulo-center pipeline.
 
 Subspaces are the working currency; everything returns canonical
-SubspaceBasis values so results compare by value.  Over F_p with
-dim*(p-1)^2 < 2^63 closures run on int64 arrays (in _fpdense, loaded on
-first use); over larger p and over Q they run on exact Python values.
-Simplicity over F_p runs on the int64 engine only, and refuses beyond that
-bound.
+SubspaceBasis values so results compare by value.  Every ideal closure, over
+Q and every F_p, runs one exact loop on Python values.  The F_p simplicity
+searches, which close thousands of points, run on int64 arrays instead (in
+_fpdense, loaded on first use); they need dim*(p-1)^2 < 2^63 and refuse
+beyond that bound.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .algebra import (
     check_assoc_comm_unital,
     check_generalized_jacobi,
     check_leibniz,
+    unit_failure,
 )
 from .fields import Field, PrimeField, RationalField
 from .guards import (
@@ -198,21 +199,17 @@ def center(alg: AlgebraLike) -> SubspaceBasis:
 # ideal predicates and closures
 
 
+def _is_invariant(S: SubspaceBasis, ops: Sequence[Matrix]) -> bool:
+    """Whether every operator maps S into itself."""
+    return all(S.contains(m.matvec(row)) for m in ops for row in S.rows)
+
+
 def is_nlie_ideal(alg: AlgebraLike, S: SubspaceBasis) -> bool:
-    t = _bracket_of(alg)
-    for _, m in ad_basis_operators(t):
-        for row in S.rows:
-            if not S.contains(m.matvec(row)):
-                return False
-    return True
+    return _is_invariant(S, [m for _, m in ad_basis_operators(alg)])
 
 
 def is_associative_ideal(product: SymProductTensor, S: SubspaceBasis) -> bool:
-    for m in mult_operators(product):
-        for row in S.rows:
-            if not S.contains(m.matvec(row)):
-                return False
-    return True
+    return _is_invariant(S, mult_operators(product))
 
 
 def is_poisson_ideal(
@@ -230,10 +227,6 @@ def _closure(
     seed_vectors = list(seed_vectors)
     if not ops:
         return span(field, dim, seed_vectors)
-    if isinstance(field, PrimeField):
-        from . import _fpdense
-        if _fpdense.fits_int64(field.p, dim):
-            return _fpdense.closure(field, dim, seed_vectors, ops)
     acc = EchelonAccumulator(field, dim)
     queue = [r for v in seed_vectors if (r := acc.add(v)) is not None]
     while queue and acc.dim < dim:
@@ -267,10 +260,8 @@ def ideal_closure(
 
 def _require_unit(product: SymProductTensor, unit: Sequence) -> tuple:
     unit = tuple(unit)
-    for k in range(product.dim):
-        e = unit_vector(product.field, product.dim, k)
-        if product.eval(unit, e) != e:
-            raise ValueError("the supplied vector is not a unit for the product")
+    if unit_failure(product, unit) is not None:
+        raise ValueError("the supplied vector is not a unit for the product")
     return unit
 
 
@@ -482,13 +473,6 @@ def _exhaustive_projective(
     return SimplicityVerdict("simple", kind, certificate, None, None, seed)
 
 
-def _assert_invariant(S: SubspaceBasis, ops: list[Matrix]) -> None:
-    for m in ops:
-        for row in S.rows:
-            if not S.contains(m.matvec(row)):
-                raise AssertionError("claimed invariant subspace is not invariant")
-
-
 def _kernel_seeds(
     t: SkewBracketTensor,
     kind: IdealKind,
@@ -560,7 +544,8 @@ def _kernel_seeds(
     if ech is not None:
         dual = ech.to_subspace(field)
         witness = kernel(Matrix(field, [list(row) for row in dual.rows]))
-        _assert_invariant(witness, ops)
+        if not _is_invariant(witness, ops):
+            raise AssertionError("claimed invariant subspace is not invariant")
         return SimplicityVerdict(
             "not_simple",
             kind,
@@ -753,6 +738,10 @@ def is_simple(
     )
 
 
+# certificate method -> the _is_simple_fp method that replays it
+_FP_METHODS = {"ExhaustiveProjective": "exhaustive", "KernelSeeds": "kernel_seeds"}
+
+
 def verify_simplicity_certificate(
     alg: AlgebraLike,
     verdict: SimplicityVerdict,
@@ -774,21 +763,15 @@ def verify_simplicity_certificate(
             return t.is_zero() or t.dim == 0
         if not 0 < witness.dim < t.dim:
             return False
-        ops = _ops_for_kind(t, kind, product)
-        return all(witness.contains(m.matvec(row)) for m in ops for row in witness.rows)
+        return _is_invariant(witness, _ops_for_kind(t, kind, product))
     certificate = verdict.certificate or {}
     method = certificate.get("method")
-    if method == "ExhaustiveProjective":
+    if method in _FP_METHODS:
         if not isinstance(t.field, PrimeField):
             return False
         if t.field.p != certificate.get("p") or t.dim != certificate.get("dim"):
             return False
-        redo = _is_simple_fp(t, kind, product, limit, verdict.seed, "exhaustive")
-        return redo.status == "simple"
-    if method == "KernelSeeds":
-        if not isinstance(t.field, PrimeField) or t.field.p != certificate.get("p"):
-            return False
-        redo = _is_simple_fp(t, kind, product, limit, verdict.seed, "kernel_seeds")
+        redo = _is_simple_fp(t, kind, product, limit, verdict.seed, _FP_METHODS[method])
         return redo.status == "simple"
     if method == "ModPReduction":
         if not isinstance(t.field, RationalField):
@@ -843,7 +826,7 @@ def brute_force_ideals(
                 S = SubspaceBasis._trusted(
                     field, d, [tuple(row) for row in grid], list(pivots)
                 )
-                if all(S.contains(m.matvec(row)) for m in ops for row in S.rows):
+                if _is_invariant(S, ops):
                     found.append(S)
     return found
 
@@ -913,14 +896,14 @@ class ProbeReport:
     seed: int
 
 
-def _require_derived_ideal(t: SkewBracketTensor, U: SubspaceBasis, B: SubspaceBasis) -> None:
-    for u in U.rows:
-        for combo in itertools.combinations(B.rows, t.arity - 1):
-            if not U.contains(t.eval([u, *combo])):
-                raise ValueError(
-                    "the subspace is not an ideal of the derived subalgebra: "
-                    "a bracket image escapes it"
-                )
+def _stable_under(t: SkewBracketTensor, U: SubspaceBasis, B: SubspaceBasis) -> bool:
+    """Whether bracket(u, b_2, .., b_n) lies in U for every row u of U and
+    every combination of rows of B."""
+    return all(
+        U.contains(t.eval([u, *combo]))
+        for u in U.rows
+        for combo in itertools.combinations(B.rows, t.arity - 1)
+    )
 
 
 def _is_abelian(t: SkewBracketTensor, U: SubspaceBasis) -> bool:
@@ -1043,13 +1026,10 @@ def probe_lemma(
         if which == "L3":
             if not is_associative_ideal(product, U):
                 raise ValueError("the subspace is not an associative ideal")
-            for v in U.rows:
-                for combo in itertools.combinations(B.rows, t.arity - 1):
-                    if not U.contains(t.eval([v, *combo])):
-                        raise ValueError(
-                            "the subspace is not stable under bracketing with "
-                            "the derived subalgebra"
-                        )
+            if not _stable_under(t, U, B):
+                raise ValueError(
+                    "the subspace is not stable under bracketing with the derived subalgebra"
+                )
             nonzero = not U.is_zero()
             notes.append(f"I nonzero: {nonzero}")
             hyp_ok = hyp_ok and nonzero
@@ -1057,7 +1037,11 @@ def probe_lemma(
             if not conclusion_ok:
                 witness = Witness("proper_ideal", {"dim": U.dim})
         else:
-            _require_derived_ideal(t, U, B)
+            if not _stable_under(t, U, B):
+                raise ValueError(
+                    "the subspace is not an ideal of the derived subalgebra: "
+                    "a bracket image escapes it"
+                )
             if which in ("L6_0", "L6"):
                 abelian = _is_abelian(t, U)
                 notes.append(f"U abelian: {abelian}")

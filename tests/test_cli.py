@@ -171,6 +171,12 @@ class TestGenerate:
         assert code == 2 and out == ""
         assert "--dim" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, n", [("jacobian-trunc", "2"), ("w-trunc", "3")])
+    def test_truncated_needs_p(self, capsys, kind, n):
+        code, out, err = run(capsys, ["generate", kind, "--n", n])
+        assert code == 2 and out == ""
+        assert "--p" in err and "None" not in err
+
 
 class TestAnalyze:
     def test_json_shape(self, capsys, char3_path):

@@ -1,20 +1,30 @@
 """Field arithmetic and exact linear algebra."""
 
+import operator
 import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from nlie.constructions import (
+    DerivationSet,
+    jacobian_from_derivations,
+    truncated_polynomial_algebra,
+    w_from_derivations,
+)
 from nlie.fields import PrimeField, QQ, _is_prime
 from nlie.linalg import (
     EchelonAccumulator,
     Matrix,
     SubspaceBasis,
+    det_expand,
     kernel,
     span,
     unit_vector,
 )
+from nlie.poly import Poly, jac_bracket, w_bracket
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -170,3 +180,40 @@ class TestSubspaces:
         f = SubspaceBasis.full(F2, 3)
         assert z.is_zero() and not z.is_full()
         assert f.is_full() and f.contains_subspace(z)
+
+
+class TestDeterminant:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.one_of(
+                    st.just([0] * n),
+                    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_expansion_matches_sympy(self, m):
+        got = det_expand(m, 0, operator.add, operator.neg, operator.mul, lambda x: x == 0)
+        assert got == sympy.Matrix(m).det()
+
+    def test_arity_seven_refused_everywhere(self):
+        limit = "limited to arity 6"
+        with pytest.raises(ValueError, match=limit):
+            jac_bracket([Poly.variable(7, i) for i in range(7)])
+        with pytest.raises(ValueError, match=limit):
+            w_bracket([Poly.variable(6, i % 6) for i in range(7)])
+        # zero maps are commuting derivations of any carrier
+        carrier = truncated_polynomial_algebra(1, 2)
+        f, d = carrier.product.field, carrier.product.dim
+        zero = Matrix(f, [[f.zero] * d] * d)
+        for maps, build in [
+            (7, jacobian_from_derivations),
+            (6, lambda ds: w_from_derivations(ds, 7)),
+        ]:
+            ds = DerivationSet(carrier.product, carrier.unit, [zero] * maps)
+            with pytest.raises(ValueError, match=limit):
+                build(ds)

@@ -7,11 +7,17 @@ polynomial quotient rings.
 """
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nlie
 from nlie.algebra import NLieAlgebra, NLiePoissonAlgebra, SkewBracketTensor, SymProductTensor
 from nlie.constructions import (
     jacobian_from_derivations,
@@ -66,6 +72,21 @@ def poly_quotient_ring(d: int) -> tuple[SymProductTensor, tuple]:
                 table[(i, j)] = tuple(ONE if k == i + j else Z for k in range(d))
     unit = tuple(ONE if k == 0 else Z for k in range(d))
     return SymProductTensor(d, QQ, table), unit
+
+
+_FRESH_CLOSURES = """
+import json, sys
+from nlie.constructions import jacobian_from_derivations, truncated_polynomial_algebra
+from nlie.linalg import unit_vector
+from nlie.structure import IdealKind, ideal_closure
+
+c3 = jacobian_from_derivations(truncated_polynomial_algebra(2, 3).derivations)
+rows = [
+    [list(row) for row in ideal_closure(c3, [unit_vector(c3.field, 9, k)], IdealKind(kind)).rows]
+    for k, kind in json.loads(sys.argv[1])
+]
+print(json.dumps({"rows": rows, "numpy": "numpy" in sys.modules}))
+"""
 
 
 def cross_mod(p: int) -> NLieAlgebra:
@@ -191,8 +212,8 @@ class TestIdealsAndClosures:
 
     @pytest.mark.parametrize("p", [101, 3037000493, 2**61 - 1])
     def test_first_summand_closure_in_a_seeded_basis(self, p):
-        # the two largest primes overflow int64 arithmetic (d*(p-1)^2 >= 2^63)
-        # and take the exact closure loop
+        # every F_p closure runs the one exact closure loop, including at the
+        # two largest primes, where d*(p-1)^2 >= 2^63 would overflow int64
         alg, to_new = seeded_basis(direct_sum_cross(PrimeField(p)), seed=5)
         summand = [to_new(unit_vector(alg.field, 6, k)) for k in range(3)]
         C = ideal_closure(alg, summand[:1])
@@ -208,6 +229,23 @@ class TestIdealsAndClosures:
     def test_closure_needs_product_for_assoc_kind(self):
         with pytest.raises(ValueError):
             ideal_closure(vector_product_algebra(2), [(ONE, Z, Z)], IdealKind.ASSOCIATIVE)
+
+    def test_fp_closures_leave_numpy_unloaded(self):
+        # pytest has loaded numpy already, so the closures run in a fresh
+        # interpreter; they must also match the ones computed here
+        c3 = truncated_poisson(2, 3)
+        cases = [(1, IdealKind.NLIE), (4, IdealKind.ASSOCIATIVE)]
+        expected = [
+            [list(row) for row in ideal_closure(c3, [unit_vector(F3, 9, k)], kind).rows]
+            for k, kind in cases
+        ]
+        src = str(Path(nlie.__file__).resolve().parents[1])
+        argv = [sys.executable, "-c", _FRESH_CLOSURES, json.dumps([(k, kd.value) for k, kd in cases])]
+        proc = subprocess.run(
+            argv, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=120, check=True,
+        )
+        assert json.loads(proc.stdout) == {"rows": expected, "numpy": False}
 
 
 class TestNilradical:
