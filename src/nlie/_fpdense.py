@@ -1,9 +1,10 @@
 """Dense int64 kernels over F_p, rows with entries in [0, p): the echelon
-and closure engine behind the two F_p simplicity searches (exhaustive
-projective and kernel seeds), which close thousands of points each.  The
-only module that imports numpy; `structure` imports it inside the
-simplicity branches that run it, and only where `fits_int64(p, dim)` holds.
-A single ideal closure runs the exact `EchelonAccumulator` loop instead."""
+and closure engine behind the exhaustive projective simplicity search,
+which closes thousands of points.  The only module that imports numpy;
+`structure` imports it inside the exhaustive branch, and only where
+`fits_int64(p, dim)` holds.  Past the enumeration limit, Norton's test runs
+in pure Python at every p, and a single ideal closure runs the exact
+`EchelonAccumulator` loop."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import itertools
 import numpy as np
 
 from .fields import PrimeField
-from .linalg import Matrix, SubspaceBasis, kernel
+from .linalg import Matrix, SubspaceBasis
 
 
 def fits_int64(p: int, dim: int) -> bool:
@@ -108,40 +109,12 @@ def projective_coeffs(p: int, k: int):
             yield (0,) * lead + (1,) + tail
 
 
-def first_proper_closure(
-    p: int, dim: int, ops: np.ndarray, basis: np.ndarray | None = None
-) -> FpEchelon | None:
+def first_proper_closure(p: int, dim: int, ops: np.ndarray) -> FpEchelon | None:
     """Closure of the first projective point, in enumeration order, that
     generates a proper subspace; None when every point generates the whole
-    space.  Points are taken over the rows of `basis` when one is given."""
-    k = dim if basis is None else basis.shape[0]
-    for coeffs in projective_coeffs(p, k):
-        point = np.array(coeffs, dtype=np.int64)
-        if basis is not None:
-            point = np.mod(point @ basis, p)
-        ech = fp_closure(p, dim, point[None, :], ops)
+    space."""
+    for coeffs in projective_coeffs(p, dim):
+        ech = fp_closure(p, dim, np.array([coeffs], dtype=np.int64), ops)
         if ech.rank < dim:
             return ech
     return None
-
-
-def nullity(p: int, m: np.ndarray) -> int:
-    ech = FpEchelon(p, m.shape[1])
-    ech.add_batch(m)
-    return ech.dim - ech.rank
-
-
-def combination(p: int, a: np.ndarray, c: int, b: np.ndarray) -> np.ndarray:
-    return np.mod(a + c * b, p)
-
-
-def kernel_point_closure(
-    field: PrimeField, op: np.ndarray, ops: np.ndarray, dual: bool = False
-) -> FpEchelon | None:
-    """First proper closure under `ops` of a projective point of ker(op);
-    with `dual`, of a point of ker(op^t) under the transposed operations."""
-    if dual:
-        op, ops = op.T, ops.transpose(0, 2, 1).copy()
-    ker = kernel(Matrix(field, [[int(c) for c in row] for row in op]))
-    rows = np.array([[int(c) for c in row] for row in ker.rows], dtype=np.int64)
-    return first_proper_closure(field.p, op.shape[0], ops, rows)

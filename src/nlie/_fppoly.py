@@ -1,0 +1,221 @@
+"""Univariate polynomials over F_p on Python ints, for Norton's
+irreducibility test: the characteristic polynomial of a square matrix by
+Hessenberg reduction (Cohen, *A Course in Computational Algebraic Number
+Theory*, Alg. 2.2.9), factorization into monic irreducibles (squarefree,
+distinct-degree, then Cantor-Zassenhaus equal-degree splitting), and the
+value of a polynomial at a matrix.  Exact at every p; no numpy.
+
+A polynomial is a list of residues in [0, p), constant term first, with no
+trailing zeros (the zero polynomial is []).  Matrices are lists of int rows.
+"""
+
+from __future__ import annotations
+
+import random
+
+Poly = list[int]
+
+_ONE: Poly = [1]
+_X: Poly = [0, 1]
+
+
+def _trim(f: Poly) -> Poly:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _sub(f: Poly, g: Poly, p: int) -> Poly:
+    out = list(f) + [0] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] = (out[i] - c) % p
+    return _trim(out)
+
+
+def _mul(f: Poly, g: Poly, p: int) -> Poly:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return _trim([c % p for c in out])
+
+
+def _divmod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
+    """Quotient and remainder of f by a nonzero g."""
+    r = list(f)
+    dg = len(g) - 1
+    if len(r) <= dg:
+        return [], r
+    inv = pow(g[-1], -1, p)
+    q = [0] * (len(r) - dg)
+    for k in range(len(r) - 1, dg - 1, -1):
+        c = r[k] * inv % p
+        if c:
+            q[k - dg] = c
+            for j in range(dg + 1):
+                r[k - dg + j] = (r[k - dg + j] - c * g[j]) % p
+    return _trim(q), _trim(r[:dg])
+
+
+def _rem(f: Poly, g: Poly, p: int) -> Poly:
+    return _divmod(f, g, p)[1]
+
+
+def _monic(f: Poly, p: int) -> Poly:
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _gcd(f: Poly, g: Poly, p: int) -> Poly:
+    """Monic gcd; [] only when both are zero."""
+    while g:
+        f, g = g, _rem(f, g, p)
+    return _monic(f, p) if f else []
+
+
+def _powmod(f: Poly, e: int, m: Poly, p: int) -> Poly:
+    result, base = _ONE, _rem(f, m, p)
+    while e:
+        if e & 1:
+            result = _rem(_mul(result, base, p), m, p)
+        base = _rem(_mul(base, base, p), m, p)
+        e >>= 1
+    return _rem(result, m, p)
+
+
+def charpoly(rows: list[list[int]], p: int) -> Poly:
+    """Characteristic polynomial det(xI - M), monic of degree len(rows)."""
+    n = len(rows)
+    h = [list(r) for r in rows]
+    for c in range(n - 2):
+        i = next((i for i in range(c + 1, n) if h[i][c]), None)
+        if i is None:
+            continue
+        if i != c + 1:
+            h[i], h[c + 1] = h[c + 1], h[i]
+            for row in h:
+                row[i], row[c + 1] = row[c + 1], row[i]
+        inv = pow(h[c + 1][c], -1, p)
+        for j in range(c + 2, n):
+            u = h[j][c] * inv % p
+            if u:
+                # similarity: row_j -= u row_(c+1), then col_(c+1) += u col_j
+                pivot_row = h[c + 1]
+                h[j] = [(a - u * b) % p for a, b in zip(h[j], pivot_row)]
+                for row in h:
+                    row[c + 1] = (row[c + 1] + u * row[j]) % p
+    polys: list[Poly] = [_ONE]
+    for m in range(1, n + 1):
+        nxt = _mul([(-h[m - 1][m - 1]) % p, 1], polys[m - 1], p)
+        t = 1
+        for i in range(1, m):
+            t = t * h[m - i][m - i - 1] % p
+            if not t:
+                break
+            c = h[m - i - 1][m - 1] * t % p
+            if c:
+                nxt = _sub(nxt, [c * a % p for a in polys[m - i - 1]], p)
+        polys.append(nxt)
+    return polys[n]
+
+
+def _squarefree(f: Poly, p: int) -> list[tuple[Poly, int]]:
+    """Squarefree decomposition of a monic f: pairs (g, m) with f the
+    product of the g^m, each g squarefree and the g pairwise coprime."""
+    out: list[tuple[Poly, int]] = []
+    deriv = _trim([i * c % p for i, c in enumerate(f)][1:])
+    c = _gcd(f, deriv, p)
+    w = _divmod(f, c, p)[0]
+    i = 1
+    while len(w) > 1:
+        y = _gcd(w, c, p)
+        fac = _divmod(w, y, p)[0]
+        if len(fac) > 1:
+            out.append((fac, i))
+        w, c = y, _divmod(c, y, p)[0]
+        i += 1
+    if len(c) > 1:
+        # c is a polynomial in x^p; over F_p its p-th root keeps the coefficients
+        root = c[::p]
+        out.extend((g, m * p) for g, m in _squarefree(root, p))
+    return out
+
+
+def _distinct_degree(f: Poly, p: int) -> list[tuple[Poly, int]]:
+    """Split a monic squarefree f into pairs (g, k): g is the product of
+    f's irreducible factors of degree k."""
+    out: list[tuple[Poly, int]] = []
+    h, k = _X, 0
+    while len(f) - 1 >= 2 * (k + 1):
+        k += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd(f, _sub(h, _X, p), p)
+        if len(g) > 1:
+            out.append((g, k))
+            f = _divmod(f, g, p)[0]
+            h = _rem(h, f, p)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(f: Poly, k: int, p: int, rng: random.Random) -> list[Poly]:
+    """Cantor-Zassenhaus: the irreducible factors of a monic squarefree f
+    whose factors all have degree k."""
+    n = len(f) - 1
+    if n == k:
+        return [f]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        if p == 2:
+            # the trace a + a^2 + ... + a^(2^(k-1)) is 0 or 1 on each factor
+            t, s = a, a
+            for _ in range(k - 1):
+                s = _rem(_mul(s, s, p), f, p)
+                t = _sub(t, s, p)  # minus is plus in characteristic 2
+        else:
+            t = _sub(_powmod(a, (p**k - 1) // 2, f, p), _ONE, p)
+        g = _gcd(f, t, p)
+        if 1 < len(g) < n + 1:
+            return _equal_degree(g, k, p, rng) + _equal_degree(
+                _divmod(f, g, p)[0], k, p, rng
+            )
+
+
+def factor(f: Poly, p: int) -> list[tuple[Poly, int]]:
+    """Monic irreducible factors of a monic f with their multiplicities,
+    sorted by degree, then by coefficients from the constant term up."""
+    rng = random.Random(p)
+    out: list[tuple[Poly, int]] = []
+    for g, m in _squarefree(f, p):
+        for h, k in _distinct_degree(g, p):
+            out.extend((q, m) for q in _equal_degree(h, k, p, rng))
+    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
+
+
+def is_irreducible(f: Poly, p: int) -> bool:
+    """Whether f is monic, of degree at least 1, and irreducible over F_p."""
+    if len(f) < 2 or f[-1] != 1 or any(not 0 <= c < p for c in f):
+        return False
+    return factor(f, p) == [(f, 1)]
+
+
+def matmul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+
+def at_matrix(f: Poly, rows: list[list[int]], p: int) -> list[list[int]]:
+    """f(M) by Horner's rule."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for c in reversed(f):
+        out = matmul(out, rows, p)
+        for i in range(n):
+            out[i][i] = (out[i][i] + c) % p
+    return out

@@ -5,10 +5,12 @@ derived-modulo-center pipeline.
 
 Subspaces are the working currency; everything returns canonical
 SubspaceBasis values so results compare by value.  Every ideal closure, over
-Q and every F_p, runs one exact loop on Python values.  The F_p simplicity
-searches, which close thousands of points, run on int64 arrays instead (in
-_fpdense, loaded on first use); they need dim*(p-1)^2 < 2^63 and refuse
-beyond that bound.
+Q and every F_p, runs one exact loop on Python values.  Simplicity over F_p
+closes every projective point while their count fits the enumeration limit;
+that search runs on int64 arrays (in _fpdense, which loads numpy on first
+use) and needs dim*(p-1)^2 < 2^63.  Past the limit, Norton's irreducibility
+test decides in a few exact spins, in pure Python and at every p (its
+polynomial arithmetic is in _fppoly, loaded on first use).
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ from .linalg import (
 AlgebraLike = NLieAlgebra | NLiePoissonAlgebra | SkewBracketTensor
 
 DEFAULT_REDUCTION_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29)
-_COMBO_TRIALS = 200
+# words Norton's test draws before it gives up
+_NORTON_WORDS = 64
 
 
 class IdealKind(Enum):
@@ -123,27 +126,19 @@ def mult_operators(product: SymProductTensor) -> list[Matrix]:
     return ops
 
 
-def _labeled_ops(
-    t: SkewBracketTensor, kind: IdealKind, product: SymProductTensor | None
-) -> list[tuple[dict, Matrix]]:
-    labeled: list[tuple[dict, Matrix]] = []
-    if kind in (IdealKind.NLIE, IdealKind.POISSON):
-        for idx, m in ad_basis_operators(t):
-            if not m.is_zero():
-                labeled.append(({"op": "ad", "args": list(idx)}, m))
-    if kind in (IdealKind.ASSOCIATIVE, IdealKind.POISSON):
-        if product is None:
-            raise ValueError(f"{kind.value} ideal operations require the product")
-        for k, m in enumerate(mult_operators(product)):
-            if not m.is_zero():
-                labeled.append(({"op": "mult", "index": k}, m))
-    return labeled
-
-
 def _ops_for_kind(
     t: SkewBracketTensor, kind: IdealKind, product: SymProductTensor | None
 ) -> list[Matrix]:
-    return [m for _, m in _labeled_ops(t, kind, product)]
+    """The nonzero operations whose invariant subspaces are the kind's
+    ideals: adjoints, multiplications, or both."""
+    ops: list[Matrix] = []
+    if kind in (IdealKind.NLIE, IdealKind.POISSON):
+        ops.extend(m for _, m in ad_basis_operators(t))
+    if kind in (IdealKind.ASSOCIATIVE, IdealKind.POISSON):
+        if product is None:
+            raise ValueError(f"{kind.value} ideal operations require the product")
+        ops.extend(mult_operators(product))
+    return [m for m in ops if not m.is_zero()]
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +445,20 @@ def _projective_count(p: int, k: int) -> int:
 
 
 def _exhaustive_projective(
-    t: SkewBracketTensor, kind: IdealKind, ops: list[Matrix], seed: int
+    t: SkewBracketTensor, kind: IdealKind, ops: list[Matrix], limit: int, seed: int
 ) -> SimplicityVerdict:
     from . import _fpdense
     p, d = t.field.p, t.dim
+    if not _fpdense.fits_int64(p, d):
+        raise ValueError(
+            f"exhaustive simplicity over F_{p} in dimension {d} needs "
+            "dim*(p-1)^2 < 2^63 for exact int64 arithmetic"
+        )
+    points = _projective_count(p, d)
+    if points > limit:
+        raise GuardExceeded(
+            f"exhaustive projective enumeration needs {points} closures > limit {limit}"
+        )
     ech = _fpdense.first_proper_closure(p, d, _fpdense.ops_tensor(ops))
     if ech is not None:
         return SimplicityVerdict(
@@ -468,101 +473,142 @@ def _exhaustive_projective(
         "method": "ExhaustiveProjective",
         "p": p,
         "dim": d,
-        "points": _projective_count(p, d),
+        "points": points,
     }
     return SimplicityVerdict("simple", kind, certificate, None, None, seed)
 
 
-def _kernel_seeds(
-    t: SkewBracketTensor,
-    kind: IdealKind,
-    labeled: list[tuple[dict, Matrix]],
-    limit: int,
-    seed: int,
-) -> SimplicityVerdict:
-    """Singular-operator seed certificate, the full-enumeration escape
-    hatch.
+def _norton_word(ops: list[Matrix], p: int, d: int, seed: int, word: int) -> list[list[int]]:
+    """The seeded word P·Q + R, where P, Q and R are random F_p-combinations
+    of all the operations."""
+    from . import _fppoly
+    rng = random.Random(f"norton:{seed}:{word}")
+    entries = [
+        [(i, j, x) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x]
+        for m in ops
+    ]
 
-    Take any singular operator T from the invariant-operation set (or a
-    random 2-term combination).  A proper invariant subspace U either
-    meets ker T (T restricted to U is singular), or satisfies T(U) = U and
-    then ker T^t annihilates a complement, i.e. lies inside the
-    annihilator of U, which is invariant under the transposed operations.
-    So closing every projective kernel point on the primal side and every
-    transposed-kernel point on the dual side finds a proper invariant
-    subspace whenever one exists; if nothing traps, the algebra is simple.
+    def pick() -> list[list[int]]:
+        acc = [[0] * d for _ in range(d)]
+        for nonzero in entries:
+            c = rng.randrange(p)
+            if c:
+                for i, j, x in nonzero:
+                    acc[i][j] += c * x
+        return [[x % p for x in row] for row in acc]
+
+    a, b, c = pick(), pick(), pick()
+    return [
+        [(x + y) % p for x, y in zip(row, add)]
+        for row, add in zip(_fppoly.matmul(a, b, p), c)
+    ]
+
+
+def _spin_kernel_row(field: PrimeField, ker: SubspaceBasis, ops: list[Matrix]) -> SubspaceBasis:
+    """The closure under `ops` of the first row of a nonzero kernel."""
+    return _closure(field, ker.ambient_dim, ker.rows[:1], ops)
+
+
+def _norton(
+    t: SkewBracketTensor, kind: IdealKind, ops: list[Matrix], seed: int
+) -> SimplicityVerdict:
+    """Norton's irreducibility test in the Holt-Rees form.
+
+    Draw a seeded word A in the operations, and an irreducible factor f of
+    its characteristic polynomial with nullity f(A) = deg f.  Then ker f(A)
+    is one-dimensional over F_p[A]/(f), so a proper invariant subspace U
+    that meets it contains all of it, and spinning any one kernel vector
+    under the operations stays inside U.  If U misses it, f(A) is injective
+    on U, hence f(A) has a kernel on V/U, and the annihilator of U, which
+    is invariant under the transposed operations, meets ker f(A)^t; the
+    same argument spins one vector of it inside that annihilator.  So two
+    whole spins prove the module irreducible, and a proper spin is a
+    witness.  A word without such a factor still spins the kernel of its
+    first factor, which often exposes an invariant subspace, and then the
+    next word is drawn, up to a fixed budget.
     """
-    from . import _fpdense
+    from . import _fppoly
     field = t.field
     p, d = field.p, t.dim
-    ops = [m for _, m in labeled]
-    tensor = _fpdense.ops_tensor(ops)
-    candidates = sorted(
-        (n, i)
-        for i, m in enumerate(tensor)
-        if 1 <= (n := _fpdense.nullity(p, m)) < d
+    transposed = [m.transpose() for m in ops]
+    for word in range(_NORTON_WORDS):
+        rows = _norton_word(ops, p, d, seed, word)
+        first = good = None
+        for f, _ in _fppoly.factor(_fppoly.charpoly(rows, p), p):
+            fA = Matrix(field, _fppoly.at_matrix(f, rows, p))
+            ker = kernel(fA)
+            first = first or (f, fA, ker)
+            if ker.dim == len(f) - 1:
+                good = (f, fA, ker)
+                break
+        f, fA, ker = good or first
+        spin = _spin_kernel_row(field, ker, ops)
+        if spin.dim < d:
+            return SimplicityVerdict(
+                "not_simple",
+                kind,
+                None,
+                spin,
+                "a kernel vector of f(A) spins to a proper invariant subspace",
+                seed,
+            )
+        dual = _spin_kernel_row(field, kernel(fA.transpose()), transposed)
+        if dual.dim < d:
+            witness = kernel(Matrix(field, dual.rows))
+            if not _is_invariant(witness, ops):
+                raise AssertionError("claimed invariant subspace is not invariant")
+            return SimplicityVerdict(
+                "not_simple",
+                kind,
+                None,
+                witness,
+                "the annihilator of a transposed-operation spin is a proper invariant subspace",
+                seed,
+            )
+        if good is not None:
+            certificate = {
+                "method": "Norton",
+                "p": p,
+                "dim": d,
+                "seed": seed,
+                "word": word,
+                "factor": f,
+                "nullity": ker.dim,
+            }
+            return SimplicityVerdict("simple", kind, certificate, None, None, seed)
+    raise GuardExceeded(
+        f"Norton's test drew its budget of {_NORTON_WORDS} words without a "
+        "decisive irreducible factor"
     )
-    chosen = None
-    label: dict | None = None
-    chosen_nullity = 0
-    for n, i in candidates:
-        if 2 * _projective_count(p, n) <= limit:
-            chosen, label, chosen_nullity = tensor[i], dict(labeled[i][0]), n
-            break
-    if chosen is None and len(ops) >= 2:
-        rng = random.Random(seed)
-        for _ in range(_COMBO_TRIALS):
-            i, j = rng.sample(range(len(ops)), 2)
-            c = rng.randrange(1, p) if p > 2 else 1
-            combo = _fpdense.combination(p, tensor[i], c, tensor[j])
-            n = _fpdense.nullity(p, combo)
-            if 1 <= n < d and 2 * _projective_count(p, n) <= limit:
-                if chosen is None or n < chosen_nullity:
-                    chosen, chosen_nullity = combo, n
-                    label = {
-                        "op": "combination",
-                        "first": dict(labeled[i][0]),
-                        "second": dict(labeled[j][0]),
-                        "coefficient": c,
-                    }
-    if chosen is None:
-        raise GuardExceeded(
-            "no invariant operation has a kernel small enough to enumerate "
-            f"within {limit} closures; raise the enumeration limit"
-        )
-    ech = _fpdense.kernel_point_closure(field, chosen, tensor)
-    if ech is not None:
-        return SimplicityVerdict(
-            "not_simple",
-            kind,
-            None,
-            ech.to_subspace(field),
-            "a kernel point of a singular invariant operation generates a proper subspace",
-            seed,
-        )
-    ech = _fpdense.kernel_point_closure(field, chosen, tensor, dual=True)
-    if ech is not None:
-        dual = ech.to_subspace(field)
-        witness = kernel(Matrix(field, [list(row) for row in dual.rows]))
-        if not _is_invariant(witness, ops):
-            raise AssertionError("claimed invariant subspace is not invariant")
-        return SimplicityVerdict(
-            "not_simple",
-            kind,
-            None,
-            witness,
-            "the annihilator of a transposed-operation closure is a proper invariant subspace",
-            seed,
-        )
-    certificate = {
-        "method": "KernelSeeds",
-        "p": p,
-        "dim": d,
-        "operator": label,
-        "nullity": chosen_nullity,
-        "points_per_side": _projective_count(p, chosen_nullity),
-    }
-    return SimplicityVerdict("simple", kind, certificate, None, None, seed)
+
+
+def _replay_norton(t: SkewBracketTensor, ops: list[Matrix], certificate: dict) -> bool:
+    """Rebuild the certificate's word, check that its factor is irreducible
+    with nullity f(A) = deg f, and re-spin both kernel vectors."""
+    from . import _fppoly
+    field = t.field
+    p, d = field.p, t.dim
+    f, seed, word = certificate.get("factor"), certificate.get("seed"), certificate.get("word")
+    if not (
+        isinstance(f, list)
+        and all(isinstance(c, int) for c in f)
+        and isinstance(seed, int)
+        and isinstance(word, int)
+        and word >= 0
+        and _fppoly.is_irreducible(f, p)
+        and certificate.get("nullity") == len(f) - 1
+    ):
+        return False
+    fA = Matrix(field, _fppoly.at_matrix(f, _norton_word(ops, p, d, seed, word), p))
+    ker = kernel(fA)
+    if ker.dim != len(f) - 1:
+        return False
+    dual_ker = kernel(fA.transpose())
+    transposed = [m.transpose() for m in ops]
+    return (
+        _spin_kernel_row(field, ker, ops).is_full()
+        and _spin_kernel_row(field, dual_ker, transposed).is_full()
+    )
 
 
 def _zero_bracket_verdict(
@@ -631,25 +677,14 @@ def _is_simple_fp(
     seed: int,
     method: str,
 ) -> SimplicityVerdict:
-    from . import _fpdense
-    if not _fpdense.fits_int64(t.field.p, t.dim):
-        raise ValueError(
-            f"simplicity over F_{t.field.p} in dimension {t.dim} needs dim*(p-1)^2 < 2^63 "
-            "for exact int64 arithmetic"
-        )
-    labeled = _labeled_ops(t, kind, product)
-    ops = [m for _, m in labeled]
-    points = _projective_count(t.field.p, t.dim)
+    ops = _ops_for_kind(t, kind, product)
     if method == "auto":
-        method = "exhaustive" if points <= limit else "kernel_seeds"
+        fits = _projective_count(t.field.p, t.dim) <= limit
+        method = "exhaustive" if fits else "norton"
     if method == "exhaustive":
-        if points > limit:
-            raise GuardExceeded(
-                f"exhaustive projective enumeration needs {points} closures > limit {limit}"
-            )
-        return _exhaustive_projective(t, kind, ops, seed)
-    if method == "kernel_seeds":
-        return _kernel_seeds(t, kind, labeled, limit, seed)
+        return _exhaustive_projective(t, kind, ops, limit, seed)
+    if method == "norton":
+        return _norton(t, kind, ops, seed)
     raise ValueError(f"method {method!r} does not apply over a prime field")
 
 
@@ -666,8 +701,8 @@ def is_simple(
     """Certified simplicity verdict.
 
     Over F_p: exhaustive projective closure when the point count fits the
-    enumeration limit, singular-operator kernel seeding otherwise; both
-    decide.  Over Q: proper ideals are searched by closing basis and
+    enumeration limit, Norton's irreducibility test otherwise; both
+    decide, and Norton raises GuardExceeded if its word budget runs out.  Over Q: proper ideals are searched by closing basis and
     seeded random vectors (sound for not-simple), and simplicity is
     certified through a mod-p reduction (sound direction only), so
     "unknown" is a possible honest outcome.  A zero bracket is never
@@ -686,7 +721,7 @@ def is_simple(
         if method == "mod_p":
             raise ValueError("mod-p reduction applies to rational algebras only")
         return _is_simple_fp(t, kind, product, limit, seed, method)
-    if method in ("exhaustive", "kernel_seeds"):
+    if method in ("exhaustive", "norton"):
         raise ValueError(f"method {method!r} needs a prime field")
     ops = _ops_for_kind(t, kind, product)
     rng = random.Random(seed)
@@ -716,8 +751,8 @@ def is_simple(
         reduced_t, reduced_product, scale = reduced
         try:
             inner = _is_simple_fp(reduced_t, kind, reduced_product, limit, seed, "auto")
-        except GuardExceeded:
-            attempts.append(f"p={p}: enumeration limit hit")
+        except GuardExceeded as exc:
+            attempts.append(f"p={p}: {exc}")
             continue
         if inner.status == "simple":
             certificate = {
@@ -738,10 +773,6 @@ def is_simple(
     )
 
 
-# certificate method -> the _is_simple_fp method that replays it
-_FP_METHODS = {"ExhaustiveProjective": "exhaustive", "KernelSeeds": "kernel_seeds"}
-
-
 def verify_simplicity_certificate(
     alg: AlgebraLike,
     verdict: SimplicityVerdict,
@@ -749,8 +780,10 @@ def verify_simplicity_certificate(
     product: SymProductTensor | None = None,
     max_enum: int | None = None,
 ) -> bool:
-    """Replay a verdict: witnesses are re-checked for invariance, simple
-    certificates re-execute their stated method from scratch."""
+    """Replay a verdict: witnesses are re-checked for invariance, an
+    exhaustive certificate re-runs its search, a Norton certificate
+    rebuilds its word and re-spins both kernel vectors, and a mod-p
+    reduction re-decides its reduced algebra."""
     t = _bracket_of(alg)
     product = _product_of(alg, product)
     kind = verdict.kind
@@ -766,12 +799,14 @@ def verify_simplicity_certificate(
         return _is_invariant(witness, _ops_for_kind(t, kind, product))
     certificate = verdict.certificate or {}
     method = certificate.get("method")
-    if method in _FP_METHODS:
+    if method in ("ExhaustiveProjective", "Norton"):
         if not isinstance(t.field, PrimeField):
             return False
         if t.field.p != certificate.get("p") or t.dim != certificate.get("dim"):
             return False
-        redo = _is_simple_fp(t, kind, product, limit, verdict.seed, _FP_METHODS[method])
+        if method == "Norton":
+            return _replay_norton(t, _ops_for_kind(t, kind, product), certificate)
+        redo = _is_simple_fp(t, kind, product, limit, verdict.seed, "exhaustive")
         return redo.status == "simple"
     if method == "ModPReduction":
         if not isinstance(t.field, RationalField):
@@ -987,6 +1022,18 @@ def probe_lemma(
         raise ValueError("subspace lives in the wrong ambient dimension")
     if which in ("L1", "L2", "L3") and product is None:
         raise ValueError(f"probe {which} requires a product")
+    if needs_subspace:
+        B = derived_subspace(t)
+        U = subspace
+        if which == "L3" and not is_associative_ideal(product, U):
+            raise ValueError("the subspace is not an associative ideal")
+        if not _stable_under(t, U, B):
+            raise ValueError(
+                "the subspace is not stable under bracketing with the derived subalgebra"
+                if which == "L3"
+                else "the subspace is not an ideal of the derived subalgebra: "
+                "a bracket image escapes it"
+            )
 
     kind = IdealKind.POISSON if product is not None else IdealKind.NLIE
     simplicity = is_simple(alg, kind, seed=seed, max_enum=max_enum)
@@ -1020,53 +1067,36 @@ def probe_lemma(
                 conclusion_ok = False
                 witness = Witness("nilpotent_ad", {"args": idx, "power": k})
                 break
-    else:
-        B = derived_subspace(t)
-        U = subspace
-        if which == "L3":
-            if not is_associative_ideal(product, U):
-                raise ValueError("the subspace is not an associative ideal")
-            if not _stable_under(t, U, B):
-                raise ValueError(
-                    "the subspace is not stable under bracketing with the derived subalgebra"
-                )
-            nonzero = not U.is_zero()
-            notes.append(f"I nonzero: {nonzero}")
-            hyp_ok = hyp_ok and nonzero
-            conclusion_ok = U.is_full()
-            if not conclusion_ok:
-                witness = Witness("proper_ideal", {"dim": U.dim})
+    elif which == "L3":
+        nonzero = not U.is_zero()
+        notes.append(f"I nonzero: {nonzero}")
+        hyp_ok = hyp_ok and nonzero
+        conclusion_ok = U.is_full()
+        if not conclusion_ok:
+            witness = Witness("proper_ideal", {"dim": U.dim})
+    elif which in ("L6_0", "L6"):
+        abelian = _is_abelian(t, U)
+        notes.append(f"U abelian: {abelian}")
+        hyp_ok = hyp_ok and abelian
+        if which == "L6_0":
+            witness = _vanishing_against(t, 1, B, U)
         else:
-            if not _stable_under(t, U, B):
-                raise ValueError(
-                    "the subspace is not an ideal of the derived subalgebra: "
-                    "a bracket image escapes it"
-                )
-            if which in ("L6_0", "L6"):
-                abelian = _is_abelian(t, U)
-                notes.append(f"U abelian: {abelian}")
-                hyp_ok = hyp_ok and abelian
-                if which == "L6_0":
-                    witness = _vanishing_against(t, 1, B, U)
-                else:
-                    witness = _vanishing_against(t, t.arity - 1, None, U)
-                conclusion_ok = witness is None
-            else:
-                u1 = derived_subspace(t, U)
-                u2 = derived_subspace(t, u1)
-                u3 = derived_subspace(t, u2)
-                if which == "L2":
-                    generated = ideal_closure(
-                        t, u3, IdealKind.ASSOCIATIVE, product=product
-                    )
-                    witness = _contained_images(t, generated, U)
-                    conclusion_ok = witness is None
-                else:
-                    notes.append(f"U^(3) zero: {u3.is_zero()}")
-                    hyp_ok = hyp_ok and u3.is_zero()
-                    target = u1 if which == "L7" else U
-                    witness = _vanishing_against(t, t.arity - 1, None, target)
-                    conclusion_ok = witness is None
+            witness = _vanishing_against(t, t.arity - 1, None, U)
+        conclusion_ok = witness is None
+    else:
+        u1 = derived_subspace(t, U)
+        u2 = derived_subspace(t, u1)
+        u3 = derived_subspace(t, u2)
+        if which == "L2":
+            generated = ideal_closure(t, u3, IdealKind.ASSOCIATIVE, product=product)
+            witness = _contained_images(t, generated, U)
+            conclusion_ok = witness is None
+        else:
+            notes.append(f"U^(3) zero: {u3.is_zero()}")
+            hyp_ok = hyp_ok and u3.is_zero()
+            target = u1 if which == "L7" else U
+            witness = _vanishing_against(t, t.arity - 1, None, target)
+            conclusion_ok = witness is None
 
     return ProbeReport(
         which,

@@ -123,8 +123,18 @@ class TestMalformedInput:
 
 
     def test_simple_refuses_beyond_int64(self, capsys, tmp_path):
-        doc = dict(CROSS, field={"Fp": 2**61 - 1})
-        code, _, err = run(capsys, ["simple", self.bad_file(tmp_path, doc)])
+        # Norton's test decides past the enumeration limit at every p; only
+        # the int64 exhaustive search, forced by a limit that reaches the
+        # point count, refuses
+        p = 2**61 - 1
+        path = self.bad_file(tmp_path, dict(CROSS, field={"Fp": p}))
+        code, out, _ = run(capsys, ["simple", "--format", "json", path])
+        assert code == 0
+        verdict = json.loads(out)["results"]["verdict"]
+        assert verdict["status"] == "simple"
+        assert verdict["certificate"]["method"] == "Norton"
+        points = p * p + p + 1
+        code, _, err = run(capsys, ["simple", "--max-enum", str(points), path])
         assert code == 2 and "2^63" in err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
@@ -396,6 +406,20 @@ def test_numpy_loaded_only_by_dense_paths(cross_path, char3_path, tmp_path):
     verdict = json.loads(last)["results"]["verdict"]
     assert verdict["certificate"]["method"] == "ModPReduction"
     assert verdict["certificate"]["p"] == 5
+
+
+def test_norton_loads_only_past_the_limit(cross_path, tmp_path):
+    dense = ["nlie._fpdense", "nlie.algebra", "nlie.algfile", "nlie.cli", "nlie.fields",
+             "nlie.guards", "nlie.linalg", "nlie.structure", "numpy"]
+    codes, loaded, _ = _fresh_run(["simple", cross_path], ["lemmas", "--lemma", "L5", cross_path])
+    assert codes == [0, 0]
+    assert loaded[1:] == [dense, dense]
+    large = tmp_path / "cross_m61.json"
+    large.write_text(json.dumps(dict(CROSS, field={"Fp": 2**61 - 1})))
+    codes, loaded, last = _fresh_run(["simple", "--format", "json", str(large)])
+    assert codes == [0]
+    assert "numpy" not in loaded[1] and "nlie._fppoly" in loaded[1]
+    assert json.loads(last)["results"]["verdict"]["certificate"]["method"] == "Norton"
 
 
 def test_each_command_loads_only_its_layers(cross_path, char3_path):

@@ -222,9 +222,15 @@ class TestIdealsAndClosures:
 
     @pytest.mark.parametrize("p", [3037000493, 2**61 - 1])
     def test_simplicity_refuses_beyond_int64(self, p):
+        # past the enumeration limit Norton's test decides on Python ints;
+        # only the int64 exhaustive search still refuses
         alg, _ = seeded_basis(direct_sum_cross(PrimeField(p)), seed=5)
+        v = is_simple(alg)
+        assert v.status == "not_simple"
+        assert v.witness.dim == 3 and is_nlie_ideal(alg, v.witness)
+        assert verify_simplicity_certificate(alg, v)
         with pytest.raises(ValueError, match=r"2\^63"):
-            is_simple(alg)
+            is_simple(alg, method="exhaustive")
 
     def test_closure_needs_product_for_assoc_kind(self):
         with pytest.raises(ValueError):
@@ -334,16 +340,60 @@ class TestSimplicity:
         assert v.certificate["points"] == 9841
         assert verify_simplicity_certificate(char3, v)
 
-    def test_kernel_seeds_agrees_on_simple(self):
+    def test_norton_agrees_on_simple(self):
         char3 = truncated_poisson(2, 3)
-        v = is_simple(char3, method="kernel_seeds")
+        v = is_simple(char3, method="norton")
         assert v.status == "simple"
-        assert v.certificate["method"] == "KernelSeeds"
+        assert v.certificate["method"] == "Norton"
+        assert v.certificate["nullity"] == len(v.certificate["factor"]) - 1
         assert verify_simplicity_certificate(char3, v)
+
+    # over F_3, x^2 + x + 1 = (x - 1)^2 is reducible, and x does not divide
+    # the characteristic polynomial of the certified word
+    @pytest.mark.parametrize(
+        "field, value",
+        [("factor", [1, 1, 1]), ("factor", [0, 1]), ("nullity", 2), ("word", 1),
+         ("factor", None), ("seed", "0")],
+    )
+    def test_altered_norton_certificate_fails_replay(self, field, value):
+        from nlie.structure import SimplicityVerdict
+
+        char3 = truncated_poisson(2, 3)
+        v = is_simple(char3, method="norton")
+        assert v.certificate[field] != value
+        altered = SimplicityVerdict(
+            v.status, v.kind, dict(v.certificate, **{field: value}), None, None, v.seed
+        )
+        assert not verify_simplicity_certificate(char3, altered)
+
+    def test_norton_word_budget_named(self, monkeypatch):
+        from nlie import structure
+
+        monkeypatch.setattr(structure, "_NORTON_WORDS", 0)
+        with pytest.raises(GuardExceeded, match="budget of 0 words"):
+            is_simple(truncated_poisson(2, 3), method="norton")
+
+    def test_norton_agrees_with_oracle_corpus(self):
+        from test_acceptance import build_corpus
+
+        corpus = [alg for alg in build_corpus() if not alg.bracket.is_zero()]
+        assert len(corpus) == 17
+        agree = 0
+        for alg in corpus:
+            ideals = brute_force_ideals(alg)
+            simple = not any(0 < S.dim < alg.dim for S in ideals)
+            for seed in range(3):
+                v = is_simple(alg, method="norton", seed=seed)
+                if v.status == "not_simple":
+                    assert v.witness in ideals
+                assert (v.status == "simple") == simple
+                assert verify_simplicity_certificate(alg, v)
+                agree += 1
+        assert agree == 51
 
     def test_both_methods_find_proper_ideal(self):
         ds = direct_sum_cross(F3)
-        for method in ("exhaustive", "kernel_seeds"):
+        for method in ("exhaustive", "norton"):
             v = is_simple(ds, method=method)
             assert v.status == "not_simple"
             assert 0 < v.witness.dim < 6
@@ -394,8 +444,8 @@ class TestSimplicity:
 
     def test_seed_determinism(self):
         char3 = truncated_poisson(2, 3)
-        a = is_simple(char3, method="kernel_seeds", seed=5)
-        b = is_simple(char3, method="kernel_seeds", seed=5)
+        a = is_simple(char3, method="norton", seed=5)
+        b = is_simple(char3, method="norton", seed=5)
         assert a == b
 
     def test_guard(self):
