@@ -3,7 +3,7 @@ irreducibility test: the characteristic polynomial of a square matrix by
 Hessenberg reduction (Cohen, *A Course in Computational Algebraic Number
 Theory*, Alg. 2.2.9), factorization into monic irreducibles (squarefree,
 distinct-degree, then Cantor-Zassenhaus equal-degree splitting), and the
-value of a polynomial at a matrix.  Exact at every p; no numpy.
+value of a polynomial at a matrix.  Exact at every p.
 
 A polynomial is a list of residues in [0, p), constant term first, with no
 trailing zeros (the zero polynomial is []).  Matrices are lists of int rows.

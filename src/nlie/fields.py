@@ -49,7 +49,8 @@ class RationalField:
     one = Fraction(1)
 
     def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+        # also the identity on a Fraction, such as an unreduced sum
+        return n if type(n) is Fraction else Fraction(n)
 
     def add(self, a, b):
         return a + b

@@ -43,7 +43,7 @@ def is_zero_vector(a: Sequence) -> bool:
 class Matrix:
     """An immutable rows-by-columns matrix over an exact field."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_columns")
 
     def __init__(self, field: Field, rows: Iterable[Sequence]):
         frozen = tuple(tuple(r) for r in rows)
@@ -53,6 +53,7 @@ class Matrix:
                 raise ValueError("ragged rows")
         self.field = field
         self.rows = frozen
+        self._columns = None
 
     @property
     def nrows(self) -> int:
@@ -68,16 +69,25 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        f = self.field
-        cols = other.transpose().rows
-        out = []
-        for row in self.rows:
-            out.append(tuple(_dot(f, row, col) for col in cols))
-        return Matrix(f, out)
+        out = [self.matvec(col) for col in other.transpose().rows]
+        return Matrix(self.field, zip(*out) if out else [()] * self.nrows)
 
     def matvec(self, v: Sequence) -> tuple:
+        cols = self._columns
+        if cols is None:
+            # the nonzero (row, entry) pairs of each column, built on first use
+            cols = self._columns = tuple(
+                tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*self.rows)
+            )
+        out = [0] * len(self.rows)
+        for c, col in zip(v, cols):
+            if c:
+                for i, x in col:
+                    out[i] += c * x
+        # unreduced sums of field values, normalised once
         f = self.field
-        return tuple(_dot(f, row, v) for row in self.rows)
+        norm, zero = f.from_int, f.zero
+        return tuple([norm(x) if x else zero for x in out])
 
     def is_zero(self) -> bool:
         return all(is_zero_vector(r) for r in self.rows)
@@ -96,22 +106,20 @@ class Matrix:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
 
-def _dot(field: Field, a: Sequence, b: Sequence):
-    acc = field.zero
-    for x, y in zip(a, b):
-        if x != 0 and y != 0:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
 def _reduce(f: Field, rows: Sequence, pivots: Sequence[int], vec: Sequence) -> list:
-    """vec minus its components along mutually reduced echelon rows."""
-    v = list(vec)
+    """vec minus its components along mutually reduced echelon rows.  Each
+    row is zero at every other row's pivot, so the component along a row
+    is vec's own entry at its pivot; the sum accumulates unreduced and is
+    normalised once."""
+    v = vec
     for row, p in zip(rows, pivots):
-        c = v[p]
-        if c != 0:
-            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-    return v
+        c = vec[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    if v is vec:
+        return list(vec)
+    norm, zero = f.from_int, f.zero
+    return [norm(x) if x else zero for x in v]
 
 
 class EchelonAccumulator:
@@ -138,16 +146,18 @@ class EchelonAccumulator:
             raise ValueError("vector length does not match the ambient dimension")
         f = self.field
         v = self.reduce(vec)
-        lead = next((j for j, x in enumerate(v) if x != 0), None)
-        if lead is None:
+        first = next(filter(None, v), None)
+        if first is None:
             return None
-        if v[lead] != f.one:
-            inv = f.inv(v[lead])
+        lead = v.index(first)  # every entry before the first nonzero one is zero
+        if first != f.one:
+            inv = f.inv(first)
             v = [f.mul(inv, x) for x in v]
+        norm = f.from_int
         for i, row in enumerate(self.rows):
             c = row[lead]
-            if c != 0:
-                self.rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, v)]
+            if c:
+                self.rows[i] = [norm(a - c * b) for a, b in zip(row, v)]
         at = bisect_left(self.pivots, lead)
         self.rows.insert(at, v)
         self.pivots.insert(at, lead)

@@ -6,11 +6,10 @@ derived-modulo-center pipeline.
 Subspaces are the working currency; everything returns canonical
 SubspaceBasis values so results compare by value.  Every ideal closure, over
 Q and every F_p, runs one exact loop on Python values.  Simplicity over F_p
-closes every projective point while their count fits the enumeration limit;
-that search runs on int64 arrays (in _fpdense, which loads numpy on first
-use) and needs dim*(p-1)^2 < 2^63.  Past the limit, Norton's irreducibility
-test decides in a few exact spins, in pure Python and at every p (its
-polynomial arithmetic is in _fppoly, loaded on first use).
+closes every projective point with that same loop while their count fits
+the enumeration limit, exactly at every p.  Past the limit, Norton's
+irreducibility test decides in a few exact spins (its polynomial arithmetic
+is in _fppoly, loaded on first use).
 """
 
 from __future__ import annotations
@@ -229,9 +228,9 @@ def _closure(
         for m in ops:
             r = acc.add(m.matvec(v))
             if r is not None:
+                if acc.dim == dim:
+                    break
                 queue.append(r)
-        if acc.dim == dim:
-            break
     return acc.to_subspace()
 
 
@@ -444,31 +443,44 @@ def _projective_count(p: int, k: int) -> int:
     return (p**k - 1) // (p - 1)
 
 
+def _projective_points(p: int, k: int):
+    """Representatives of the projective points of F_p^k, first nonzero
+    coordinate 1, with the tail after it counted up last coordinate fastest.
+    Lazy at every p: the tail is an odometer, so no range(p) is materialised."""
+    for lead in range(k):
+        head = (0,) * lead + (1,)
+        tail = [0] * (k - 1 - lead)
+        while True:
+            yield head + tuple(tail)
+            i = len(tail) - 1
+            while i >= 0 and tail[i] == p - 1:
+                tail[i] = 0
+                i -= 1
+            if i < 0:
+                break
+            tail[i] += 1
+
+
 def _exhaustive_projective(
     t: SkewBracketTensor, kind: IdealKind, ops: list[Matrix], limit: int, seed: int
 ) -> SimplicityVerdict:
-    from . import _fpdense
     p, d = t.field.p, t.dim
-    if not _fpdense.fits_int64(p, d):
-        raise ValueError(
-            f"exhaustive simplicity over F_{p} in dimension {d} needs "
-            "dim*(p-1)^2 < 2^63 for exact int64 arithmetic"
-        )
     points = _projective_count(p, d)
     if points > limit:
         raise GuardExceeded(
             f"exhaustive projective enumeration needs {points} closures > limit {limit}"
         )
-    ech = _fpdense.first_proper_closure(p, d, _fpdense.ops_tensor(ops))
-    if ech is not None:
-        return SimplicityVerdict(
-            "not_simple",
-            kind,
-            None,
-            ech.to_subspace(t.field),
-            "a projective point generates a proper invariant subspace",
-            seed,
-        )
+    for point in _projective_points(p, d):
+        closure = _closure(t.field, d, [point], ops)
+        if closure.dim < d:
+            return SimplicityVerdict(
+                "not_simple",
+                kind,
+                None,
+                closure,
+                "a projective point generates a proper invariant subspace",
+                seed,
+            )
     certificate = {
         "method": "ExhaustiveProjective",
         "p": p,
@@ -781,9 +793,10 @@ def verify_simplicity_certificate(
     max_enum: int | None = None,
 ) -> bool:
     """Replay a verdict: witnesses are re-checked for invariance, an
-    exhaustive certificate re-runs its search, a Norton certificate
-    rebuilds its word and re-spins both kernel vectors, and a mod-p
-    reduction re-decides its reduced algebra."""
+    exhaustive certificate checks its point count and re-runs its search, a
+    Norton certificate rebuilds its word and re-spins both kernel vectors,
+    and a mod-p reduction replays its inner certificate on the reduced
+    algebra."""
     t = _bracket_of(alg)
     product = _product_of(alg, product)
     kind = verdict.kind
@@ -806,21 +819,35 @@ def verify_simplicity_certificate(
             return False
         if method == "Norton":
             return _replay_norton(t, _ops_for_kind(t, kind, product), certificate)
+        points = certificate.get("points")
+        if not isinstance(points, int) or points != _projective_count(t.field.p, t.dim):
+            return False
         redo = _is_simple_fp(t, kind, product, limit, verdict.seed, "exhaustive")
         return redo.status == "simple"
     if method == "ModPReduction":
-        if not isinstance(t.field, RationalField):
+        p, inner = certificate.get("p"), certificate.get("inner")
+        if not (
+            isinstance(t.field, RationalField)
+            and isinstance(p, int)
+            and p > 1
+            and isinstance(inner, dict)
+        ):
             return False
-        reduced = _reduce_mod_p(
-            t, product if kind is not IdealKind.NLIE else None, certificate["p"]
-        )
+        try:
+            reduced = _reduce_mod_p(t, product if kind is not IdealKind.NLIE else None, p)
+        except ValueError:  # p is not a prime
+            return False
         if reduced is None:
             return False
         reduced_t, reduced_product, scale = reduced
         if str(scale) != certificate.get("scale"):
             return False
-        inner = _is_simple_fp(reduced_t, kind, reduced_product, limit, verdict.seed, "auto")
-        return inner.status == "simple"
+        return verify_simplicity_certificate(
+            reduced_t,
+            SimplicityVerdict("simple", kind, inner, None, None, verdict.seed),
+            product=reduced_product,
+            max_enum=max_enum,
+        )
     return False
 
 
@@ -846,21 +873,22 @@ def brute_force_ideals(
     found = []
     for r in range(d + 1):
         for pivots in itertools.combinations(range(d), r):
-            free = [
-                (i, j)
-                for i in range(r)
-                for j in range(pivots[i] + 1, d)
-                if j not in pivots
-            ]
-            for assignment in itertools.product(range(p), repeat=len(free)):
-                grid = [[0] * d for _ in range(r)]
-                for i in range(r):
-                    grid[i][pivots[i]] = 1
-                for (i, j), c in zip(free, assignment):
-                    grid[i][j] = c
-                S = SubspaceBasis._trusted(
-                    field, d, [tuple(row) for row in grid], list(pivots)
-                )
+            # the choices for each echelon row: 1 at its pivot, 0 at the
+            # other pivots, anything at the later columns; the subspaces of
+            # one pivot set share these row tuples
+            choices = []
+            for lead in pivots:
+                free = [j for j in range(lead + 1, d) if j not in pivots]
+                rows = []
+                for values in itertools.product(range(p), repeat=len(free)):
+                    row = [0] * d
+                    row[lead] = 1
+                    for j, c in zip(free, values):
+                        row[j] = c
+                    rows.append(tuple(row))
+                choices.append(rows)
+            for rows in itertools.product(*choices):
+                S = SubspaceBasis._trusted(field, d, rows, pivots)
                 if _is_invariant(S, ops):
                     found.append(S)
     return found

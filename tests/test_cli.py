@@ -122,21 +122,6 @@ class TestMalformedInput:
         assert code == 2 and "3317044064679887385961981" in err
 
 
-    def test_simple_refuses_beyond_int64(self, capsys, tmp_path):
-        # Norton's test decides past the enumeration limit at every p; only
-        # the int64 exhaustive search, forced by a limit that reaches the
-        # point count, refuses
-        p = 2**61 - 1
-        path = self.bad_file(tmp_path, dict(CROSS, field={"Fp": p}))
-        code, out, _ = run(capsys, ["simple", "--format", "json", path])
-        assert code == 0
-        verdict = json.loads(out)["results"]["verdict"]
-        assert verdict["status"] == "simple"
-        assert verdict["certificate"]["method"] == "Norton"
-        points = p * p + p + 1
-        code, _, err = run(capsys, ["simple", "--max-enum", str(points), path])
-        assert code == 2 and "2^63" in err
-
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_env_limit_named(self, capsys, monkeypatch, cross_path, value):
         monkeypatch.setenv("NLIE_MAX_INSTANCES", value)
@@ -224,6 +209,39 @@ class TestSimple:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_large_p_decides(self, capsys, tmp_path):
+        # Norton's test decides past the enumeration limit; a limit that
+        # reaches the point count forces the exhaustive search, which is
+        # exact at every p and meets its first proper point, e_0 of
+        # cross (+) cross, at once
+        p = 2**61 - 1
+        path = tmp_path / "cross_m61.json"
+        path.write_text(json.dumps(dict(CROSS, field={"Fp": p})))
+        code, out, _ = run(capsys, ["simple", "--format", "json", str(path)])
+        assert code == 0
+        verdict = json.loads(out)["results"]["verdict"]
+        assert verdict["status"] == "simple"
+        assert verdict["certificate"]["method"] == "Norton"
+        path = tmp_path / "cross_sum_m61.json"
+        bracket = CROSS["bracket"] + [
+            {"args": [i + 3 for i in e["args"]],
+             "value": {str(int(k) + 3): c for k, c in e["value"].items()}}
+            for e in CROSS["bracket"]
+        ]
+        path.write_text(json.dumps(dict(CROSS, field={"Fp": p}, dimension=6, bracket=bracket)))
+        points = (p**6 - 1) // (p - 1)
+        code, out, _ = run(capsys, ["simple", "--format", "json", "--max-enum", str(points),
+                                    str(path)])
+        assert code == 0
+        verdict = json.loads(out)["results"]["verdict"]
+        assert verdict["status"] == "not_simple"
+        assert verdict["witness"]["basis"] == [[int(i == k) for i in range(6)] for k in range(3)]
+        alg = nlie.load_path(str(path)).algebra()
+        witness = nlie.span(alg.field, 6, verdict["witness"]["basis"])
+        replay = nlie.SimplicityVerdict("not_simple", nlie.IdealKind.NLIE, None, witness)
+        assert nlie.is_nlie_ideal(alg, witness)
+        assert nlie.verify_simplicity_certificate(alg, replay)
 
     def test_not_simple_exit_zero(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
@@ -317,7 +335,25 @@ _GENERATED = {
     "c3": ["jacobian-trunc", "--n", "2", "--p", "3"],
     "c5": ["jacobian-trunc", "--n", "2", "--p", "5"],
     "w33": ["w-trunc", "--n", "3", "--p", "3"],
+    "cross": ["vector-product", "--n", "2"],
+    "cross4": ["vector-product", "--n", "4"],
+    "c32": ["jacobian-trunc", "--n", "3", "--p", "2"],
 }
+
+
+def _golden_input(name, tmp_path):
+    if name not in _GENERATED:
+        return str(GOLDEN / f"{name}.json")
+    path = tmp_path / f"{name}.json"
+    if not path.exists():
+        assert main(["generate", *_GENERATED[name], "-o", str(path)]) == 0
+    return str(path)
+
+
+def _golden_text(out, path):
+    report = json.loads(out)
+    assert report["input"].pop("path") == path
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _perturbed_c5(path):
@@ -340,86 +376,126 @@ def _perturbed_c5(path):
 def test_check_reports_match_golden(capsys, tmp_path, name, exit_code):
     # golden reports were written by the per-instance checkers, before the
     # sparse engine replaced them; only the input path is dropped
-    path = tmp_path / f"{name}.json"
-    if name in _GENERATED:
-        assert main(["generate", *_GENERATED[name], "-o", str(path)]) == 0
-    elif name == "c5_perturbed":
-        _perturbed_c5(path)
+    if name == "c5_perturbed":
+        path = str(tmp_path / f"{name}.json")
+        _perturbed_c5(Path(path))
     else:
-        path = GOLDEN / f"{name}.json"
-    code, out, _ = run(capsys, ["check", "--poisson", "--format", "json", str(path)])
+        path = _golden_input(name, tmp_path)
+    code, out, _ = run(capsys, ["check", "--poisson", "--format", "json", path])
     assert code == exit_code
-    report = json.loads(out)
-    assert report["input"].pop("path") == str(path)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert text == (GOLDEN / f"check_poisson_{name}.json").read_text()
+    assert _golden_text(out, path) == (GOLDEN / f"check_poisson_{name}.json").read_text()
+
+
+# golden report, the command before the input, and the input: generated,
+# or a file in the golden directory
+_SIMPLICITY_GOLDEN = [
+    ("simple_cross", ["simple"], "cross"),
+    ("simple_cross4", ["simple"], "cross4"),
+    ("simple_c32", ["simple"], "c32"),
+    ("simple_cross_sum_f3", ["simple"], "cross_sum_f3"),
+    ("theorem1_c32", ["theorem1"], "c32"),
+    ("lemmas_L5_cross", ["lemmas", "--lemma", "L5"], "cross"),
+]
+
+
+@pytest.mark.parametrize("golden, command, name", _SIMPLICITY_GOLDEN)
+def test_simplicity_reports_match_golden(capsys, tmp_path, golden, command, name):
+    # golden reports were written by the int64 exhaustive search, before the
+    # exact closure loop replaced it; only the input path is dropped
+    path = _golden_input(name, tmp_path)
+    code, out, _ = run(capsys, [*command, "--format", "json", path])
+    assert code == 0
+    assert _golden_text(out, path) == (GOLDEN / f"{golden}.json").read_text()
 
 
 _IMPORT_WEIGHT = """
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("nlie."))
+    return sorted(
+        m for m, mod in sys.modules.items()
+        if mod is not None and (m == "numpy" or m.startswith("nlie."))
+    )
 
 import nlie
 seen = [loaded()]
 from nlie.cli import main
-codes = []
+codes, outs = [], []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         codes.append(main(argv))
     seen.append(loaded())
-print(json.dumps({"codes": codes, "loaded": seen, "last": out.getvalue()}))
+    outs.append(out.getvalue())
+print(json.dumps({"codes": codes, "loaded": seen, "outs": outs}))
 """
 
 
-def _fresh_run(*commands):
+def _fresh_run(*commands, block_numpy=False):
     """Run CLI commands in one fresh interpreter (pytest has imported numpy
-    and every nlie module already).  Returns the exit codes, the sorted
-    numpy/nlie.* modules loaded after `import nlie` and after each command,
-    and the last command's stdout."""
+    and every nlie module already), where `import numpy` fails if
+    block_numpy.  Returns the exit codes, the sorted numpy/nlie.* modules
+    loaded after `import nlie` and after each command, and each command's
+    stdout."""
     src = str(Path(nlie.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    script = _IMPORT_WEIGHT
+    if block_numpy:
+        script = "import sys\nsys.modules['numpy'] = None\n" + script
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_WEIGHT, json.dumps(commands)],
+        [sys.executable, "-c", script, json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     got = json.loads(proc.stdout)
-    return got["codes"], got["loaded"], got["last"]
+    return got["codes"], got["loaded"], got["outs"]
 
 
-def test_numpy_loaded_only_by_dense_paths(cross_path, char3_path, tmp_path):
+def test_no_command_loads_numpy(cross_path, char3_path, tmp_path):
     c5_path = str(tmp_path / "c5.json")
     assert main(["generate", "jacobian-trunc", "--n", "2", "--p", "5", "-o", c5_path]) == 0
-    codes, loaded, last = _fresh_run(
+    c32_path = _golden_input("c32", tmp_path)
+    codes, loaded, outs = _fresh_run(
         ["check", "--poisson", char3_path],
         ["check", "--poisson", c5_path],
         ["analyze", cross_path],
         ["poly", "verify", "--bracket", "jac", "--n", "2", "--identity", "jacobi",
          "--degree", "2"],
         ["simple", "--format", "json", cross_path],
+        ["simple", c32_path],
+        ["lemmas", "--lemma", "L5", cross_path],
+        ["theorem1", c32_path],
     )
-    assert codes == [0, 0, 0, 0, 0]
+    assert codes == [0] * 8
     # after import nlie, after each command
-    assert ["numpy" in mods for mods in loaded] == [False] * 5 + [True]
-    verdict = json.loads(last)["results"]["verdict"]
-    assert verdict["certificate"]["method"] == "ModPReduction"
-    assert verdict["certificate"]["p"] == 5
+    assert not any("numpy" in mods for mods in loaded)
+    verdict = json.loads(outs[4])["results"]["verdict"]
+    assert verdict["certificate"]["inner"]["method"] == "ExhaustiveProjective"
+
+
+def test_simplicity_reports_without_numpy(tmp_path):
+    paths = [_golden_input(name, tmp_path) for _, _, name in _SIMPLICITY_GOLDEN]
+    codes, _, outs = _fresh_run(
+        *([*command, "--format", "json", path]
+          for (_, command, _), path in zip(_SIMPLICITY_GOLDEN, paths)),
+        block_numpy=True,
+    )
+    assert codes == [0] * len(paths)
+    for (golden, _, _), path, out in zip(_SIMPLICITY_GOLDEN, paths, outs):
+        assert _golden_text(out, path) == (GOLDEN / f"{golden}.json").read_text()
 
 
 def test_norton_loads_only_past_the_limit(cross_path, tmp_path):
-    dense = ["nlie._fpdense", "nlie.algebra", "nlie.algfile", "nlie.cli", "nlie.fields",
-             "nlie.guards", "nlie.linalg", "nlie.structure", "numpy"]
+    exhaustive = ["nlie.algebra", "nlie.algfile", "nlie.cli", "nlie.fields", "nlie.guards",
+                  "nlie.linalg", "nlie.structure"]
     codes, loaded, _ = _fresh_run(["simple", cross_path], ["lemmas", "--lemma", "L5", cross_path])
     assert codes == [0, 0]
-    assert loaded[1:] == [dense, dense]
+    assert loaded[1:] == [exhaustive, exhaustive]
     large = tmp_path / "cross_m61.json"
     large.write_text(json.dumps(dict(CROSS, field={"Fp": 2**61 - 1})))
-    codes, loaded, last = _fresh_run(["simple", "--format", "json", str(large)])
+    codes, loaded, outs = _fresh_run(["simple", "--format", "json", str(large)])
     assert codes == [0]
     assert "numpy" not in loaded[1] and "nlie._fppoly" in loaded[1]
-    assert json.loads(last)["results"]["verdict"]["certificate"]["method"] == "Norton"
+    assert json.loads(outs[0])["results"]["verdict"]["certificate"]["method"] == "Norton"
 
 
 def test_each_command_loads_only_its_layers(cross_path, char3_path):

@@ -128,6 +128,40 @@ class TestMatrix:
         assert rank + kernel(m).dim == 3
 
 
+def _sympy_field(f):
+    """The sympy domain of an nlie field and the map back to nlie values."""
+    if f == QQ:
+        return sympy.QQ, lambda e: Fraction(int(e.numerator), int(e.denominator))
+    return sympy.GF(f.p), lambda e: int(e) % f.p
+
+
+@pytest.mark.parametrize("field", [QQ, F5, PrimeField(2**61 - 1)], ids=["Q", "F5", "Fm61"])
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_products_and_echelon_match_sympy(field, n, k, m, data):
+    # the sparse unreduced matvec and product, and the echelon reduction,
+    # against sympy's exact matrices over the same field, value types included
+    from sympy.polys.matrices import DomainMatrix
+
+    dom, back = _sympy_field(field)
+    ints = st.integers(-3, 3)
+    a = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = data.draw(st.lists(st.lists(ints, min_size=m, max_size=m), min_size=k, max_size=k))
+    A = Matrix(field, [[field.from_int(x) for x in row] for row in a])
+    B = Matrix(field, [[field.from_int(x) for x in row] for row in b])
+    da = DomainMatrix([[dom(x) for x in row] for row in a], (n, k), dom)
+    db = DomainMatrix([[dom(x) for x in row] for row in b], (k, m), dom)
+    product = [[back(e) for e in row] for row in (da * db).to_list()]
+    assert repr(A.mul(B).rows) == repr(tuple(map(tuple, product)))
+    column = [row[0] for row in B.rows]
+    assert repr(A.matvec(column)) == repr(tuple(row[0] for row in product))
+    R, pivots = da.rref()
+    rows = [tuple(back(e) for e in row) for row in R.to_list()[: len(pivots)]]
+    S = span(field, k, A.rows)
+    assert S.pivots == tuple(pivots)
+    assert repr(S.rows) == repr(tuple(rows))
+
+
 class TestSubspaces:
     def test_canonical_equality(self):
         a = span(QQ, 3, [(Fraction(1), Fraction(1), Fraction(0)), (Fraction(0), Fraction(2), Fraction(0))])

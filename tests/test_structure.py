@@ -221,16 +221,23 @@ class TestIdealsAndClosures:
         assert C == span(alg.field, 6, summand)
 
     @pytest.mark.parametrize("p", [3037000493, 2**61 - 1])
-    def test_simplicity_refuses_beyond_int64(self, p):
-        # past the enumeration limit Norton's test decides on Python ints;
-        # only the int64 exhaustive search still refuses
+    def test_exhaustive_decides_at_large_p(self, p):
+        # past the enumeration limit Norton's test decides on Python ints,
+        # and the exhaustive search, given a limit that reaches the point
+        # count, is exact too; in the standard basis its first point, e_0,
+        # already generates the first summand
         alg, _ = seeded_basis(direct_sum_cross(PrimeField(p)), seed=5)
         v = is_simple(alg)
         assert v.status == "not_simple"
         assert v.witness.dim == 3 and is_nlie_ideal(alg, v.witness)
         assert verify_simplicity_certificate(alg, v)
-        with pytest.raises(ValueError, match=r"2\^63"):
-            is_simple(alg, method="exhaustive")
+        alg = direct_sum_cross(PrimeField(p))
+        points = (p**6 - 1) // (p - 1)
+        v = is_simple(alg, method="exhaustive", max_enum=points)
+        assert v.status == "not_simple"
+        assert v.witness == span(alg.field, 6, [unit_vector(alg.field, 6, k) for k in range(3)])
+        assert is_nlie_ideal(alg, v.witness)
+        assert verify_simplicity_certificate(alg, v)
 
     def test_closure_needs_product_for_assoc_kind(self):
         with pytest.raises(ValueError):
@@ -252,6 +259,25 @@ class TestIdealsAndClosures:
             timeout=120, check=True,
         )
         assert json.loads(proc.stdout) == {"rows": expected, "numpy": False}
+
+
+def test_projective_points_order_and_laziness():
+    from nlie.structure import _projective_count, _projective_points
+
+    for p in (2, 3, 5):
+        for k in range(5):
+            old = [
+                (0,) * lead + (1,) + tail
+                for lead in range(k)
+                for tail in itertools.product(range(p), repeat=k - 1 - lead)
+            ]
+            assert list(_projective_points(p, k)) == old
+            assert len(old) == _projective_count(p, k)
+    # the first points arrive at once however large the field
+    p = 2**61 - 1
+    points = _projective_points(p, 6)
+    assert [next(points) for _ in range(3)] == [(1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1),
+                                                 (1, 0, 0, 0, 0, 2)]
 
 
 class TestNilradical:
@@ -365,6 +391,58 @@ class TestSimplicity:
             v.status, v.kind, dict(v.certificate, **{field: value}), None, None, v.seed
         )
         assert not verify_simplicity_certificate(char3, altered)
+
+    @pytest.mark.parametrize("points", [1, 12345, 31.0, None])
+    def test_exhaustive_point_count_replayed(self, points):
+        from nlie.structure import SimplicityVerdict
+
+        cross = cross_mod(5)
+        v = is_simple(cross)
+        assert v.certificate == {"method": "ExhaustiveProjective", "p": 5, "dim": 3,
+                                 "points": 31}
+        altered = SimplicityVerdict(
+            v.status, v.kind, dict(v.certificate, points=points), None, None, v.seed
+        )
+        assert not verify_simplicity_certificate(cross, altered)
+
+    @pytest.mark.parametrize(
+        "inner",
+        [{"garbage": 1}, None, "ExhaustiveProjective",
+         {"method": "Norton", "p": 5, "dim": 3, "points": 31},
+         {"method": "ExhaustiveProjective", "p": 5, "dim": 3, "points": 30},
+         {"method": "ExhaustiveProjective", "p": 7, "dim": 3, "points": 57},
+         {"method": "ModPReduction", "p": 5, "scale": "1",
+          "inner": {"method": "ExhaustiveProjective", "p": 5, "dim": 3, "points": 31}}],
+        ids=["garbage", "none", "string", "norton", "points", "other_p", "nested"],
+    )
+    def test_mod_p_inner_certificate_replayed(self, inner):
+        from nlie.structure import SimplicityVerdict
+
+        cross = vector_product_algebra(2)
+        v = is_simple(cross)
+        altered = SimplicityVerdict(
+            v.status, v.kind, dict(v.certificate, inner=inner), None, None, v.seed
+        )
+        assert not verify_simplicity_certificate(cross, altered)
+
+    @pytest.mark.parametrize("p", [4, 1, 0, "5", None])
+    def test_mod_p_prime_replayed(self, p):
+        from nlie.structure import SimplicityVerdict
+
+        cross = vector_product_algebra(2)
+        v = is_simple(cross)
+        altered = SimplicityVerdict(
+            v.status, v.kind, dict(v.certificate, p=p), None, None, v.seed
+        )
+        assert not verify_simplicity_certificate(cross, altered)
+
+    def test_mod_p_norton_inner_replays(self):
+        # an inner Norton certificate, as auto makes past the limit, replays
+        cross = vector_product_algebra(2)
+        v = is_simple(cross, max_enum=30)
+        assert v.certificate["inner"]["method"] == "Norton"
+        assert verify_simplicity_certificate(cross, v, max_enum=30)
+        assert verify_simplicity_certificate(cross, v)
 
     def test_norton_word_budget_named(self, monkeypatch):
         from nlie import structure
