@@ -2,10 +2,12 @@
 
 An n-ary alternating bracket is stored only on strictly increasing index
 tuples; evaluation reintroduces permutation signs.  A commutative product is
-stored only on pairs (i, j) with i <= j.  Checkers enumerate basis tuples
-exhaustively (complete by multilinearity) and report the first failing
-instance in lexicographic tuple order, with both sides as a replayable
-witness.
+stored only on pairs (i, j) with i <= j.  Checkers cover every basis tuple
+(complete by multilinearity) and report the first failing instance in
+lexicographic tuple order, with both sides as a replayable witness.  They
+evaluate each distinct instance once: an instance that commutativity makes
+a mirror of an earlier one is skipped, and the instances that share their
+leading indices are summed together in one pass over the sparse columns.
 """
 
 from __future__ import annotations
@@ -335,14 +337,25 @@ class Verdict:
 # identity checkers
 #
 # One sparse engine serves all four checkers.  Every instance of an identity
-# is a sum of contractions of a sparse vector against sparse columns read
+# is a sum of contractions of sparse vectors against sparse columns read
 # off the `table` dicts: adjoint columns [e_k, z] of the bracket (Filippov:
 # Jacobi says each ad_z is a derivation of the bracket, Leibniz that it is
-# one of the product) and multiplication columns e_i * e_k.  Sums accumulate
-# unreduced (ints over F_p, Fractions over Q) and are normalised once
-# through the field, so the check is exact for every p.  An instance whose
-# terms all vanish holds trivially and is skipped; the others run in
-# lexicographic order, so the witness is the first failing instance.
+# one of the product) and multiplication columns e_i * e_k.  An instance key
+# is an outer key (x for Jacobi, (i, j) for Leibniz and associativity,
+# (a, b) for shift), walked in lexicographic order, and an inner key.  For
+# each outer key, `_first_failure` adds up lhs - rhs of every inner key at
+# once, from column indexes built once per call; inner keys that no term
+# reaches hold trivially.  It scans the inner keys in sorted order, and the
+# first nonzero one is the witness, whose two sides it sums again from that
+# instance's terms alone.  Sums accumulate unreduced (ints over F_p,
+# Fractions over Q) and are normalised once through the field, so the check
+# is exact for every p.
+#
+# The product is commutative by storage, so Leibniz (i, j, y) has the sides
+# of (j, i, y), shift (a, b, c, u) those of (b, a, c, u), and associativity
+# (k, j, i) those of (i, j, k) swapped.  Such a pair fails together, and
+# the one with i <= j, a <= b or i <= k comes first in lexicographic order,
+# so only those are evaluated.
 
 _NO_COLUMNS: dict = {}
 
@@ -351,25 +364,22 @@ def _sparse(value) -> list:
     return [(m, c) for m, c in enumerate(value) if c != 0] if value else []
 
 
-def _ad_columns(t: SkewBracketTensor) -> dict[tuple[int, ...], dict[int, list]]:
-    """ad[z][k] = bracket(e_k, e_z1, .., e_z(n-1)) for sorted z; only
-    nonzero columns are stored."""
+def _ad_columns(t: SkewBracketTensor) -> tuple[dict, list[dict], list[dict]]:
+    """ad[z][k] = bracket(e_k, e_z1, .., e_z(n-1)) for sorted z, its
+    transpose by_col[k][z], and hits[k][m] = the (z, c) with c != 0 the
+    e_m-coefficient of ad[z][k]; only nonzero columns are stored."""
     ad: dict = {}
+    by_col: list[dict] = [{} for _ in range(t.dim)]
+    hits: list[dict] = [{} for _ in range(t.dim)]
     for key, value in t.table.items():
         col = _sparse(value)
         neg = [(m, -c) for m, c in col]
         for s, k in enumerate(key):
-            ad.setdefault(key[:s] + key[s + 1 :], {})[k] = neg if s % 2 else col
-    return ad
-
-
-def _holders(ad: dict, dim: int) -> list[set]:
-    """holders[k] = the tuples z with a nonzero column ad[z][k]."""
-    holders: list[set] = [set() for _ in range(dim)]
-    for z, cols in ad.items():
-        for k in cols:
-            holders[k].add(z)
-    return holders
+            z = key[:s] + key[s + 1 :]
+            ad.setdefault(z, {})[k] = by_col[k][z] = cz = neg if s % 2 else col
+            for m, c in cz:
+                hits[k].setdefault(m, []).append((z, c))
+    return ad, by_col, hits
 
 
 def _mult_columns(product: SymProductTensor) -> list[dict[int, list]]:
@@ -380,58 +390,57 @@ def _mult_columns(product: SymProductTensor) -> list[dict[int, list]]:
     return mult
 
 
-def _contract(terms, acc: dict, sign: int = 1) -> dict:
-    """acc += sign * sum of c0 * (cols applied to vec) over the terms
-    (cols, vec, c0), unreduced."""
-    for cols, vec, c0 in terms:
-        for k, c in vec:
-            col = cols.get(k)
-            if col:
-                c *= sign * c0
-                for m, a in col:
-                    acc[m] = acc.get(m, 0) + c * a
-    return acc
+def _first_failure(f: Field, d: int, sides, *args) -> tuple | None:
+    """(inner key, lhs, rhs) of the first failing instance of one outer key.
 
-
-def _verdict(
-    f: Field, d: int, kind: str, names: tuple[str, ...], instances, total: int
-) -> Verdict:
-    """Verdict over (key, lhs terms, rhs terms) instances given in
-    lexicographic key order; the witness names the key's parts `names`."""
+    sides(*args) gives the lhs and the rhs terms (inner key, column, c), each
+    adding c * column to that side of the instance.  The inner keys are
+    scanned in sorted order; None when every instance holds.
+    """
+    acc: dict = {}
+    for sign, terms in zip((1, -1), sides(*args)):
+        for key, col, c in terms:
+            row = acc.get(key)
+            if row is None:
+                row = acc[key] = {}
+            c *= sign
+            for m, a in col:
+                row[m] = row.get(m, 0) + c * a
     norm = f.from_int  # also maps an unreduced sum of field values to its value
-    for key, lhs, rhs in instances:
-        if any(map(norm, _contract(rhs, _contract(lhs, {}), -1).values())):
-            data = dict(zip(names, key))
-            for side, terms in (("lhs", lhs), ("rhs", rhs)):
-                acc = _contract(terms, {})
-                data[side] = tuple(norm(acc.get(m, 0)) for m in range(d))
-            return Verdict(False, Witness(kind, data), total)
-    return Verdict(True, None, total)
+    for key in sorted(acc):
+        if any(map(norm, acc[key].values())):
+            out = [key]
+            for terms in sides(*args):  # each side of this instance alone
+                vec: dict = {}
+                for _, col, c in (term for term in terms if term[0] == key):
+                    for m, a in col:
+                        vec[m] = vec.get(m, 0) + c * a
+                out.append(tuple(norm(vec.get(m, 0)) for m in range(d)))
+            return tuple(out)
+    return None
 
 
 def check_generalized_jacobi(t: SkewBracketTensor, max_instances: int | None = None) -> Verdict:
     """Check bracket(bracket(x1..xn), y2..yn) == sum_i bracket(x1,..,bracket(xi,y2..yn),..,xn)
     over all strictly increasing basis tuples (complete by multilinearity)."""
-    d, n = t.dim, t.arity
+    d, n, f = t.dim, t.arity, t.field
     total = math.comb(d, n) * math.comb(d, n - 1)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "generalized Jacobi check")
-    ad = _ad_columns(t)
-    holders = _holders(ad, d)
+    ad, by_col, hits = _ad_columns(t)
 
-    def instances():
-        # lhs = ad_y(bracket(x)); rhs = sum_s (-1)^s ad_{x without x_s}(ad_y(e_{x_s}))
-        for x in itertools.combinations(range(d), n):
-            vx = _sparse(t.table.get(x))
-            faces = [ad.get(x[:s] + x[s + 1 :], _NO_COLUMNS) for s in range(n)]
-            ys = set().union(
-                *(holders[m] for m, _ in vx), *(holders[k] for k, face in zip(x, faces) if face)
-            )
-            for y in sorted(ys):
-                ady = ad[y]
-                rhs = [(faces[s], ady.get(x[s], ()), -1 if s % 2 else 1) for s in range(n)]
-                yield (x, y), [(ady, vx, 1)], rhs
+    def sides(x, vx, faces):
+        # ad_y(bracket(x)), and sum_s (-1)^s ad_{x without x_s}(ad_y(e_{x_s}))
+        lhs = ((y, col, c) for k, c in vx for y, col in by_col[k].items())
+        rhs = ((y, col, -c if s % 2 else c) for s, face in enumerate(faces)
+               for k, col in face.items() for y, c in hits[x[s]].get(k, ()))
+        return lhs, rhs
 
-    return _verdict(t.field, d, "generalized_jacobi", ("x", "y"), instances(), total)
+    for x in itertools.combinations(range(d), n):
+        faces = [ad.get(x[:s] + x[s + 1 :], _NO_COLUMNS) for s in range(n)]
+        if hit := _first_failure(f, d, sides, x, _sparse(t.table.get(x)), faces):
+            data = dict(zip(("x", "y", "lhs", "rhs"), (x, *hit)))
+            return Verdict(False, Witness("generalized_jacobi", data), total)
+    return Verdict(True, None, total)
 
 
 def check_assoc_comm_unital(
@@ -446,38 +455,41 @@ def check_assoc_comm_unital(
         return Verdict(False, Witness("unit", failure), total)
     mult = _mult_columns(product)
 
-    def instances():
-        # (e_i e_j) e_k == e_i (e_j e_k)
-        for i in range(d):
-            for j in range(d):
-                pij = mult[i].get(j, ())
-                for k in sorted(set(mult[j]).union(*(mult[m] for m, _ in pij))):
-                    yield ((i, j, k),), [(mult[k], pij, 1)], [(mult[i], mult[j].get(k, ()), 1)]
+    def sides(i, j):
+        # (e_i e_j) e_k, and e_i (e_j e_k), for k >= i
+        lhs = ((k, col, c) for m, c in mult[i].get(j, ()) for k, col in mult[m].items() if k >= i)
+        rhs = ((k, mult[i][m], c)
+               for k, pjk in mult[j].items() if k >= i for m, c in pjk if m in mult[i])
+        return lhs, rhs
 
-    return _verdict(f, d, "associativity", ("triple",), instances(), total)
+    for i, j in itertools.product(range(d), repeat=2):
+        if hit := _first_failure(f, d, sides, i, j):
+            data = {"triple": (i, j, hit[0]), "lhs": hit[1], "rhs": hit[2]}
+            return Verdict(False, Witness("associativity", data), total)
+    return Verdict(True, None, total)
 
 
 def check_leibniz(alg: NLiePoissonAlgebra, max_instances: int | None = None) -> Verdict:
     """Check bracket(a*b, u2..un) == a*bracket(b, u..) + bracket(a, u..)*b on basis tuples."""
     t = alg.bracket
-    d, n = t.dim, t.arity
+    d, n, f = t.dim, t.arity, t.field
     total = d * d * math.comb(d, n - 1)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "Leibniz check")
-    ad = _ad_columns(t)
-    holders = _holders(ad, d)
+    _, by_col, hits = _ad_columns(t)
     mult = _mult_columns(alg.product)
 
-    def instances():
-        for i in range(d):
-            for j in range(d):
-                pij = mult[i].get(j, ())
-                ys = set().union(holders[i], holders[j], *(holders[m] for m, _ in pij))
-                for y in sorted(ys):
-                    ady = ad[y]
-                    rhs = [(mult[i], ady.get(j, ()), 1), (mult[j], ady.get(i, ()), 1)]
-                    yield (i, j, y), [(ady, pij, 1)], rhs
+    def sides(i, j):
+        # ad_y(e_i e_j), and e_i ad_y(e_j) + e_j ad_y(e_i)
+        lhs = ((y, col, c) for k, c in mult[i].get(j, ()) for y, col in by_col[k].items())
+        rhs = ((y, col, c) for a, b in ((i, j), (j, i))
+               for k, col in mult[a].items() for y, c in hits[b].get(k, ()))
+        return lhs, rhs
 
-    return _verdict(t.field, d, "leibniz", ("i", "j", "y"), instances(), total)
+    for i, j in itertools.combinations_with_replacement(range(d), 2):
+        if hit := _first_failure(f, d, sides, i, j):
+            data = dict(zip(("i", "j", "y", "lhs", "rhs"), (i, j, *hit)))
+            return Verdict(False, Witness("leibniz", data), total)
+    return Verdict(True, None, total)
 
 
 def check_poisson_identity(alg: NLiePoissonAlgebra, max_instances: int | None = None) -> Verdict:
@@ -488,44 +500,31 @@ def check_poisson_identity(alg: NLiePoissonAlgebra, max_instances: int | None = 
     when the Leibniz check is skipped.
     """
     t = alg.bracket
-    d, n = t.dim, t.arity
+    d, n, f = t.dim, t.arity, t.field
     if n < 2:
         raise ValueError("the compatibility identity needs arity >= 2")
     total = d * d * d * math.comb(d, n - 2)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "compatibility check")
     mult = _mult_columns(alg.product)
-    # slots[k][u] = (ad[z], sign) with bracket(v, e_k, e_u..) = sign * ad[z](v);
-    # pairs[m, k] = the u with bracket(e_m, e_k, e_u..) != 0
-    slots: list[dict] = [{} for _ in range(d)]
-    pairs: dict[tuple[int, int], set] = {}
-    for z, cols in _ad_columns(t).items():
-        for q, k in enumerate(z):
-            u = z[:q] + z[q + 1 :]
-            slots[k][u] = (cols, -1 if q % 2 else 1)
-            for m in cols:
-                pairs.setdefault((m, k), set()).add(u)
-    none = (_NO_COLUMNS, 0)
+    # by_m[m][k] = the (u, column, sign) with bracket(e_m, e_k, e_u..) = sign * column
+    by_m: list[dict] = [{} for _ in range(d)]
+    for m, cols in enumerate(_ad_columns(t)[1]):
+        for z, col in cols.items():
+            for q, k in enumerate(z):
+                by_m[m].setdefault(k, []).append((z[:q] + z[q + 1 :], col, -1 if q % 2 else 1))
 
-    def meets(vec, k):
-        return set().union(*[pairs.get((m, k), ()) for m, _ in vec])
+    def sides(a, b):
+        # bracket(e_a e_b, e_c, u), and bracket(e_a, e_b e_c, u) + bracket(e_b, e_a e_c, u)
+        lhs = (((c, u), col, s * c0) for m, c0 in mult[a].get(b, ())
+               for c, rows in by_m[m].items() for u, col, s in rows)
+        rhs = (((c, u), col, -s * c0) for p, q in ((a, b), (b, a))
+               for c, pqc in mult[q].items() for m, c0 in pqc
+               for u, col, s in by_m[m].get(p, ()))
+        return lhs, rhs
 
-    def instances():
-        for a in range(d):
-            for b in range(d):
-                pab = mult[a].get(b, ())
-                for c in range(d):
-                    pbc, pac = mult[b].get(c, ()), mult[a].get(c, ())
-                    us = meets(pab, c) if pab else set()
-                    if pbc:
-                        us |= meets(pbc, a)
-                    if pac:
-                        us |= meets(pac, b)
-                    for u in sorted(us):
-                        cc, sc = slots[c].get(u, none)
-                        ca, sa = slots[a].get(u, none)
-                        cb, sb = slots[b].get(u, none)
-                        rhs = [(ca, pbc, -sa), (cb, pac, -sb)]
-                        yield (a, b, c, u), [(cc, pab, sc)], rhs
-
-    names = ("a", "b", "c", "u")
-    return _verdict(t.field, d, "poisson_compatibility", names, instances(), total)
+    for a, b in itertools.combinations_with_replacement(range(d), 2):
+        if hit := _first_failure(f, d, sides, a, b):
+            (c, u), lhs, rhs = hit
+            data = {"a": a, "b": b, "c": c, "u": u, "lhs": lhs, "rhs": rhs}
+            return Verdict(False, Witness("poisson_compatibility", data), total)
+    return Verdict(True, None, total)

@@ -4,9 +4,10 @@ A document carries the field, dimension, arity, an optional named basis, an
 optional commutative product with its unit (both or neither), and the
 bracket's structure constants on strictly increasing index tuples.
 Coefficients are strings: "a/b" or "a" over Q, decimal residues over F_p.
-Unknown fields, malformed coefficients, out-of-range or unsorted indices,
-and duplicate entries are all rejected with a message naming the offender;
-omitted entries mean zero.
+Unknown fields, duplicate JSON keys, malformed coefficients, digits outside
+ASCII, out-of-range, repeated or unsorted indices, and duplicate entries
+are all rejected with a message naming the offender; omitted entries mean
+zero.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from collections.abc import Sequence
 from .algebra import NLieAlgebra, NLiePoissonAlgebra, SkewBracketTensor, SymProductTensor
 from .fields import Field, PrimeField, QQ, RationalField
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-_RESIDUE_RE = re.compile(r"^[+-]?\d+$")
+# ASCII digits only: \d and str.isdigit also accept other scripts' digits
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_RESIDUE_RE = re.compile(r"[+-]?[0-9]+")
 
 _TOP_KEYS = {"field", "dimension", "arity", "basis_names", "product", "unit", "bracket"}
 
@@ -54,10 +56,10 @@ def parse_coefficient(field: Field, text, where: str):
     if not isinstance(text, str):
         _fail(f"{where}: coefficients must be strings, got {text!r}")
     if isinstance(field, RationalField):
-        if not _RATIONAL_RE.match(text):
+        if not _RATIONAL_RE.fullmatch(text):
             _fail(f'{where}: {text!r} is not a rational of the form "a" or "a/b"')
     else:
-        if not _RESIDUE_RE.match(text):
+        if not _RESIDUE_RE.fullmatch(text):
             _fail(f"{where}: {text!r} is not a decimal residue")
     return field.parse(text)
 
@@ -66,12 +68,16 @@ def _parse_value(field: Field, dim: int, value, where: str) -> tuple:
     if not isinstance(value, dict):
         _fail(f"{where}: value must be an object mapping index to coefficient")
     out = [field.zero] * dim
+    seen: set[int] = set()
     for key, text in value.items():
-        if not isinstance(key, str) or not key.isdigit():
+        if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
             _fail(f"{where}: value index {key!r} is not a decimal string")
         idx = int(key)
         if not 0 <= idx < dim:
             _fail(f"{where}: value index {idx} out of range for dimension {dim}")
+        if idx in seen:
+            _fail(f"{where}: value index {key!r} repeats index {idx}")
+        seen.add(idx)
         out[idx] = parse_coefficient(field, text, where)
     return tuple(out)
 
@@ -198,11 +204,21 @@ def from_document(doc) -> LoadedAlgebra:
     return LoadedAlgebra(field, dim, arity, names, bracket, product, unit)
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        _fail(f"invalid JSON: duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def loads(text: str) -> LoadedAlgebra:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise AlgebraFileError("invalid JSON: nested too deeply") from None
     return from_document(doc)
 
 

@@ -250,6 +250,38 @@ class TestFastPathAgreement:
         for engine, oracle in pairs:
             assert not self._agree(engine, oracle).ok
 
+    @pytest.mark.parametrize("n, p, count", [(2, 3, 8), (3, 2, 2)])
+    def test_perturbation_sweep_agreement(self, n, p, count):
+        # seeded single-entry moves of c3 and c32, alternating bracket and
+        # product entries; the oracle loops also walk the mirrored halves
+        # (j, i), (b, a) and (k, j, i) that the engine skips
+        import random
+
+        rng = random.Random(1)
+        alg = jacobian_from_derivations(truncated_polynomial_algebra(n, p).derivations)
+        d, arity, f = alg.dim, alg.arity, alg.field
+        for move in range(count):
+            bracket, product = dict(alg.bracket.table), dict(alg.product.table)
+            if move % 2 == 0:
+                table, key = bracket, tuple(sorted(rng.sample(range(d), arity)))
+            else:  # e_0 stays the unit
+                table, key = product, tuple(sorted(rng.choices(range(1, d), k=2)))
+            value = list(table.get(key, (0,) * d))
+            m = rng.randrange(d)
+            value[m] = (value[m] + rng.randrange(1, p)) % p
+            table[key] = tuple(value)
+            t = SkewBracketTensor(d, arity, f, bracket)
+            moved = NLiePoissonAlgebra(SymProductTensor(d, f, product), alg.unit, t)
+            pairs = (
+                (check_generalized_jacobi(t), jacobi_oracle(t)),
+                (check_leibniz(moved), leibniz_oracle(moved)),
+                (check_poisson_identity(moved), shift_oracle(moved)),
+                (check_assoc_comm_unital(moved.product, moved.unit),
+                 assoc_oracle(moved.product, moved.unit)),
+            )
+            for engine, oracle in pairs:
+                self._agree(engine, oracle)
+
     def test_assoc_agreement(self):
         carrier = truncated_polynomial_algebra(2, 3)
         self._agree(

@@ -112,6 +112,28 @@ class TestMalformedInput:
         code, _, err = run(capsys, ["check", self.bad_file(tmp_path, "{not json")])
         assert code == 2
 
+    @pytest.mark.parametrize("value, offender", [
+        ({"2": "1", "02": "5"}, "'02'"),  # one index given twice
+        ({"2": "\u0661"}, "'\u0661'"),  # Arabic-Indic digits: a coefficient,
+        ({"\u0662": "1"}, "'\u0662'"),  # and an index
+        ({"\u00b2": "1"}, "'\u00b2'"),  # a superscript, which str.isdigit accepts
+        ({"2": "1\n"}, "'1\\n'"),
+    ])
+    def test_malformed_value_named(self, capsys, tmp_path, value, offender):
+        doc = dict(CROSS, bracket=[{"args": [0, 1], "value": value}])
+        code, _, err = run(capsys, ["check", self.bad_file(tmp_path, doc)])
+        assert code == 2 and "bracket entry 0" in err and offender in err
+
+    def test_duplicate_json_key(self, capsys, tmp_path):
+        text = json.dumps(CROSS).replace('{"2": "1"}', '{"2": "1", "2": "5"}')
+        assert text.count('"2": ') == 2
+        code, _, err = run(capsys, ["check", self.bad_file(tmp_path, text)])
+        assert code == 2 and "duplicate key '2'" in err
+
+    def test_deep_nesting(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["check", self.bad_file(tmp_path, "[" * 100_000)])
+        assert code == 2 and out == "" and "invalid JSON" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["check", str(tmp_path / "absent.json")])
         assert code == 2
@@ -338,6 +360,7 @@ _GENERATED = {
     "cross": ["vector-product", "--n", "2"],
     "cross4": ["vector-product", "--n", "4"],
     "c32": ["jacobian-trunc", "--n", "3", "--p", "2"],
+    "c33": ["jacobian-trunc", "--n", "3", "--p", "3"],
 }
 
 
@@ -371,11 +394,12 @@ def _perturbed_c5(path):
 
 
 @pytest.mark.parametrize("name, exit_code", [
-    ("c3", 0), ("c5", 0), ("c5_perturbed", 1), ("w33", 1), ("q_failing", 1),
+    ("c3", 0), ("c5", 0), ("c5_perturbed", 1), ("w33", 1), ("q_failing", 1), ("c33", 0),
 ])
 def test_check_reports_match_golden(capsys, tmp_path, name, exit_code):
     # golden reports were written by the per-instance checkers, before the
-    # sparse engine replaced them; only the input path is dropped
+    # sparse engine replaced them (c33 by the sparse engine, before it
+    # skipped mirrored instances); only the input path is dropped
     if name == "c5_perturbed":
         path = str(tmp_path / f"{name}.json")
         _perturbed_c5(Path(path))
@@ -384,6 +408,15 @@ def test_check_reports_match_golden(capsys, tmp_path, name, exit_code):
     code, out, _ = run(capsys, ["check", "--poisson", "--format", "json", path])
     assert code == exit_code
     assert _golden_text(out, path) == (GOLDEN / f"check_poisson_{name}.json").read_text()
+
+
+def test_analyze_report_matches_golden(capsys, tmp_path):
+    # written before the checkers skipped mirrored instances and summed the
+    # instances of one outer key together
+    path = _golden_input("c5", tmp_path)
+    code, out, _ = run(capsys, ["analyze", "--format", "json", path])
+    assert code == 0
+    assert _golden_text(out, path) == (GOLDEN / "analyze_c5.json").read_text()
 
 
 # golden report, the command before the input, and the input: generated,
