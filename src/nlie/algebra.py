@@ -367,7 +367,9 @@ def _sparse(value) -> list:
 def _ad_columns(t: SkewBracketTensor) -> tuple[dict, list[dict], list[dict]]:
     """ad[z][k] = bracket(e_k, e_z1, .., e_z(n-1)) for sorted z, its
     transpose by_col[k][z], and hits[k][m] = the (z, c) with c != 0 the
-    e_m-coefficient of ad[z][k]; only nonzero columns are stored."""
+    e_m-coefficient of ad[z][k]; only nonzero columns are stored.  The
+    structure operators are built from `ad` too.  A column from an odd
+    slot holds negated values, not normalised through the field."""
     ad: dict = {}
     by_col: list[dict] = [{} for _ in range(t.dim)]
     hits: list[dict] = [{} for _ in range(t.dim)]

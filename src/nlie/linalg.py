@@ -31,10 +31,6 @@ def vec_add(field: Field, a: Sequence, b: Sequence) -> tuple:
     return tuple(field.add(x, y) for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(field: Field, c, a: Sequence) -> tuple:
-    return tuple(field.mul(c, x) for x in a)
-
-
 def is_zero_vector(a: Sequence) -> bool:
     # field values (ints, Fractions) are false exactly when zero
     return not any(a)
@@ -54,6 +50,21 @@ class Matrix:
         self.field = field
         self.rows = frozen
         self._columns = None
+
+    @classmethod
+    def from_columns(cls, field: Field, dim: int, columns: dict) -> "Matrix":
+        """The dim-by-dim matrix whose column k has the nonzero (row, entry)
+        pairs columns[k], absent columns zero; entries are normalised
+        through the field."""
+        norm = field.from_int
+        cols = [[(i, norm(x)) for i, x in columns.get(k, ())] for k in range(dim)]
+        rows = [[field.zero] * dim for _ in range(dim)]
+        for k, col in enumerate(cols):
+            for i, x in col:
+                rows[i][k] = x
+        m = cls(field, rows)
+        m._columns = tuple(map(tuple, cols))
+        return m
 
     @property
     def nrows(self) -> int:
@@ -234,27 +245,20 @@ class SubspaceBasis:
         return SubspaceBasis(self.field, self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        """Intersection, via the kernel of the stacked bases."""
+        """Intersection by Zassenhaus: echelonize the rows (u, u) and (w, 0)
+        of width 2d; the rows whose pivot lies in the second half are
+        (0, x), and their x are the canonical basis of U ∩ W."""
         self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return SubspaceBasis.zero(self.field, self.ambient_dim)
-        f = self.field
-        a, b = self.rows, other.rows
-        stacked = Matrix(
-            f,
-            [
-                [a[r][i] for r in range(len(a))] + [f.neg(b[r][i]) for r in range(len(b))]
-                for i in range(self.ambient_dim)
-            ],
-        )
-        vectors = []
-        for sol in kernel(stacked).rows:
-            v = zero_vector(f, self.ambient_dim)
-            for c, row in zip(sol[: len(a)], a):
-                if c != 0:
-                    v = vec_add(f, v, vec_scale(f, c, row))
-            vectors.append(v)
-        return SubspaceBasis(f, self.ambient_dim, vectors)
+        f, d = self.field, self.ambient_dim
+        acc = EchelonAccumulator(f, 2 * d)
+        zeros = (f.zero,) * d
+        for u in self.rows:
+            acc.add(u + u)
+        for w in other.rows:
+            acc.add(w + zeros)
+        k = bisect_left(acc.pivots, d)  # pivots increase, so those rows come last
+        rows, pivots = acc.rows[k:], acc.pivots[k:]
+        return SubspaceBasis._trusted(f, d, [r[d:] for r in rows], [p - d for p in pivots])
 
     def _check_compatible(self, other: "SubspaceBasis") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:

@@ -176,6 +176,10 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+# str.isdigit would also take other scripts' digits and superscripts
+_DIGITS = frozenset("0123456789")
+
+
 class _Parser:
     """Recursive descent over: sums of '*'-joined factors, each a rational
     literal, a declared variable, an optionally '^'-powered atom, or a
@@ -241,9 +245,7 @@ class _Parser:
         self.take()
         if self.peek() == "-":
             raise self.error("negative exponent")
-        if not self.peek().isdigit():
-            raise self.error("expected a non-negative integer exponent")
-        return base ** self.integer()
+        return base ** self.integer("expected a non-negative integer exponent")
 
     def atom(self) -> Poly:
         ch = self.peek()
@@ -254,13 +256,11 @@ class _Parser:
                 raise self.error("expected ')'")
             self.take()
             return value
-        if ch.isdigit():
-            num = self.integer()
+        if ch in _DIGITS:
+            num = self.integer("expected an integer")
             if self.peek() == "/":
                 self.take()
-                if not self.peek().isdigit():
-                    raise self.error("expected an integer after '/'")
-                den = self.integer()
+                den = self.integer("expected an integer after '/'")
                 if den == 0:
                     raise self.error("zero denominator")
                 return Poly.const(self.nvars, Fraction(num, den))
@@ -274,13 +274,14 @@ class _Parser:
             raise self.error("unexpected end of input")
         raise self.error(f"unexpected {ch!r}")
 
-    def integer(self) -> int:
+    def integer(self, missing: str) -> int:
+        """A run of ASCII digits; `missing` is the error when there is none."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
-            raise self.error("expected an integer")
+            raise self.error(missing)
         return int(self.src[start : self.pos])
 
     def identifier(self) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -30,6 +31,8 @@ from .algebra import (
     SymProductTensor,
     Verdict,
     Witness,
+    _ad_columns,
+    _mult_columns,
     check_assoc_comm_unital,
     check_generalized_jacobi,
     check_leibniz,
@@ -72,12 +75,8 @@ def _bracket_of(alg: AlgebraLike) -> SkewBracketTensor:
     return alg.bracket
 
 
-def _product_of(alg: AlgebraLike, product: SymProductTensor | None) -> SymProductTensor | None:
-    if product is not None:
-        return product
-    if isinstance(alg, NLiePoissonAlgebra):
-        return alg.product
-    return None
+def _product_of(alg: AlgebraLike) -> SymProductTensor | None:
+    return alg.product if isinstance(alg, NLiePoissonAlgebra) else None
 
 
 def _char_flags(field: Field) -> tuple[str, ...]:
@@ -99,17 +98,15 @@ def ad_operator(alg: AlgebraLike, args: Sequence[Sequence]) -> Matrix:
     return Matrix(t.field, [[cols[k][i] for k in range(t.dim)] for i in range(t.dim)])
 
 
-def _ad_from_indices(t: SkewBracketTensor, idx: tuple[int, ...]) -> Matrix:
-    cols = [t.component((k, *idx)) for k in range(t.dim)]
-    return Matrix(t.field, [[cols[k][i] for k in range(t.dim)] for i in range(t.dim)])
-
-
 def ad_basis_operators(alg: AlgebraLike) -> list[tuple[tuple[int, ...], Matrix]]:
-    """All adjoint operators from strictly increasing basis tuples, in
-    lexicographic tuple order."""
+    """All adjoint operators ad_z, column k = bracket(e_k, e_z), from
+    strictly increasing basis tuples z in lexicographic order; zero where
+    the table has nothing.  Every operator is built from the checkers'
+    sparse column index."""
     t = _bracket_of(alg)
+    ad = _ad_columns(t)[0]
     return [
-        (idx, _ad_from_indices(t, idx))
+        (idx, Matrix.from_columns(t.field, t.dim, ad.get(idx, {})))
         for idx in itertools.combinations(range(t.dim), t.arity - 1)
     ]
 
@@ -117,27 +114,24 @@ def ad_basis_operators(alg: AlgebraLike) -> list[tuple[tuple[int, ...], Matrix]]
 def mult_operators(product: SymProductTensor) -> list[Matrix]:
     """Left-multiplication matrix of every basis element (commutative, so
     one side covers both)."""
-    d = product.dim
-    ops = []
-    for k in range(d):
-        cols = [product.entry(k, j) for j in range(d)]
-        ops.append(Matrix(product.field, [[cols[j][i] for j in range(d)] for i in range(d)]))
-    return ops
+    return [Matrix.from_columns(product.field, product.dim, m) for m in _mult_columns(product)]
 
 
 def _ops_for_kind(
     t: SkewBracketTensor, kind: IdealKind, product: SymProductTensor | None
 ) -> list[Matrix]:
     """The nonzero operations whose invariant subspaces are the kind's
-    ideals: adjoints, multiplications, or both."""
+    ideals: adjoints in lexicographic tuple order, multiplications, or
+    both."""
     ops: list[Matrix] = []
     if kind in (IdealKind.NLIE, IdealKind.POISSON):
-        ops.extend(m for _, m in ad_basis_operators(t))
+        ad = _ad_columns(t)[0]
+        ops.extend(Matrix.from_columns(t.field, t.dim, ad[z]) for z in sorted(ad))
     if kind in (IdealKind.ASSOCIATIVE, IdealKind.POISSON):
         if product is None:
             raise ValueError(f"{kind.value} ideal operations require the product")
-        ops.extend(mult_operators(product))
-    return [m for m in ops if not m.is_zero()]
+        ops.extend(Matrix.from_columns(t.field, t.dim, m) for m in _mult_columns(product) if m)
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +170,19 @@ def derived_series(alg: AlgebraLike, S: SubspaceBasis | None = None) -> list[Sub
 
 
 def center(alg: AlgebraLike) -> SubspaceBasis:
-    """Elements whose bracket against every basis tuple vanishes."""
+    """Elements whose bracket against every basis tuple vanishes: the
+    kernel of every adjoint operator stacked, one row (z, m) for the
+    e_m-coefficient of ad_z."""
     t = _bracket_of(alg)
-    K = SubspaceBasis.full(t.field, t.dim)
-    for idx in itertools.combinations(range(t.dim), t.arity - 1):
-        m = _ad_from_indices(t, idx)
-        if m.is_zero():
-            continue
-        K = K.intersect(kernel(m))
-        if K.is_zero():
-            break
-    return K
+    f, d = t.field, t.dim
+    if t.is_zero():
+        return SubspaceBasis.full(f, d)
+    rows: dict = defaultdict(lambda: [f.zero] * d)
+    for z, cols in _ad_columns(t)[0].items():
+        for k, col in cols.items():
+            for m, c in col:
+                rows[z, m][k] = f.from_int(c)
+    return kernel(Matrix(f, rows.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +202,8 @@ def is_associative_ideal(product: SymProductTensor, S: SubspaceBasis) -> bool:
     return _is_invariant(S, mult_operators(product))
 
 
-def is_poisson_ideal(
-    alg: AlgebraLike, S: SubspaceBasis, product: SymProductTensor | None = None
-) -> bool:
-    product = _product_of(alg, product)
+def is_poisson_ideal(alg: AlgebraLike, S: SubspaceBasis) -> bool:
+    product = _product_of(alg)
     if product is None:
         raise ValueError("a Poisson ideal check requires the product")
     return is_nlie_ideal(alg, S) and is_associative_ideal(product, S)
@@ -238,14 +232,12 @@ def ideal_closure(
     alg: AlgebraLike,
     S: SubspaceBasis | Sequence[Sequence],
     kind: IdealKind = IdealKind.NLIE,
-    product: SymProductTensor | None = None,
 ) -> SubspaceBasis:
     """Smallest subspace containing S closed under the kind's operations
     (adjoints, multiplications, or both)."""
     t = _bracket_of(alg)
-    product = _product_of(alg, product)
     vectors = list(S.rows) if isinstance(S, SubspaceBasis) else list(S)
-    return _closure(t.field, t.dim, vectors, _ops_for_kind(t, kind, product))
+    return _closure(t.field, t.dim, vectors, _ops_for_kind(t, kind, _product_of(alg)))
 
 
 # ---------------------------------------------------------------------------
@@ -695,16 +687,16 @@ def _is_simple_fp(
         method = "exhaustive" if fits else "norton"
     if method == "exhaustive":
         return _exhaustive_projective(t, kind, ops, limit, seed)
-    if method == "norton":
-        return _norton(t, kind, ops, seed)
-    raise ValueError(f"method {method!r} does not apply over a prime field")
+    return _norton(t, kind, ops, seed)
+
+
+_METHODS = ("auto", "exhaustive", "norton")
 
 
 def is_simple(
     alg: AlgebraLike,
     kind: IdealKind | None = None,
     *,
-    product: SymProductTensor | None = None,
     mod_p: int | None = None,
     max_enum: int | None = None,
     seed: int = 0,
@@ -714,14 +706,18 @@ def is_simple(
 
     Over F_p: exhaustive projective closure when the point count fits the
     enumeration limit, Norton's irreducibility test otherwise; both
-    decide, and Norton raises GuardExceeded if its word budget runs out.  Over Q: proper ideals are searched by closing basis and
-    seeded random vectors (sound for not-simple), and simplicity is
-    certified through a mod-p reduction (sound direction only), so
-    "unknown" is a possible honest outcome.  A zero bracket is never
-    simple, by convention.
+    decide, and Norton raises GuardExceeded if its word budget runs out.
+    Over Q: proper ideals are searched by closing basis and seeded random
+    vectors (sound for not-simple), and simplicity is certified through a
+    mod-p reduction (sound direction only), so "unknown" is a possible
+    honest outcome.  A zero bracket is never simple, by convention.
+    `method` is one of "auto", "exhaustive" and "norton"; the last two
+    need a prime field.
     """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_METHODS)}")
     t = _bracket_of(alg)
-    product = _product_of(alg, product)
+    product = _product_of(alg)
     if kind is None:
         kind = IdealKind.POISSON if product is not None else IdealKind.NLIE
     if kind is not IdealKind.NLIE and product is None:
@@ -730,10 +726,8 @@ def is_simple(
     if t.is_zero():
         return _zero_bracket_verdict(t, kind, product, seed)
     if isinstance(t.field, PrimeField):
-        if method == "mod_p":
-            raise ValueError("mod-p reduction applies to rational algebras only")
         return _is_simple_fp(t, kind, product, limit, seed, method)
-    if method in ("exhaustive", "norton"):
+    if method != "auto":
         raise ValueError(f"method {method!r} needs a prime field")
     ops = _ops_for_kind(t, kind, product)
     rng = random.Random(seed)
@@ -786,21 +780,21 @@ def is_simple(
 
 
 def verify_simplicity_certificate(
-    alg: AlgebraLike,
-    verdict: SimplicityVerdict,
-    *,
-    product: SymProductTensor | None = None,
-    max_enum: int | None = None,
+    alg: AlgebraLike, verdict: SimplicityVerdict, *, max_enum: int | None = None
 ) -> bool:
     """Replay a verdict: witnesses are re-checked for invariance, an
     exhaustive certificate checks its point count and re-runs its search, a
     Norton certificate rebuilds its word and re-spins both kernel vectors,
     and a mod-p reduction replays its inner certificate on the reduced
     algebra."""
-    t = _bracket_of(alg)
-    product = _product_of(alg, product)
-    kind = verdict.kind
     limit = effective_limit(max_enum, DEFAULT_MAX_ENUM, "max_enum")
+    return _replay(_bracket_of(alg), _product_of(alg), verdict, limit)
+
+
+def _replay(
+    t: SkewBracketTensor, product: SymProductTensor | None, verdict: SimplicityVerdict, limit: int
+) -> bool:
+    kind = verdict.kind
     if verdict.status == "unknown":
         return True
     if verdict.status == "not_simple":
@@ -842,25 +836,20 @@ def verify_simplicity_certificate(
         reduced_t, reduced_product, scale = reduced
         if str(scale) != certificate.get("scale"):
             return False
-        return verify_simplicity_certificate(
-            reduced_t,
-            SimplicityVerdict("simple", kind, inner, None, None, verdict.seed),
-            product=reduced_product,
-            max_enum=max_enum,
-        )
+        inner_verdict = SimplicityVerdict("simple", kind, inner, None, None, verdict.seed)
+        return _replay(reduced_t, reduced_product, inner_verdict, limit)
     return False
 
 
 def brute_force_ideals(
     alg: AlgebraLike,
     kind: IdealKind = IdealKind.NLIE,
-    product: SymProductTensor | None = None,
     max_subspaces: int | None = None,
 ) -> list[SubspaceBasis]:
     """Every subspace closed under the kind's operations, by enumerating
     all echelon normal forms.  Test oracle; finite fields only."""
     t = _bracket_of(alg)
-    product = _product_of(alg, product)
+    product = _product_of(alg)
     field = t.field
     if not isinstance(field, PrimeField):
         raise ValueError("subspace enumeration requires a finite field")
@@ -1038,7 +1027,7 @@ def probe_lemma(
     if which not in PROBE_IDS:
         raise ValueError(f"unknown probe {which!r}; expected one of {PROBE_IDS}")
     t = _bracket_of(alg)
-    product = _product_of(alg, None)
+    product = _product_of(alg)
     unit = alg.unit if isinstance(alg, NLiePoissonAlgebra) else None
     field = t.field
     needs_subspace = which not in ("L1", "L5")
@@ -1116,7 +1105,7 @@ def probe_lemma(
         u2 = derived_subspace(t, u1)
         u3 = derived_subspace(t, u2)
         if which == "L2":
-            generated = ideal_closure(t, u3, IdealKind.ASSOCIATIVE, product=product)
+            generated = ideal_closure(alg, u3, IdealKind.ASSOCIATIVE)
             witness = _contained_images(t, generated, U)
             conclusion_ok = witness is None
         else:

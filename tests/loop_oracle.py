@@ -1,16 +1,27 @@
-"""Per-instance identity checkers: the reference the library's sparse engine
-is compared against.
+"""Per-instance loops: the reference the library's sparse engine is
+compared against.
 
-Each loop walks every basis instance in lexicographic order, evaluates both
-sides with the tensors' own multilinear `eval`, and stops at the first
-instance whose sides differ.  The verdicts, instance counts and witnesses
-are the ones the library must report.
+Each identity loop walks every basis instance in lexicographic order,
+evaluates both sides with the tensors' own multilinear `eval`, and stops at
+the first instance whose sides differ.  The verdicts, instance counts and
+witnesses are the ones the library must report.  The center loop
+intersects the kernel of each adjoint operator, evaluated by `ad_operator`,
+one at a time.
 """
 
 import itertools
 
 from nlie.algebra import Verdict, Witness
-from nlie.linalg import is_zero_vector, unit_vector, vec_add, zero_vector
+from nlie.linalg import (
+    Matrix,
+    SubspaceBasis,
+    is_zero_vector,
+    kernel,
+    unit_vector,
+    vec_add,
+    zero_vector,
+)
+from nlie.structure import ad_operator
 
 
 def jacobi_oracle(t) -> Verdict:
@@ -107,3 +118,29 @@ def shift_oracle(alg) -> Verdict:
                         data = {"a": a, "b": b, "c": c, "u": u, "lhs": lhs, "rhs": rhs}
                         return Verdict(False, Witness("poisson_compatibility", data), total)
     return Verdict(True, None, total)
+
+
+def stacked_kernel_intersect(U, W):
+    """U ∩ W from the kernel of the stacked bases [U^t | -W^t]: each kernel
+    vector (a, b) gives the common vector sum_r a_r u_r."""
+    f, d = U.field, U.ambient_dim
+    stacked = Matrix(
+        f, [[u[i] for u in U.rows] + [f.neg(w[i]) for w in W.rows] for i in range(d)]
+    )
+    vectors = []
+    for sol in kernel(stacked).rows if U.rows and W.rows else ():
+        v = zero_vector(f, d)
+        for c, u in zip(sol, U.rows):
+            v = vec_add(f, v, tuple(f.mul(c, x) for x in u))
+        vectors.append(v)
+    return SubspaceBasis(f, d, vectors)
+
+
+def center_oracle(t):
+    d, f = t.dim, t.field
+    K = SubspaceBasis.full(f, d)
+    for idx in itertools.combinations(range(d), t.arity - 1):
+        m = ad_operator(t, [unit_vector(f, d, i) for i in idx])
+        if not m.is_zero():
+            K = stacked_kernel_intersect(K, kernel(m))
+    return K

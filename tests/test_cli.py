@@ -346,6 +346,13 @@ class TestPoly:
                                     "--args", "x^2; z"])
         assert code == 2 and "z" in err
 
+    @pytest.mark.parametrize("args", ["x^\u0662; y", "\u0663*x; y", "x^\u00b2; y"])
+    def test_non_ascii_digit_exit_two(self, capsys, args):
+        code, out, err = run(capsys, ["poly", "eval", "--bracket", "jac", "--n", "2",
+                                      "--args", args])
+        assert code == 2 and not out
+        assert " at position " in err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -417,6 +424,17 @@ def test_analyze_report_matches_golden(capsys, tmp_path):
     code, out, _ = run(capsys, ["analyze", "--format", "json", path])
     assert code == 0
     assert _golden_text(out, path) == (GOLDEN / "analyze_c5.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["analyze", "theorem1"])
+def test_c33_structure_reports_match_golden(capsys, tmp_path, command):
+    # written before the adjoint operators and the center were built from
+    # the checkers' sparse column index; c33 has arity 3, so odd-slot signs
+    # reach the center, the quotient and Norton's test
+    path = _golden_input("c33", tmp_path)
+    code, out, _ = run(capsys, [command, "--format", "json", path])
+    assert code == 0
+    assert _golden_text(out, path) == (GOLDEN / f"{command}_c33.json").read_text()
 
 
 # golden report, the command before the input, and the input: generated,

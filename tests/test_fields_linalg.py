@@ -1,6 +1,8 @@
 """Field arithmetic and exact linear algebra."""
 
+import itertools
 import operator
+import random
 import time
 from fractions import Fraction
 
@@ -25,6 +27,8 @@ from nlie.linalg import (
     unit_vector,
 )
 from nlie.poly import Poly, jac_bracket, w_bracket
+
+from loop_oracle import stacked_kernel_intersect
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -201,6 +205,31 @@ class TestSubspaces:
         a = span(F3, 4, va)
         b = span(F3, 4, vb)
         assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
+
+    @pytest.mark.parametrize("field", [F2, F3])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_intersect_matches_enumeration(self, field, seed):
+        # every vector of U that W contains, against the echelon pass and
+        # the stacked-kernel recombination it replaced
+        rng = random.Random(seed)
+        d = rng.randint(1, 4)
+
+        def random_span():
+            vecs = [[rng.randrange(field.p) for _ in range(d)] for _ in range(rng.randint(0, d))]
+            return span(field, d, vecs)
+
+        U, W = random_span(), random_span()
+        if seed % 5 == 0:
+            W = U.sum(W)  # U inside W
+        members = []
+        for coeffs in itertools.product(range(field.p), repeat=U.dim):
+            v = [sum(c * row[i] for c, row in zip(coeffs, U.rows)) % field.p for i in range(d)]
+            if W.contains(v):
+                members.append(v)
+        want = span(field, d, members)
+        got = U.intersect(W)
+        assert got == want and got.pivots == want.pivots
+        assert got == stacked_kernel_intersect(U, W) == W.intersect(U)
 
     def test_accumulator_matches_span(self):
         vecs = [(1, 2, 0), (2, 1, 1), (0, 0, 2), (1, 1, 1)]

@@ -89,6 +89,19 @@ class TestParser:
         with pytest.raises(PolyParseError, match="end of input"):
             P("")
 
+    @pytest.mark.parametrize("src, message, position", [
+        ("x^\u0662", "expected a non-negative integer exponent", 2),  # Arabic-Indic 2
+        ("x^\u00b2", "expected a non-negative integer exponent", 2),  # superscript 2
+        ("\u0663*x", "unexpected '\u0663'", 0),  # Arabic-Indic 3
+        ("1/\u0662", "expected an integer after '/'", 2),
+        ("x^2\u0662", "unexpected '\u0662'", 3),
+        ("\uff13", "unexpected '\uff13'", 0),  # fullwidth 3
+    ])
+    def test_only_ascii_digits(self, src, message, position):
+        with pytest.raises(PolyParseError, match=f"{message} at position {position}") as info:
+            P(src)
+        assert info.value.position == position
+
 
 class TestBrackets:
     def test_jac_frozen_value(self):

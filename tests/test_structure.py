@@ -49,8 +49,10 @@ from nlie.structure import (
     theorem1_pipeline,
     verify_simplicity_certificate,
     _gaussian_binomial,
+    _ops_for_kind,
     _reduce_mod_p,
 )
+from loop_oracle import center_oracle
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -106,10 +108,14 @@ def direct_sum_cross(field) -> NLieAlgebra:
 
 def seeded_basis(alg: NLieAlgebra, seed: int):
     """The algebra in the basis f_a = M e_a for a seeded lower unitriangular
-    M over F_p, and the map from old to new coordinates (M^-1)."""
+    M, and the map from old to new coordinates (M^-1)."""
     t, f, d = alg.bracket, alg.field, alg.dim
     rng = random.Random(seed)
-    M = [[1 if i == j else rng.randrange(f.p) if j < i else 0 for j in range(d)] for i in range(d)]
+
+    def below():
+        return rng.randrange(f.p) if f.p else Fraction(rng.randint(-2, 2))
+
+    M = [[f.one if i == j else below() if j < i else f.zero for j in range(d)] for i in range(d)]
 
     def to_new(v):
         x = list(v)
@@ -120,9 +126,77 @@ def seeded_basis(alg: NLieAlgebra, seed: int):
 
     cols = [tuple(M[i][a] for i in range(d)) for a in range(d)]
     table = {
-        (a, b): to_new(t.eval([cols[a], cols[b]])) for a, b in itertools.combinations(range(d), 2)
+        key: to_new(t.eval([cols[a] for a in key]))
+        for key in itertools.combinations(range(d), t.arity)
     }
-    return NLieAlgebra(SkewBracketTensor(d, 2, f, table)), to_new
+    return NLieAlgebra(SkewBracketTensor(d, t.arity, f, table)), to_new
+
+
+_OPERATOR_FIELDS = (QQ, F3, PrimeField(2**61 - 1))
+
+
+def random_tensors(seed: int) -> tuple[SkewBracketTensor, SymProductTensor]:
+    """A seeded sparse bracket of arity 2-4 and a commutative product, on
+    F^d with n <= d <= 6, over Q, F_3 or F_(2^61-1)."""
+    rng = random.Random(seed)
+    f = _OPERATOR_FIELDS[seed % 3]
+    n = rng.randint(2, 4)
+    d = rng.randint(n, 6)
+
+    def vector():
+        if f is QQ:
+            return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         if rng.random() < 0.4 else Z for _ in range(d))
+        return tuple(rng.randrange(f.p) if rng.random() < 0.4 else 0 for _ in range(d))
+
+    keys = list(itertools.combinations(range(d), n))
+    pairs = list(itertools.combinations_with_replacement(range(d), 2))
+    table = {key: vector() for key in rng.sample(keys, min(len(keys), rng.randint(1, 8)))}
+    ptable = {key: vector() for key in rng.sample(pairs, min(len(pairs), rng.randint(0, 5)))}
+    return SkewBracketTensor(d, n, f, table), SymProductTensor(d, f, ptable)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_operators_match_evaluation(seed):
+    # the operators built from the sparse column index against the bracket
+    # and product evaluated on basis vectors, entries and cached columns
+    t, product = random_tensors(seed)
+    f, d = t.field, t.dim
+    e = [unit_vector(f, d, i) for i in range(d)]
+    ads = ad_basis_operators(t)
+    assert [idx for idx, _ in ads] == list(itertools.combinations(range(d), t.arity - 1))
+    mults = mult_operators(product)
+
+    def same(m, want):
+        return m == want and [m.matvec(x) for x in e] == [want.matvec(x) for x in e]
+
+    for idx, m in ads:
+        assert same(m, ad_operator(t, [e[i] for i in idx])), idx
+    for k, m in enumerate(mults):
+        assert same(m, Matrix(f, zip(*(product.eval(e[k], e[j]) for j in range(d))))), k
+    nonzero = [m for _, m in ads if not m.is_zero()] + [m for m in mults if not m.is_zero()]
+    assert _ops_for_kind(t, IdealKind.POISSON, product) == nonzero
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_center_matches_per_operator_kernels(seed):
+    # also in a seeded basis, where the center is rarely spanned by basis
+    # vectors, so that every sign of an adjoint column counts
+    t, _ = random_tensors(seed)
+    for alg in (NLieAlgebra(t), seeded_basis(NLieAlgebra(t), seed)[0]):
+        assert center(alg) == center_oracle(alg.bracket)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: truncated_poisson(2, 3),
+    lambda: truncated_poisson(3, 2),
+    lambda: vector_product_algebra(3),
+    lambda: direct_sum_cross(F3),
+])
+def test_center_matches_per_operator_kernels_on_constructions(build):
+    alg = NLieAlgebra(build().bracket)
+    for alg in (alg, seeded_basis(alg, 3)[0]):
+        assert center(alg) == center_oracle(alg.bracket)
 
 
 class TestAdjoints:
@@ -530,6 +604,18 @@ class TestSimplicity:
         char3 = truncated_poisson(2, 3)
         with pytest.raises(GuardExceeded):
             is_simple(char3, method="exhaustive", max_enum=10)
+
+    @pytest.mark.parametrize("method", ["bogus", "mod_p", "Norton", ""])
+    def test_unknown_method_refused(self, method):
+        zero = NLieAlgebra(SkewBracketTensor(3, 2, F3, {}))
+        for alg in (vector_product_algebra(2), cross_mod(5), zero):
+            with pytest.raises(ValueError, match="expected one of auto, exhaustive, norton"):
+                is_simple(alg, method=method)
+
+    @pytest.mark.parametrize("method", ["exhaustive", "norton"])
+    def test_prime_field_method_refused_over_q(self, method):
+        with pytest.raises(ValueError, match=f"method '{method}' needs a prime field"):
+            is_simple(vector_product_algebra(2), method=method)
 
 
 class TestBruteForce:
