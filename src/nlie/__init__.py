@@ -35,9 +35,8 @@ _EXPORTS = {
     ),
     "structure": (
         "IdealKind", "PipelineReport", "ProbeReport", "QuotientMap", "SimplicityVerdict",
-        "ad_basis_operators", "ad_operator", "brute_force_ideals", "center",
-        "derived_series", "derived_subspace", "ideal_closure", "is_associative_ideal",
-        "is_nlie_ideal", "is_poisson_ideal", "is_simple", "mult_operators", "nilradical",
+        "ad_operator", "brute_force_ideals", "center", "derived_series",
+        "derived_subspace", "ideal_closure", "is_ideal", "is_simple", "nilradical",
         "probe_lemma", "quotient_algebra", "radical_of_ideal", "subalgebra_on",
         "theorem1_pipeline", "verify_simplicity_certificate",
     ),

@@ -36,7 +36,7 @@ from .algebra import (
 )
 from .fields import QQ
 from .guards import GuardExceeded
-from .linalg import Matrix, SubspaceBasis, span
+from .linalg import SubspaceBasis, span
 
 
 def _render(x):
@@ -48,8 +48,6 @@ def _render(x):
         return x.value
     if isinstance(x, SubspaceBasis):
         return {"dim": x.dim, "basis": [_render(row) for row in x.rows]}
-    if isinstance(x, Matrix):
-        return {"rows": [_render(row) for row in x.rows]}
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {f.name: _render(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, dict):

@@ -98,23 +98,18 @@ def ad_operator(alg: AlgebraLike, args: Sequence[Sequence]) -> Matrix:
     return Matrix(t.field, [[cols[k][i] for k in range(t.dim)] for i in range(t.dim)])
 
 
-def ad_basis_operators(alg: AlgebraLike) -> list[tuple[tuple[int, ...], Matrix]]:
-    """All adjoint operators ad_z, column k = bracket(e_k, e_z), from
-    strictly increasing basis tuples z in lexicographic order; zero where
-    the table has nothing.  Every operator is built from the checkers'
-    sparse column index."""
-    t = _bracket_of(alg)
+def _ad_operators(t: SkewBracketTensor) -> list[tuple[tuple[int, ...], Matrix]]:
+    """The nonzero adjoint operators (z, ad_z), column k = bracket(e_k, e_z),
+    from strictly increasing basis tuples z in lexicographic order, built
+    from the checkers' sparse column index."""
     ad = _ad_columns(t)[0]
-    return [
-        (idx, Matrix.from_columns(t.field, t.dim, ad.get(idx, {})))
-        for idx in itertools.combinations(range(t.dim), t.arity - 1)
-    ]
+    return [(z, Matrix.from_columns(t.field, t.dim, ad[z])) for z in sorted(ad)]
 
 
-def mult_operators(product: SymProductTensor) -> list[Matrix]:
-    """Left-multiplication matrix of every basis element (commutative, so
-    one side covers both)."""
-    return [Matrix.from_columns(product.field, product.dim, m) for m in _mult_columns(product)]
+def _mult_operators(product: SymProductTensor) -> list[Matrix]:
+    """The nonzero left-multiplication matrices of the basis elements in
+    index order (commutative, so one side covers both)."""
+    return [Matrix.from_columns(product.field, product.dim, m) for m in _mult_columns(product) if m]
 
 
 def _ops_for_kind(
@@ -125,12 +120,11 @@ def _ops_for_kind(
     both."""
     ops: list[Matrix] = []
     if kind in (IdealKind.NLIE, IdealKind.POISSON):
-        ad = _ad_columns(t)[0]
-        ops.extend(Matrix.from_columns(t.field, t.dim, ad[z]) for z in sorted(ad))
+        ops.extend(m for _, m in _ad_operators(t))
     if kind in (IdealKind.ASSOCIATIVE, IdealKind.POISSON):
         if product is None:
             raise ValueError(f"{kind.value} ideal operations require the product")
-        ops.extend(Matrix.from_columns(t.field, t.dim, m) for m in _mult_columns(product) if m)
+        ops.extend(_mult_operators(product))
     return ops
 
 
@@ -194,19 +188,13 @@ def _is_invariant(S: SubspaceBasis, ops: Sequence[Matrix]) -> bool:
     return all(S.contains(m.matvec(row)) for m in ops for row in S.rows)
 
 
-def is_nlie_ideal(alg: AlgebraLike, S: SubspaceBasis) -> bool:
-    return _is_invariant(S, [m for _, m in ad_basis_operators(alg)])
-
-
-def is_associative_ideal(product: SymProductTensor, S: SubspaceBasis) -> bool:
-    return _is_invariant(S, mult_operators(product))
-
-
-def is_poisson_ideal(alg: AlgebraLike, S: SubspaceBasis) -> bool:
-    product = _product_of(alg)
-    if product is None:
-        raise ValueError("a Poisson ideal check requires the product")
-    return is_nlie_ideal(alg, S) and is_associative_ideal(product, S)
+def is_ideal(alg: AlgebraLike, S: SubspaceBasis, kind: IdealKind = IdealKind.NLIE) -> bool:
+    """Whether S is closed under the kind's operations (adjoints,
+    multiplications, or both)."""
+    t = _bracket_of(alg)
+    if S.field != t.field or S.ambient_dim != t.dim:
+        raise ValueError("the subspace does not live in the algebra's space")
+    return _is_invariant(S, _ops_for_kind(t, kind, _product_of(alg)))
 
 
 def _closure(
@@ -299,7 +287,7 @@ def nilradical(product: SymProductTensor, unit: Sequence) -> SubspaceBasis:
         for _ in range(steps - 1):
             power = power.mul(frob)
         nil = kernel(power)
-    if not is_associative_ideal(product, nil):
+    if not _is_invariant(nil, _mult_operators(product)):
         raise AssertionError("nilpotent set is not an ideal; the product is not associative")
     return nil
 
@@ -339,7 +327,8 @@ def radical_of_ideal(product: SymProductTensor, unit: Sequence, I: SubspaceBasis
     field = product.field
     d = product.dim
     unit = _require_unit(product, unit)
-    if not is_associative_ideal(product, I):
+    mults = _mult_operators(product)
+    if not _is_invariant(I, mults):
         raise ValueError("the subspace is not an associative ideal")
     if I.is_full():
         return I
@@ -355,7 +344,7 @@ def radical_of_ideal(product: SymProductTensor, unit: Sequence, I: SubspaceBasis
     qnil = nilradical(qprod, qm.project(unit))
     vectors = list(I.rows) + [qm.lift(row) for row in qnil.rows]
     radical = span(field, d, vectors)
-    if not is_associative_ideal(product, radical):
+    if not _is_invariant(radical, mults):
         raise AssertionError("radical failed to close under multiplication")
     return radical
 
@@ -372,9 +361,7 @@ def quotient_algebra(alg: AlgebraLike, I: SubspaceBasis) -> tuple[NLieAlgebra, Q
     confirms the projected values agree.
     """
     t = _bracket_of(alg)
-    if I.ambient_dim != t.dim:
-        raise ValueError("ideal lives in the wrong ambient dimension")
-    if not is_nlie_ideal(t, I):
+    if not is_ideal(t, I):
         raise ValueError("the subspace is not an ideal: some bracket image escapes it")
     qm = _quotient_map(I)
     field = t.field
@@ -712,11 +699,13 @@ def is_simple(
     mod-p reduction (sound direction only), so "unknown" is a possible
     honest outcome.  A zero bracket is never simple, by convention.
     `method` is one of "auto", "exhaustive" and "norton"; the last two
-    need a prime field.
+    need a prime field, and `mod_p` needs the rationals.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_METHODS)}")
     t = _bracket_of(alg)
+    if mod_p is not None and not isinstance(t.field, RationalField):
+        raise ValueError(f"mod_p {mod_p} reduces rational algebras only")
     product = _product_of(alg)
     if kind is None:
         kind = IdealKind.POISSON if product is not None else IdealKind.NLIE
@@ -801,6 +790,8 @@ def _replay(
         witness = verdict.witness
         if witness is None:
             return t.is_zero() or t.dim == 0
+        if witness.field != t.field or witness.ambient_dim != t.dim:
+            return False
         if not 0 < witness.dim < t.dim:
             return False
         return _is_invariant(witness, _ops_for_kind(t, kind, product))
@@ -996,9 +987,10 @@ def _contained_images(
     t: SkewBracketTensor, source: SubspaceBasis, target: SubspaceBasis
 ) -> Witness | None:
     """First bracket(source row, basis tuple) escaping the target."""
+    ads = _ad_operators(t)
     for v in source.rows:
-        for idx in itertools.combinations(range(t.dim), t.arity - 1):
-            value = t.eval([v, *(unit_vector(t.field, t.dim, i) for i in idx)])
+        for idx, m in ads:
+            value = m.matvec(v)
             if not target.contains(value):
                 return Witness(
                     "escaping_bracket",
@@ -1042,7 +1034,7 @@ def probe_lemma(
     if needs_subspace:
         B = derived_subspace(t)
         U = subspace
-        if which == "L3" and not is_associative_ideal(product, U):
+        if which == "L3" and not is_ideal(alg, U, IdealKind.ASSOCIATIVE):
             raise ValueError("the subspace is not an associative ideal")
         if not _stable_under(t, U, B):
             raise ValueError(
@@ -1073,9 +1065,7 @@ def probe_lemma(
             witness = Witness("nilpotent_element", {"vector": v, "power": k})
     elif which == "L5":
         conclusion_ok = True
-        for idx, m in ad_basis_operators(t):
-            if m.is_zero():
-                continue
+        for idx, m in _ad_operators(t):
             step, k = m, 1
             while k < t.dim and not step.is_zero():
                 step = step.mul(m)

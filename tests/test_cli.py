@@ -262,8 +262,15 @@ class TestSimple:
         alg = nlie.load_path(str(path)).algebra()
         witness = nlie.span(alg.field, 6, verdict["witness"]["basis"])
         replay = nlie.SimplicityVerdict("not_simple", nlie.IdealKind.NLIE, None, witness)
-        assert nlie.is_nlie_ideal(alg, witness)
+        assert nlie.is_ideal(alg, witness)
         assert nlie.verify_simplicity_certificate(alg, replay)
+
+    def test_mod_p_refused_off_q(self, capsys, tmp_path):
+        path = tmp_path / "cross_f7.json"
+        path.write_text(json.dumps(dict(CROSS, field={"Fp": 7})))
+        code, out, err = run(capsys, ["simple", "--mod-p", "5", "--format", "json", str(path)])
+        assert code == 2 and out == ""
+        assert err == "error: mod_p 5 reduces rational algebras only\n"
 
     def test_not_simple_exit_zero(self, capsys, tmp_path):
         path = tmp_path / "zero.json"

@@ -29,7 +29,6 @@ from nlie.guards import GuardExceeded
 from nlie.linalg import Matrix, SubspaceBasis, span, unit_vector
 from nlie.structure import (
     IdealKind,
-    ad_basis_operators,
     ad_operator,
     brute_force_ideals,
     center,
@@ -37,10 +36,8 @@ from nlie.structure import (
     derived_subspace,
     element_power,
     ideal_closure,
-    is_nlie_ideal,
-    is_poisson_ideal,
+    is_ideal,
     is_simple,
-    mult_operators,
     nilradical,
     probe_lemma,
     quotient_algebra,
@@ -48,7 +45,9 @@ from nlie.structure import (
     subalgebra_on,
     theorem1_pipeline,
     verify_simplicity_certificate,
+    _ad_operators,
     _gaussian_binomial,
+    _mult_operators,
     _ops_for_kind,
     _reduce_mod_p,
 )
@@ -106,6 +105,11 @@ def direct_sum_cross(field) -> NLieAlgebra:
     return NLieAlgebra(SkewBracketTensor(6, 2, field, table))
 
 
+def heisenberg() -> NLieAlgebra:
+    """Q^3 with [e1, e2] = e0, the other brackets of basis vectors zero."""
+    return NLieAlgebra(SkewBracketTensor(3, 2, QQ, {(1, 2): (ONE, Z, Z)}))
+
+
 def seeded_basis(alg: NLieAlgebra, seed: int):
     """The algebra in the basis f_a = M e_a for a seeded lower unitriangular
     M, and the map from old to new coordinates (M^-1)."""
@@ -159,23 +163,30 @@ def random_tensors(seed: int) -> tuple[SkewBracketTensor, SymProductTensor]:
 @pytest.mark.parametrize("seed", range(60))
 def test_operators_match_evaluation(seed):
     # the operators built from the sparse column index against the bracket
-    # and product evaluated on basis vectors, entries and cached columns
+    # and product evaluated on basis vectors, entries and cached columns; a
+    # tuple or a basis element is left out exactly when its operator is zero
     t, product = random_tensors(seed)
     f, d = t.field, t.dim
     e = [unit_vector(f, d, i) for i in range(d)]
-    ads = ad_basis_operators(t)
-    assert [idx for idx, _ in ads] == list(itertools.combinations(range(d), t.arity - 1))
-    mults = mult_operators(product)
+    dense_ads = [
+        (idx, ad_operator(t, [e[i] for i in idx]))
+        for idx in itertools.combinations(range(d), t.arity - 1)
+    ]
+    dense_mults = [Matrix(f, zip(*(product.eval(e[k], e[j]) for j in range(d)))) for k in range(d)]
+    want_ads = [(idx, m) for idx, m in dense_ads if not m.is_zero()]
+    want_mults = [m for m in dense_mults if not m.is_zero()]
+    ads, mults = _ad_operators(t), _mult_operators(product)
 
     def same(m, want):
         return m == want and [m.matvec(x) for x in e] == [want.matvec(x) for x in e]
 
-    for idx, m in ads:
-        assert same(m, ad_operator(t, [e[i] for i in idx])), idx
-    for k, m in enumerate(mults):
-        assert same(m, Matrix(f, zip(*(product.eval(e[k], e[j]) for j in range(d))))), k
-    nonzero = [m for _, m in ads if not m.is_zero()] + [m for m in mults if not m.is_zero()]
-    assert _ops_for_kind(t, IdealKind.POISSON, product) == nonzero
+    assert [idx for idx, _ in ads] == [idx for idx, _ in want_ads]
+    for (idx, m), (_, want) in zip(ads, want_ads):
+        assert same(m, want), idx
+    assert len(mults) == len(want_mults)
+    for k, (m, want) in enumerate(zip(mults, want_mults)):
+        assert same(m, want), k
+    assert _ops_for_kind(t, IdealKind.POISSON, product) == [m for _, m in ads] + mults
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -214,13 +225,14 @@ class TestAdjoints:
             ad_operator(cross, [])
 
     def test_basis_operator_enumeration(self):
-        alg = vector_product_algebra(3)
-        ads = ad_basis_operators(alg)
+        # every pair of basis vectors of the 4-dim cross product brackets
+        # nonzero against some third one
+        ads = _ad_operators(vector_product_algebra(3).bracket)
         assert [idx for idx, _ in ads] == list(itertools.combinations(range(4), 2))
 
     def test_mult_operators_unital(self):
         prod, unit = poly_quotient_ring(3)
-        l0 = mult_operators(prod)[0]  # multiplication by 1
+        l0 = _mult_operators(prod)[0]  # multiplication by 1
         assert l0.matvec((ONE, Fraction(2), Z)) == (ONE, Fraction(2), Z)
 
 
@@ -257,13 +269,27 @@ class TestDerivedAndCenter:
 class TestIdealsAndClosures:
     def test_derived_subspace_is_an_ideal(self):
         char3 = truncated_poisson(2, 3)
-        assert is_nlie_ideal(char3, derived_subspace(char3))
+        assert is_ideal(char3, derived_subspace(char3))
 
     def test_poisson_ideal_requires_both_stabilities(self):
         char3 = truncated_poisson(2, 3)
         constants = span(F3, 9, [unit_vector(F3, 9, 0)])
-        assert is_nlie_ideal(char3, constants)
-        assert not is_poisson_ideal(char3, constants)  # 1*x = x escapes
+        assert is_ideal(char3, constants)
+        assert not is_ideal(char3, constants, IdealKind.ASSOCIATIVE)  # 1*x = x escapes
+        assert not is_ideal(char3, constants, IdealKind.POISSON)
+
+    def test_ideal_refuses_a_subspace_of_another_space(self):
+        heis = heisenberg()
+        for S in (
+            span(QQ, 4, [(ONE, Z, Z, ONE)]),
+            span(QQ, 2, [(ONE, Z)]),
+            span(F3, 3, [unit_vector(F3, 3, 0)]),
+        ):
+            for kind in IdealKind:
+                with pytest.raises(ValueError, match="does not live in the algebra's space"):
+                    is_ideal(heis, S, kind)
+        with pytest.raises(ValueError, match="poisson ideal operations require the product"):
+            is_ideal(heis, span(QQ, 3, [unit_vector(QQ, 3, 0)]), IdealKind.POISSON)
 
     def test_associative_closure_oracle(self):
         prod, unit = poly_quotient_ring(4)
@@ -303,14 +329,14 @@ class TestIdealsAndClosures:
         alg, _ = seeded_basis(direct_sum_cross(PrimeField(p)), seed=5)
         v = is_simple(alg)
         assert v.status == "not_simple"
-        assert v.witness.dim == 3 and is_nlie_ideal(alg, v.witness)
+        assert v.witness.dim == 3 and is_ideal(alg, v.witness)
         assert verify_simplicity_certificate(alg, v)
         alg = direct_sum_cross(PrimeField(p))
         points = (p**6 - 1) // (p - 1)
         v = is_simple(alg, method="exhaustive", max_enum=points)
         assert v.status == "not_simple"
         assert v.witness == span(alg.field, 6, [unit_vector(alg.field, 6, k) for k in range(3)])
-        assert is_nlie_ideal(alg, v.witness)
+        assert is_ideal(alg, v.witness)
         assert verify_simplicity_certificate(alg, v)
 
     def test_closure_needs_product_for_assoc_kind(self):
@@ -581,6 +607,27 @@ class TestSimplicity:
         assert v.witness.dim == 3
         assert verify_simplicity_certificate(ds, v)
 
+    def test_witness_from_another_space_rejected(self):
+        from nlie.structure import SimplicityVerdict
+
+        # (1,0,0,1) spans an invariant line of Q^4 under the Heisenberg
+        # operators read on its first three coordinates
+        heis = heisenberg()
+        for witness in (
+            span(QQ, 4, [(ONE, Z, Z, ONE)]),
+            span(QQ, 5, [unit_vector(QQ, 5, 0), unit_vector(QQ, 5, 3)]),
+            span(F3, 3, [unit_vector(F3, 3, 0)]),
+        ):
+            verdict = SimplicityVerdict("not_simple", IdealKind.NLIE, None, witness)
+            assert not verify_simplicity_certificate(heis, verdict)
+        center_line = SimplicityVerdict("not_simple", IdealKind.NLIE, None, center(heis))
+        assert verify_simplicity_certificate(heis, center_line)
+
+    def test_mod_p_refused_off_q(self):
+        for alg in (cross_mod(7), NLieAlgebra(SkewBracketTensor(3, 2, F3, {}))):
+            with pytest.raises(ValueError, match="mod_p 5 reduces rational algebras only"):
+                is_simple(alg, mod_p=5)
+
     def test_tampered_witness_rejected(self):
         from nlie.structure import SimplicityVerdict
 
@@ -640,6 +687,15 @@ class TestBruteForce:
         constants = span(F2, 4, [unit_vector(F2, 4, 0)])
         assert constants in nlie_ideals
         assert constants not in poisson_ideals
+        assoc_ideals = brute_force_ideals(char2, IdealKind.ASSOCIATIVE)
+        for kind, ideals in (
+            (IdealKind.NLIE, nlie_ideals),
+            (IdealKind.ASSOCIATIVE, assoc_ideals),
+            (IdealKind.POISSON, poisson_ideals),
+        ):
+            assert all(is_ideal(char2, S, kind) for S in ideals), kind
+        for S in nlie_ideals:
+            assert is_ideal(char2, S, IdealKind.POISSON) == (S in poisson_ideals)
 
     def test_requires_finite_field(self):
         with pytest.raises(ValueError):
