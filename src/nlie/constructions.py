@@ -241,15 +241,11 @@ def truncated_polynomial_algebra(nvars: int, p: int, max_dim: int | None = None)
 
     maps = []
     for t in range(nvars):
-        cols = []
-        for e in exps:
-            vec = [field.zero] * dim
-            if e[t] > 0:
-                lower = e[:t] + (e[t] - 1,) + e[t + 1 :]
-                vec[index[lower]] = field.from_int(e[t])
-            cols.append(vec)
-        rows = tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-        maps.append(Matrix(field, rows))
+        # d/dx_t sends the monomial e to e[t] times e with x_t lowered once
+        cols = {
+            j: [(index[e[:t] + (e[t] - 1,) + e[t + 1 :]], e[t])] for j, e in enumerate(exps) if e[t]
+        }
+        maps.append(Matrix.from_columns(field, dim, cols))
     ds = DerivationSet(product, unit, maps)
     names = tuple(_monomial_name(e, var_names) for e in exps)
     return TruncatedCarrier(product, unit, ds, names, tuple(exps))

@@ -1,6 +1,7 @@
-"""Dense exact linear algebra: matrices, reduced row echelon form, kernels,
-canonical subspace bases with lattice operations, and the permutation
-expansion of determinants over any commutative ring.
+"""Exact linear algebra: matrices stored only as their sparse columns,
+reduced row echelon form, kernels of row lists, canonical subspace bases
+with lattice operations, and the permutation expansion of determinants over
+any commutative ring.
 
 A subspace is always stored by the reduced row echelon form of a spanning
 set (pivot columns strictly increasing, pivot entries 1, pivot columns
@@ -37,61 +38,71 @@ def is_zero_vector(a: Sequence) -> bool:
 
 
 class Matrix:
-    """An immutable rows-by-columns matrix over an exact field."""
+    """An immutable nrows-by-ncols matrix over an exact field, stored only
+    as its columns: column k is the tuple of its nonzero (row, entry)
+    pairs in increasing row order, each entry normalised through the
+    field."""
 
-    __slots__ = ("field", "rows", "_columns")
+    __slots__ = ("field", "nrows", "columns")
 
     def __init__(self, field: Field, rows: Iterable[Sequence]):
-        frozen = tuple(tuple(r) for r in rows)
-        if frozen:
-            width = len(frozen[0])
-            if any(len(r) != width for r in frozen):
-                raise ValueError("ragged rows")
+        rows = [tuple(r) for r in rows]
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        norm = field.from_int
         self.field = field
-        self.rows = frozen
-        self._columns = None
+        self.nrows = len(rows)
+        self.columns = tuple(
+            tuple((i, y) for i, x in enumerate(col) if x and (y := norm(x)))
+            for col in zip(*rows)
+        )
+
+    @classmethod
+    def _trusted(cls, field: Field, nrows: int, columns: tuple) -> "Matrix":
+        # columns must already be tuples of nonzero normalised (row, entry)
+        # pairs in increasing row order
+        m = object.__new__(cls)
+        m.field, m.nrows, m.columns = field, nrows, columns
+        return m
 
     @classmethod
     def from_columns(cls, field: Field, dim: int, columns: dict) -> "Matrix":
-        """The dim-by-dim matrix whose column k has the nonzero (row, entry)
-        pairs columns[k], absent columns zero; entries are normalised
-        through the field."""
+        """The dim-by-dim matrix whose column k has the (row, entry) pairs
+        columns[k] in increasing row order, absent columns zero; entries are
+        normalised through the field, and those that vanish there dropped."""
         norm = field.from_int
-        cols = [[(i, norm(x)) for i, x in columns.get(k, ())] for k in range(dim)]
-        rows = [[field.zero] * dim for _ in range(dim)]
-        for k, col in enumerate(cols):
-            for i, x in col:
-                rows[i][k] = x
-        m = cls(field, rows)
-        m._columns = tuple(map(tuple, cols))
-        return m
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
+        return cls._trusted(field, dim, tuple(
+            tuple((i, y) for i, x in columns.get(k, ()) if (y := norm(x))) for k in range(dim)
+        ))
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.columns)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows)) if self.rows else Matrix(self.field, [])
+        out: list[list] = [[] for _ in range(self.nrows)]
+        for k, col in enumerate(self.columns):
+            for i, x in col:
+                out[i].append((k, x))
+        return Matrix._trusted(self.field, self.ncols, tuple(map(tuple, out)))
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        out = [self.matvec(col) for col in other.transpose().rows]
-        return Matrix(self.field, zip(*out) if out else [()] * self.nrows)
+        cols, norm = self.columns, self.field.from_int
+        out = []
+        for col in other.columns:
+            acc = [0] * self.nrows
+            for k, c in col:
+                for i, x in cols[k]:
+                    acc[i] += c * x
+            out.append(tuple((i, y) for i, x in enumerate(acc) if x and (y := norm(x))))
+        return Matrix._trusted(self.field, self.nrows, tuple(out))
 
     def matvec(self, v: Sequence) -> tuple:
-        cols = self._columns
-        if cols is None:
-            # the nonzero (row, entry) pairs of each column, built on first use
-            cols = self._columns = tuple(
-                tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*self.rows)
-            )
-        out = [0] * len(self.rows)
-        for c, col in zip(v, cols):
+        out = [0] * self.nrows
+        for c, col in zip(v, self.columns):
             if c:
                 for i, x in col:
                     out[i] += c * x
@@ -101,17 +112,18 @@ class Matrix:
         return tuple([norm(x) if x else zero for x in out])
 
     def is_zero(self) -> bool:
-        return all(is_zero_vector(r) for r in self.rows)
+        return not any(self.columns)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and other.field == self.field
-            and other.rows == self.rows
+            and other.nrows == self.nrows
+            and other.columns == self.columns
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.nrows, self.columns))
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
@@ -283,26 +295,25 @@ def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspac
     return SubspaceBasis(field, ambient_dim, vectors)
 
 
-def kernel(matrix: Matrix) -> SubspaceBasis:
-    """Canonical basis of the right kernel {v : M v = 0}."""
-    f = matrix.field
-    nc = matrix.ncols
-    acc = EchelonAccumulator(f, nc)
-    for row in matrix.rows:
+def kernel(field: Field, ncols: int, rows: Iterable[Sequence]) -> SubspaceBasis:
+    """Canonical basis of the right kernel {v : M v = 0} of the matrix M
+    with these rows, each of length ncols."""
+    acc = EchelonAccumulator(field, ncols)
+    for row in rows:
         acc.add(row)
     rows, pivots = acc.rows, acc.pivots
     pivot_set = set(pivots)
     basis = []
-    for free in range(nc):
+    for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [f.zero] * nc
-        v[free] = f.one
+        v = [field.zero] * ncols
+        v[free] = field.one
         for row, p in zip(rows, pivots):
             if row[free] != 0:
-                v[p] = f.neg(row[free])
+                v[p] = field.neg(row[free])
         basis.append(v)
-    return SubspaceBasis(f, nc, basis)
+    return SubspaceBasis(field, ncols, basis)
 
 
 # Determinants are expanded over all permutations; beyond this arity the

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .algebra import IDENTITIES, Verdict, Witness, default_var_names, grlex_key
 from .fields import QQ
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
-from .linalg import Matrix, SubspaceBasis, check_det_arity, det_expand, kernel
+from .linalg import SubspaceBasis, check_det_arity, det_expand, kernel
 
 Exponents = tuple[int, ...]
 
@@ -542,9 +542,5 @@ def truncated_center(
             for out_e, c in value.terms.items():
                 row = rows.setdefault((t, out_e), [Fraction(0)] * len(coords))
                 row[i] += c
-    matrix = Matrix(QQ, [rows[k] for k in sorted(rows)])
-    if not rows:
-        basis = SubspaceBasis.full(QQ, len(coords))
-    else:
-        basis = kernel(matrix)
+    basis = kernel(QQ, len(coords), [rows[k] for k in sorted(rows)])
     return TruncatedSubspace(nvars, degree_bound, tuple(coords), basis)

@@ -79,6 +79,11 @@ def _product_of(alg: AlgebraLike) -> SymProductTensor | None:
     return alg.product if isinstance(alg, NLiePoissonAlgebra) else None
 
 
+def _check_space(S: SubspaceBasis, field: Field, dim: int) -> None:
+    if S.field != field or S.ambient_dim != dim:
+        raise ValueError("the subspace does not live in the algebra's space")
+
+
 def _char_flags(field: Field) -> tuple[str, ...]:
     if isinstance(field, PrimeField):
         return (f"characteristic {field.p}: outside the characteristic-0 hypotheses",)
@@ -87,15 +92,6 @@ def _char_flags(field: Field) -> tuple[str, ...]:
 
 # ---------------------------------------------------------------------------
 # adjoint and multiplication operators
-
-
-def ad_operator(alg: AlgebraLike, args: Sequence[Sequence]) -> Matrix:
-    """Matrix of b -> bracket(b, args...) in the standard basis."""
-    t = _bracket_of(alg)
-    if len(args) != t.arity - 1:
-        raise ValueError(f"expected {t.arity - 1} arguments, got {len(args)}")
-    cols = [t.eval([unit_vector(t.field, t.dim, k), *args]) for k in range(t.dim)]
-    return Matrix(t.field, [[cols[k][i] for k in range(t.dim)] for i in range(t.dim)])
 
 
 def _ad_operators(t: SkewBracketTensor) -> list[tuple[tuple[int, ...], Matrix]]:
@@ -136,10 +132,10 @@ def derived_subspace(alg: AlgebraLike, S: SubspaceBasis | None = None) -> Subspa
     """Span of all bracket values on tuples from S (the whole space when S
     is omitted)."""
     t = _bracket_of(alg)
+    if S is not None:
+        _check_space(S, t.field, t.dim)
     if S is None or S.is_full():
         return span(t.field, t.dim, [vec for _, vec in t.sorted_items()])
-    if S.ambient_dim != t.dim:
-        raise ValueError("subspace lives in the wrong ambient dimension")
     acc = EchelonAccumulator(t.field, t.dim)
     for combo in itertools.combinations(S.rows, t.arity):
         acc.add(t.eval(list(combo)))
@@ -176,7 +172,7 @@ def center(alg: AlgebraLike) -> SubspaceBasis:
         for k, col in cols.items():
             for m, c in col:
                 rows[z, m][k] = f.from_int(c)
-    return kernel(Matrix(f, rows.values()))
+    return kernel(f, d, rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +188,7 @@ def is_ideal(alg: AlgebraLike, S: SubspaceBasis, kind: IdealKind = IdealKind.NLI
     """Whether S is closed under the kind's operations (adjoints,
     multiplications, or both)."""
     t = _bracket_of(alg)
-    if S.field != t.field or S.ambient_dim != t.dim:
-        raise ValueError("the subspace does not live in the algebra's space")
+    _check_space(S, t.field, t.dim)
     return _is_invariant(S, _ops_for_kind(t, kind, _product_of(alg)))
 
 
@@ -275,18 +270,14 @@ def nilradical(product: SymProductTensor, unit: Sequence) -> SubspaceBasis:
             ]
             for i in range(d)
         ]
-        nil = kernel(Matrix(field, gram))
+        nil = kernel(field, d, gram)
     else:
-        cols = [element_power(product, unit, unit_vector(field, d, k), field.p) for k in range(d)]
-        frob = Matrix(field, [[cols[k][i] for k in range(d)] for i in range(d)])
-        steps, size = 1, field.p
+        # the s-th power of the p-th-power map sends e_k to e_k^(p^s)
+        size = field.p
         while size < d:
             size *= field.p
-            steps += 1
-        power = frob
-        for _ in range(steps - 1):
-            power = power.mul(frob)
-        nil = kernel(power)
+        cols = [element_power(product, unit, unit_vector(field, d, k), size) for k in range(d)]
+        nil = kernel(field, d, zip(*cols))
     if not _is_invariant(nil, _mult_operators(product)):
         raise AssertionError("nilpotent set is not an ideal; the product is not associative")
     return nil
@@ -327,6 +318,7 @@ def radical_of_ideal(product: SymProductTensor, unit: Sequence, I: SubspaceBasis
     field = product.field
     d = product.dim
     unit = _require_unit(product, unit)
+    _check_space(I, field, d)
     mults = _mult_operators(product)
     if not _is_invariant(I, mults):
         raise ValueError("the subspace is not an associative ideal")
@@ -389,8 +381,7 @@ def subalgebra_on(alg: AlgebraLike, S: SubspaceBasis) -> NLieAlgebra:
     """The bracket re-expressed in the coordinates of S; S must be closed
     under it."""
     t = _bracket_of(alg)
-    if S.ambient_dim != t.dim:
-        raise ValueError("subspace lives in the wrong ambient dimension")
+    _check_space(S, t.field, t.dim)
     field = t.field
     k = S.dim
     table: dict[tuple[int, ...], tuple] = {}
@@ -474,10 +465,7 @@ def _norton_word(ops: list[Matrix], p: int, d: int, seed: int, word: int) -> lis
     of all the operations."""
     from . import _fppoly
     rng = random.Random(f"norton:{seed}:{word}")
-    entries = [
-        [(i, j, x) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x]
-        for m in ops
-    ]
+    entries = [[(i, j, x) for j, col in enumerate(m.columns) for i, x in col] for m in ops]
 
     def pick() -> list[list[int]]:
         acc = [[0] * d for _ in range(d)]
@@ -526,8 +514,8 @@ def _norton(
         rows = _norton_word(ops, p, d, seed, word)
         first = good = None
         for f, _ in _fppoly.factor(_fppoly.charpoly(rows, p), p):
-            fA = Matrix(field, _fppoly.at_matrix(f, rows, p))
-            ker = kernel(fA)
+            fA = _fppoly.at_matrix(f, rows, p)
+            ker = kernel(field, d, fA)
             first = first or (f, fA, ker)
             if ker.dim == len(f) - 1:
                 good = (f, fA, ker)
@@ -543,9 +531,9 @@ def _norton(
                 "a kernel vector of f(A) spins to a proper invariant subspace",
                 seed,
             )
-        dual = _spin_kernel_row(field, kernel(fA.transpose()), transposed)
+        dual = _spin_kernel_row(field, kernel(field, d, zip(*fA)), transposed)
         if dual.dim < d:
-            witness = kernel(Matrix(field, dual.rows))
+            witness = kernel(field, d, dual.rows)
             if not _is_invariant(witness, ops):
                 raise AssertionError("claimed invariant subspace is not invariant")
             return SimplicityVerdict(
@@ -590,11 +578,11 @@ def _replay_norton(t: SkewBracketTensor, ops: list[Matrix], certificate: dict) -
         and certificate.get("nullity") == len(f) - 1
     ):
         return False
-    fA = Matrix(field, _fppoly.at_matrix(f, _norton_word(ops, p, d, seed, word), p))
-    ker = kernel(fA)
+    fA = _fppoly.at_matrix(f, _norton_word(ops, p, d, seed, word), p)
+    ker = kernel(field, d, fA)
     if ker.dim != len(f) - 1:
         return False
-    dual_ker = kernel(fA.transpose())
+    dual_ker = kernel(field, d, zip(*fA))
     transposed = [m.transpose() for m in ops]
     return (
         _spin_kernel_row(field, ker, ops).is_full()
@@ -666,18 +654,11 @@ def _is_simple_fp(
     product: SymProductTensor | None,
     limit: int,
     seed: int,
-    method: str,
 ) -> SimplicityVerdict:
     ops = _ops_for_kind(t, kind, product)
-    if method == "auto":
-        fits = _projective_count(t.field.p, t.dim) <= limit
-        method = "exhaustive" if fits else "norton"
-    if method == "exhaustive":
+    if _projective_count(t.field.p, t.dim) <= limit:
         return _exhaustive_projective(t, kind, ops, limit, seed)
     return _norton(t, kind, ops, seed)
-
-
-_METHODS = ("auto", "exhaustive", "norton")
 
 
 def is_simple(
@@ -687,7 +668,6 @@ def is_simple(
     mod_p: int | None = None,
     max_enum: int | None = None,
     seed: int = 0,
-    method: str = "auto",
 ) -> SimplicityVerdict:
     """Certified simplicity verdict.
 
@@ -698,11 +678,8 @@ def is_simple(
     vectors (sound for not-simple), and simplicity is certified through a
     mod-p reduction (sound direction only), so "unknown" is a possible
     honest outcome.  A zero bracket is never simple, by convention.
-    `method` is one of "auto", "exhaustive" and "norton"; the last two
-    need a prime field, and `mod_p` needs the rationals.
+    `mod_p` needs the rationals.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_METHODS)}")
     t = _bracket_of(alg)
     if mod_p is not None and not isinstance(t.field, RationalField):
         raise ValueError(f"mod_p {mod_p} reduces rational algebras only")
@@ -715,9 +692,7 @@ def is_simple(
     if t.is_zero():
         return _zero_bracket_verdict(t, kind, product, seed)
     if isinstance(t.field, PrimeField):
-        return _is_simple_fp(t, kind, product, limit, seed, method)
-    if method != "auto":
-        raise ValueError(f"method {method!r} needs a prime field")
+        return _is_simple_fp(t, kind, product, limit, seed)
     ops = _ops_for_kind(t, kind, product)
     rng = random.Random(seed)
     probes = [unit_vector(t.field, t.dim, k) for k in range(t.dim)]
@@ -745,7 +720,7 @@ def is_simple(
             continue
         reduced_t, reduced_product, scale = reduced
         try:
-            inner = _is_simple_fp(reduced_t, kind, reduced_product, limit, seed, "auto")
+            inner = _is_simple_fp(reduced_t, kind, reduced_product, limit, seed)
         except GuardExceeded as exc:
             attempts.append(f"p={p}: {exc}")
             continue
@@ -807,8 +782,8 @@ def _replay(
         points = certificate.get("points")
         if not isinstance(points, int) or points != _projective_count(t.field.p, t.dim):
             return False
-        redo = _is_simple_fp(t, kind, product, limit, verdict.seed, "exhaustive")
-        return redo.status == "simple"
+        ops = _ops_for_kind(t, kind, product)
+        return _exhaustive_projective(t, kind, ops, limit, verdict.seed).status == "simple"
     if method == "ModPReduction":
         p, inner = certificate.get("p"), certificate.get("inner")
         if not (
@@ -1027,8 +1002,8 @@ def probe_lemma(
         raise ValueError(f"probe {which} requires a subspace")
     if not needs_subspace and subspace is not None:
         raise ValueError(f"probe {which} takes no subspace")
-    if subspace is not None and subspace.ambient_dim != t.dim:
-        raise ValueError("subspace lives in the wrong ambient dimension")
+    if subspace is not None:
+        _check_space(subspace, field, t.dim)
     if which in ("L1", "L2", "L3") and product is None:
         raise ValueError(f"probe {which} requires a product")
     if needs_subspace:

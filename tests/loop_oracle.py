@@ -4,9 +4,10 @@ compared against.
 Each identity loop walks every basis instance in lexicographic order,
 evaluates both sides with the tensors' own multilinear `eval`, and stops at
 the first instance whose sides differ.  The verdicts, instance counts and
-witnesses are the ones the library must report.  The center loop
-intersects the kernel of each adjoint operator, evaluated by `ad_operator`,
-one at a time.
+witnesses are the ones the library must report.  `ad_operator` evaluates
+an adjoint operator on every basis vector, the dense twin of the library's
+sparse operator builders, and the center loop intersects the kernel of each
+adjoint operator one at a time.
 """
 
 import itertools
@@ -21,7 +22,25 @@ from nlie.linalg import (
     vec_add,
     zero_vector,
 )
-from nlie.structure import ad_operator
+
+
+def dense(m: Matrix) -> tuple:
+    """The rows of a matrix, read off its sparse columns."""
+    rows = [[m.field.zero] * m.ncols for _ in range(m.nrows)]
+    for k, col in enumerate(m.columns):
+        for i, x in col:
+            rows[i][k] = x
+    return tuple(map(tuple, rows))
+
+
+def ad_operator(alg, args) -> Matrix:
+    """Matrix of b -> bracket(b, args...) in the standard basis, for an
+    algebra or its bracket tensor."""
+    t = getattr(alg, "bracket", alg)
+    if len(args) != t.arity - 1:
+        raise ValueError(f"expected {t.arity - 1} arguments, got {len(args)}")
+    cols = [t.eval([unit_vector(t.field, t.dim, k), *args]) for k in range(t.dim)]
+    return Matrix(t.field, zip(*cols))
 
 
 def jacobi_oracle(t) -> Verdict:
@@ -124,11 +143,9 @@ def stacked_kernel_intersect(U, W):
     """U ∩ W from the kernel of the stacked bases [U^t | -W^t]: each kernel
     vector (a, b) gives the common vector sum_r a_r u_r."""
     f, d = U.field, U.ambient_dim
-    stacked = Matrix(
-        f, [[u[i] for u in U.rows] + [f.neg(w[i]) for w in W.rows] for i in range(d)]
-    )
+    stacked = [[u[i] for u in U.rows] + [f.neg(w[i]) for w in W.rows] for i in range(d)]
     vectors = []
-    for sol in kernel(stacked).rows if U.rows and W.rows else ():
+    for sol in kernel(f, U.dim + W.dim, stacked).rows if U.rows and W.rows else ():
         v = zero_vector(f, d)
         for c, u in zip(sol, U.rows):
             v = vec_add(f, v, tuple(f.mul(c, x) for x in u))
@@ -142,5 +159,5 @@ def center_oracle(t):
     for idx in itertools.combinations(range(d), t.arity - 1):
         m = ad_operator(t, [unit_vector(f, d, i) for i in idx])
         if not m.is_zero():
-            K = stacked_kernel_intersect(K, kernel(m))
+            K = stacked_kernel_intersect(K, kernel(f, d, dense(m)))
     return K

@@ -38,7 +38,6 @@ from nlie.poly import (
 )
 from nlie.structure import (
     IdealKind,
-    ad_operator,
     brute_force_ideals,
     center,
     derived_subspace,
@@ -50,6 +49,7 @@ from nlie.structure import (
     verify_simplicity_certificate,
     _reduce_mod_p,
 )
+from loop_oracle import ad_operator
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

@@ -28,7 +28,7 @@ from nlie.linalg import (
 )
 from nlie.poly import Poly, jac_bracket, w_bracket
 
-from loop_oracle import stacked_kernel_intersect
+from loop_oracle import dense, stacked_kernel_intersect
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -109,7 +109,7 @@ class TestMatrix:
     def test_kernel_oracle(self):
         # x + 2y = 0 over Q: kernel spanned by (-2, 1), canonical (1, -1/2)
         m = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)]])
-        k = kernel(m)
+        k = kernel(QQ, 2, dense(m))
         assert k.dim == 1
         (row,) = k.rows
         assert m.matvec(row) == (Fraction(0), Fraction(0))
@@ -129,7 +129,7 @@ class TestMatrix:
     def test_rank_nullity(self, rows):
         m = Matrix(F5, rows)
         rank = span(F5, 3, rows).dim  # the row space
-        assert rank + kernel(m).dim == 3
+        assert rank + kernel(F5, 3, dense(m)).dim == 3
 
 
 def _sympy_field(f):
@@ -139,29 +139,59 @@ def _sympy_field(f):
     return sympy.GF(f.p), lambda e: int(e) % f.p
 
 
-@pytest.mark.parametrize("field", [QQ, F5, PrimeField(2**61 - 1)], ids=["Q", "F5", "Fm61"])
+@pytest.mark.parametrize(
+    "field", [QQ, F3, F5, PrimeField(2**61 - 1)], ids=["Q", "F3", "F5", "Fm61"]
+)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
 @settings(max_examples=40, deadline=None)
 def test_products_and_echelon_match_sympy(field, n, k, m, data):
-    # the sparse unreduced matvec and product, and the echelon reduction,
-    # against sympy's exact matrices over the same field, value types included
+    # the sparse columns read back as the dense input, the unreduced matvec
+    # and product, transpose, zero test and equality, and the echelon
+    # reduction, against sympy's exact matrices over the same field, value
+    # types included; the zero matrix of each shape too
     from sympy.polys.matrices import DomainMatrix
 
     dom, back = _sympy_field(field)
     ints = st.integers(-3, 3)
     a = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k), min_size=n, max_size=n))
     b = data.draw(st.lists(st.lists(ints, min_size=m, max_size=m), min_size=k, max_size=k))
+    v = data.draw(st.lists(ints, min_size=k, max_size=k))
     A = Matrix(field, [[field.from_int(x) for x in row] for row in a])
     B = Matrix(field, [[field.from_int(x) for x in row] for row in b])
     da = DomainMatrix([[dom(x) for x in row] for row in a], (n, k), dom)
     db = DomainMatrix([[dom(x) for x in row] for row in b], (k, m), dom)
-    product = [[back(e) for e in row] for row in (da * db).to_list()]
-    assert repr(A.mul(B).rows) == repr(tuple(map(tuple, product)))
-    column = [row[0] for row in B.rows]
-    assert repr(A.matvec(column)) == repr(tuple(row[0] for row in product))
+    dv = DomainMatrix([[dom(x)] for x in v], (k, 1), dom)
+
+    def grid(dm):
+        return tuple(tuple(back(e) for e in row) for row in dm.to_list())
+
+    assert (A.nrows, A.ncols) == (n, k)
+    assert repr(dense(A)) == repr(grid(da))
+    assert repr(dense(A.transpose())) == repr(grid(da.transpose()))
+    assert repr(dense(A.mul(B))) == repr(grid(da * db))
+    column = [row[0] for row in dense(B)]
+    assert repr(A.matvec(column)) == repr(tuple(row[0] for row in grid(da * db)))
+    got = A.matvec([field.from_int(x) for x in v])
+    assert repr(got) == repr(tuple(row[0] for row in grid(da * dv)))
+    assert A.is_zero() == da.is_zero_matrix
+    # rows are normalised once, so unreduced input gives the same matrix
+    assert A == Matrix(field, a) and hash(A) == hash(Matrix(field, a))
+    assert A == A.transpose().transpose()
+    assert (A == B) == ((n, k) == (k, m) and grid(da) == grid(db))
+    if n == k:
+        lift = 0 if field == QQ else field.p
+        cols = {j: [(i, a[i][j] - lift) for i in range(n)] for j in range(n)}
+        C = Matrix.from_columns(field, n, cols)
+        assert C == A and hash(C) == hash(A)
+    zero = Matrix(field, [[field.zero] * k] * n)
+    assert zero.is_zero() and zero.transpose().is_zero() and zero.mul(B).is_zero()
+    assert zero.transpose() == Matrix(field, [[0] * n] * k)
+    assert zero.matvec(column) == (field.zero,) * n
+    assert (zero == A) == A.is_zero()
+    assert (zero == zero.transpose()) == (n == k)
     R, pivots = da.rref()
     rows = [tuple(back(e) for e in row) for row in R.to_list()[: len(pivots)]]
-    S = span(field, k, A.rows)
+    S = span(field, k, dense(A))
     assert S.pivots == tuple(pivots)
     assert repr(S.rows) == repr(tuple(rows))
 

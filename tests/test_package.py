@@ -32,7 +32,7 @@ PUBLIC = {
     ),
     "structure": (
         "IdealKind", "PipelineReport", "ProbeReport", "PROBE_IDS", "QuotientMap",
-        "SimplicityVerdict", "ad_operator", "brute_force_ideals", "center",
+        "SimplicityVerdict", "brute_force_ideals", "center",
         "derived_series", "derived_subspace", "ideal_closure", "is_ideal", "is_simple",
         "nilradical", "probe_lemma", "quotient_algebra",
         "radical_of_ideal", "subalgebra_on", "theorem1_pipeline",

@@ -25,11 +25,10 @@ from nlie.constructions import (
     vector_product_algebra,
 )
 from nlie.fields import PrimeField, QQ
-from nlie.guards import GuardExceeded
+from nlie.guards import DEFAULT_MAX_ENUM, GuardExceeded
 from nlie.linalg import Matrix, SubspaceBasis, span, unit_vector
 from nlie.structure import (
     IdealKind,
-    ad_operator,
     brute_force_ideals,
     center,
     derived_series,
@@ -46,12 +45,14 @@ from nlie.structure import (
     theorem1_pipeline,
     verify_simplicity_certificate,
     _ad_operators,
+    _exhaustive_projective,
     _gaussian_binomial,
     _mult_operators,
+    _norton,
     _ops_for_kind,
     _reduce_mod_p,
 )
-from loop_oracle import center_oracle
+from loop_oracle import ad_operator, center_oracle
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -62,6 +63,25 @@ ONE = Fraction(1)
 
 def truncated_poisson(nvars: int, p: int) -> NLiePoissonAlgebra:
     return jacobian_from_derivations(truncated_polynomial_algebra(nvars, p).derivations)
+
+
+def _decider_args(alg):
+    """The bracket, the kind is_simple picks, and that kind's operations."""
+    product = alg.product if isinstance(alg, NLiePoissonAlgebra) else None
+    kind = IdealKind.POISSON if product is not None else IdealKind.NLIE
+    return alg.bracket, kind, _ops_for_kind(alg.bracket, kind, product)
+
+
+def exhaustive(alg, limit=DEFAULT_MAX_ENUM):
+    """The F_p verdict of the exhaustive projective search alone."""
+    t, kind, ops = _decider_args(alg)
+    return _exhaustive_projective(t, kind, ops, limit, 0)
+
+
+def norton(alg, seed=0):
+    """The F_p verdict of Norton's test alone."""
+    t, kind, ops = _decider_args(alg)
+    return _norton(t, kind, ops, seed)
 
 
 def poly_quotient_ring(d: int) -> tuple[SymProductTensor, tuple]:
@@ -254,6 +274,16 @@ class TestDerivedAndCenter:
         assert not B.contains(unit_vector(F3, 9, 8))  # x^2*y^2 is not a bracket value
         assert derived_subspace(char3, B).dim == 8
 
+    def test_subspace_of_another_space_refused(self):
+        # a plane over F_3 in a rational algebra, which the full-space
+        # shortcut must not read as the whole space either
+        cross = vector_product_algebra(2)
+        for S in (span(F3, 3, [unit_vector(F3, 3, 0), unit_vector(F3, 3, 1)]),
+                  SubspaceBasis.full(F3, 3), SubspaceBasis.full(QQ, 4)):
+            for call in (derived_subspace, subalgebra_on):
+                with pytest.raises(ValueError, match="does not live in the algebra's space"):
+                    call(cross, S)
+
     def test_center(self):
         assert center(vector_product_algebra(2)).is_zero()
         char3 = truncated_poisson(2, 3)
@@ -333,7 +363,7 @@ class TestIdealsAndClosures:
         assert verify_simplicity_certificate(alg, v)
         alg = direct_sum_cross(PrimeField(p))
         points = (p**6 - 1) // (p - 1)
-        v = is_simple(alg, method="exhaustive", max_enum=points)
+        v = exhaustive(alg, points)
         assert v.status == "not_simple"
         assert v.witness == span(alg.field, 6, [unit_vector(alg.field, 6, k) for k in range(3)])
         assert is_ideal(alg, v.witness)
@@ -423,6 +453,12 @@ class TestNilradical:
         with pytest.raises(ValueError):
             radical_of_ideal(prod, unit, span(QQ, 4, [unit_vector(QQ, 4, 1)]))
 
+    def test_radical_refuses_a_subspace_of_another_space(self):
+        prod, unit = poly_quotient_ring(3)
+        for I in (span(F3, 3, [unit_vector(F3, 3, 2)]), span(QQ, 4, [unit_vector(QQ, 4, 2)])):
+            with pytest.raises(ValueError, match="does not live in the algebra's space"):
+                radical_of_ideal(prod, unit, I)
+
 
 class TestQuotients:
     def test_quotient_by_center(self):
@@ -468,7 +504,7 @@ class TestSimplicity:
 
     def test_norton_agrees_on_simple(self):
         char3 = truncated_poisson(2, 3)
-        v = is_simple(char3, method="norton")
+        v = norton(char3)
         assert v.status == "simple"
         assert v.certificate["method"] == "Norton"
         assert v.certificate["nullity"] == len(v.certificate["factor"]) - 1
@@ -485,7 +521,7 @@ class TestSimplicity:
         from nlie.structure import SimplicityVerdict
 
         char3 = truncated_poisson(2, 3)
-        v = is_simple(char3, method="norton")
+        v = norton(char3)
         assert v.certificate[field] != value
         altered = SimplicityVerdict(
             v.status, v.kind, dict(v.certificate, **{field: value}), None, None, v.seed
@@ -549,7 +585,7 @@ class TestSimplicity:
 
         monkeypatch.setattr(structure, "_NORTON_WORDS", 0)
         with pytest.raises(GuardExceeded, match="budget of 0 words"):
-            is_simple(truncated_poisson(2, 3), method="norton")
+            norton(truncated_poisson(2, 3))
 
     def test_norton_agrees_with_oracle_corpus(self):
         from test_acceptance import build_corpus
@@ -561,7 +597,7 @@ class TestSimplicity:
             ideals = brute_force_ideals(alg)
             simple = not any(0 < S.dim < alg.dim for S in ideals)
             for seed in range(3):
-                v = is_simple(alg, method="norton", seed=seed)
+                v = norton(alg, seed)
                 if v.status == "not_simple":
                     assert v.witness in ideals
                 assert (v.status == "simple") == simple
@@ -571,8 +607,8 @@ class TestSimplicity:
 
     def test_both_methods_find_proper_ideal(self):
         ds = direct_sum_cross(F3)
-        for method in ("exhaustive", "norton"):
-            v = is_simple(ds, method=method)
+        for decide in (exhaustive, norton):
+            v = decide(ds)
             assert v.status == "not_simple"
             assert 0 < v.witness.dim < 6
             assert verify_simplicity_certificate(ds, v)
@@ -643,26 +679,14 @@ class TestSimplicity:
 
     def test_seed_determinism(self):
         char3 = truncated_poisson(2, 3)
-        a = is_simple(char3, method="norton", seed=5)
-        b = is_simple(char3, method="norton", seed=5)
+        a = norton(char3, 5)
+        b = norton(char3, 5)
         assert a == b
 
     def test_guard(self):
         char3 = truncated_poisson(2, 3)
         with pytest.raises(GuardExceeded):
-            is_simple(char3, method="exhaustive", max_enum=10)
-
-    @pytest.mark.parametrize("method", ["bogus", "mod_p", "Norton", ""])
-    def test_unknown_method_refused(self, method):
-        zero = NLieAlgebra(SkewBracketTensor(3, 2, F3, {}))
-        for alg in (vector_product_algebra(2), cross_mod(5), zero):
-            with pytest.raises(ValueError, match="expected one of auto, exhaustive, norton"):
-                is_simple(alg, method=method)
-
-    @pytest.mark.parametrize("method", ["exhaustive", "norton"])
-    def test_prime_field_method_refused_over_q(self, method):
-        with pytest.raises(ValueError, match=f"method '{method}' needs a prime field"):
-            is_simple(vector_product_algebra(2), method=method)
+            exhaustive(char3, 10)
 
 
 class TestBruteForce:
@@ -708,6 +732,14 @@ class TestBruteForce:
 
 
 class TestProbes:
+    def test_subspace_of_another_space_refused(self):
+        # the constants over Q: over F_3 they would be an abelian ideal
+        char3 = truncated_poisson(2, 3)
+        S = span(QQ, 9, [unit_vector(QQ, 9, 0)])
+        for which in ("L2", "L3", "L6_0", "L6", "L7", "L8"):
+            with pytest.raises(ValueError, match="does not live in the algebra's space"):
+                probe_lemma(char3, which, S)
+
     def test_l1_char3_frozen(self):
         char3 = truncated_poisson(2, 3)
         r = probe_lemma(char3, "L1")
