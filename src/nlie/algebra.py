@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
@@ -318,19 +317,61 @@ class NLiePoissonAlgebra:
         return f"NLiePoissonAlgebra(dim={self.dim}, arity={self.arity}, {self.field})"
 
 
-@dataclass(frozen=True)
-class Witness:
+# A record's __init__ sets each field once through _set, past Record.__setattr__.
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the immutable result records.  A subclass names its fields
+    in `__slots__`, in declared order, and sets them in its own __init__;
+    equality, hashing, repr and the CLI's rendering walk them in that
+    order.  Assigning to a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a record")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which takes every field in order
+        return type(self), self._values()
+
+
+class Witness(Record):
     """First failing instance of a checked identity, with both sides."""
 
-    kind: str
-    data: dict = dc_field(default_factory=dict)
+    __slots__ = ("kind", "data")
+
+    def __init__(self, kind: str, data: dict | None = None):
+        _set(self, "kind", kind)
+        _set(self, "data", {} if data is None else data)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    witness: Witness | None = None
-    instances: int = 0
+class Verdict(Record):
+    __slots__ = ("ok", "witness", "instances")
+
+    def __init__(self, ok: bool, witness: Witness | None = None, instances: int = 0):
+        _set(self, "ok", ok)
+        _set(self, "witness", witness)
+        _set(self, "instances", instances)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .algebra import NLieAlgebra, NLiePoissonAlgebra, SkewBracketTensor, SymProductTensor
+from .algebra import (
+    NLieAlgebra,
+    NLiePoissonAlgebra,
+    Record,
+    SkewBracketTensor,
+    SymProductTensor,
+    _set,
+)
 from .fields import Field, PrimeField, QQ, RationalField
 
 # ASCII digits only: \d and str.isdigit also accept other scripts' digits
@@ -91,15 +97,26 @@ def _require_int(doc: dict, key: str, minimum: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class LoadedAlgebra:
-    field: Field
-    dimension: int
-    arity: int
-    basis_names: tuple[str, ...] | None
-    bracket: SkewBracketTensor
-    product: SymProductTensor | None
-    unit: tuple | None
+class LoadedAlgebra(Record):
+    __slots__ = ("field", "dimension", "arity", "basis_names", "bracket", "product", "unit")
+
+    def __init__(
+        self,
+        field: Field,
+        dimension: int,
+        arity: int,
+        basis_names: tuple[str, ...] | None,
+        bracket: SkewBracketTensor,
+        product: SymProductTensor | None,
+        unit: tuple | None,
+    ):
+        _set(self, "field", field)
+        _set(self, "dimension", dimension)
+        _set(self, "arity", arity)
+        _set(self, "basis_names", basis_names)
+        _set(self, "bracket", bracket)
+        _set(self, "product", product)
+        _set(self, "unit", unit)
 
     @property
     def has_product(self) -> bool:

@@ -14,7 +14,6 @@ Exit codes: 0 = computed (including not-simple/unknown verdicts),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -28,6 +27,7 @@ from .algebra import (
     PROBE_IDS,
     NLieAlgebra,
     NLiePoissonAlgebra,
+    Record,
     SkewBracketTensor,
     check_assoc_comm_unital,
     check_generalized_jacobi,
@@ -48,8 +48,8 @@ def _render(x):
         return x.value
     if isinstance(x, SubspaceBasis):
         return {"dim": x.dim, "basis": [_render(row) for row in x.rows]}
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _render(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, Record):
+        return {name: _render(getattr(x, name)) for name in x.__slots__}
     if isinstance(x, dict):
         return {str(k): _render(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

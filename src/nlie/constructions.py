@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .algebra import (
     NLieAlgebra,
     NLiePoissonAlgebra,
+    Record,
     SkewBracketTensor,
     SymProductTensor,
     Verdict,
     Witness,
+    _set,
     default_var_names,
     grlex_key,
 )
@@ -190,15 +191,24 @@ def w_from_derivations(ds: DerivationSet, arity: int) -> NLieAlgebra:
     return NLieAlgebra(SkewBracketTensor(dim, arity, f, table))
 
 
-@dataclass(frozen=True)
-class TruncatedCarrier:
+class TruncatedCarrier(Record):
     """Monomial-basis truncated polynomial algebra with its partials."""
 
-    product: SymProductTensor
-    unit: tuple
-    derivations: DerivationSet
-    names: tuple[str, ...]
-    exponents: tuple[tuple[int, ...], ...]
+    __slots__ = ("product", "unit", "derivations", "names", "exponents")
+
+    def __init__(
+        self,
+        product: SymProductTensor,
+        unit: tuple,
+        derivations: DerivationSet,
+        names: tuple[str, ...],
+        exponents: tuple[tuple[int, ...], ...],
+    ):
+        _set(self, "product", product)
+        _set(self, "unit", unit)
+        _set(self, "derivations", derivations)
+        _set(self, "names", names)
+        _set(self, "exponents", exponents)
 
 
 def _monomial_name(e: tuple[int, ...], var_names: Sequence[str]) -> str:

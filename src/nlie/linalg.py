@@ -133,15 +133,17 @@ def _reduce(f: Field, rows: Sequence, pivots: Sequence[int], vec: Sequence) -> l
     """vec minus its components along mutually reduced echelon rows.  Each
     row is zero at every other row's pivot, so the component along a row
     is vec's own entry at its pivot; the sum accumulates unreduced and is
-    normalised once."""
+    normalised once, also when no row touches vec."""
     v = vec
     for row, p in zip(rows, pivots):
         c = vec[p]
         if c:
             v = [a - c * b for a, b in zip(v, row)]
-    if v is vec:
-        return list(vec)
-    norm, zero = f.from_int, f.zero
+    zero = f.zero
+    if not any(v):
+        # most vectors that closures and invariance checks reduce end at zero
+        return [zero] * len(v)
+    norm = f.from_int
     return [norm(x) if x else zero for x in v]
 
 

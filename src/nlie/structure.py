@@ -18,7 +18,6 @@ import itertools
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from collections.abc import Sequence
@@ -27,12 +26,14 @@ from .algebra import (
     PROBE_IDS,
     NLieAlgebra,
     NLiePoissonAlgebra,
+    Record,
     SkewBracketTensor,
     SymProductTensor,
     Verdict,
     Witness,
     _ad_columns,
     _mult_columns,
+    _set,
     check_assoc_comm_unital,
     check_generalized_jacobi,
     check_leibniz,
@@ -283,13 +284,15 @@ def nilradical(product: SymProductTensor, unit: Sequence) -> SubspaceBasis:
     return nil
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(Record):
     """Projection data for a quotient by a subspace: representatives are
     the standard basis vectors at the non-pivot coordinates."""
 
-    ideal: SubspaceBasis
-    rep_indices: tuple[int, ...]
+    __slots__ = ("ideal", "rep_indices")
+
+    def __init__(self, ideal: SubspaceBasis, rep_indices: tuple[int, ...]):
+        _set(self, "ideal", ideal)
+        _set(self, "rep_indices", rep_indices)
 
     @property
     def dim(self) -> int:
@@ -399,14 +402,24 @@ def subalgebra_on(alg: AlgebraLike, S: SubspaceBasis) -> NLieAlgebra:
 # simplicity
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
-    status: str  # "simple" | "not_simple" | "unknown"
-    kind: IdealKind
-    certificate: dict | None = None
-    witness: SubspaceBasis | None = None
-    reason: str | None = None
-    seed: int = 0
+class SimplicityVerdict(Record):
+    __slots__ = ("status", "kind", "certificate", "witness", "reason", "seed")
+
+    def __init__(
+        self,
+        status: str,  # "simple" | "not_simple" | "unknown"
+        kind: IdealKind,
+        certificate: dict | None = None,
+        witness: SubspaceBasis | None = None,
+        reason: str | None = None,
+        seed: int = 0,
+    ):
+        _set(self, "status", status)
+        _set(self, "kind", kind)
+        _set(self, "certificate", certificate)
+        _set(self, "witness", witness)
+        _set(self, "reason", reason)
+        _set(self, "seed", seed)
 
 
 def _projective_count(p: int, k: int) -> int:
@@ -901,17 +914,40 @@ _PROBE_TEXT = {
 }
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    probe: str
-    hypothesis: str
-    conclusion: str
-    hypotheses_hold: bool
-    hypothesis_notes: tuple[str, ...]
-    conclusion_holds: bool
-    witness: Witness | None
-    flags: tuple[str, ...]
-    seed: int
+class ProbeReport(Record):
+    __slots__ = (
+        "probe",
+        "hypothesis",
+        "conclusion",
+        "hypotheses_hold",
+        "hypothesis_notes",
+        "conclusion_holds",
+        "witness",
+        "flags",
+        "seed",
+    )
+
+    def __init__(
+        self,
+        probe: str,
+        hypothesis: str,
+        conclusion: str,
+        hypotheses_hold: bool,
+        hypothesis_notes: tuple[str, ...],
+        conclusion_holds: bool,
+        witness: Witness | None,
+        flags: tuple[str, ...],
+        seed: int,
+    ):
+        _set(self, "probe", probe)
+        _set(self, "hypothesis", hypothesis)
+        _set(self, "conclusion", conclusion)
+        _set(self, "hypotheses_hold", hypotheses_hold)
+        _set(self, "hypothesis_notes", hypothesis_notes)
+        _set(self, "conclusion_holds", conclusion_holds)
+        _set(self, "witness", witness)
+        _set(self, "flags", flags)
+        _set(self, "seed", seed)
 
 
 def _stable_under(t: SkewBracketTensor, U: SubspaceBasis, B: SubspaceBasis) -> bool:
@@ -1097,18 +1133,43 @@ def probe_lemma(
 # the derived-modulo-center pipeline
 
 
-@dataclass(frozen=True)
-class PipelineReport:
-    axioms: dict[str, Verdict]
-    poisson_simple: SimplicityVerdict
-    dims: dict[str, int]
-    quotient_jacobi: Verdict
-    quotient_simple: SimplicityVerdict
-    hypotheses_met: bool
-    conclusion_holds: bool
-    flags: tuple[str, ...]
-    notes: tuple[str, ...]
-    seed: int
+class PipelineReport(Record):
+    __slots__ = (
+        "axioms",
+        "poisson_simple",
+        "dims",
+        "quotient_jacobi",
+        "quotient_simple",
+        "hypotheses_met",
+        "conclusion_holds",
+        "flags",
+        "notes",
+        "seed",
+    )
+
+    def __init__(
+        self,
+        axioms: dict[str, Verdict],
+        poisson_simple: SimplicityVerdict,
+        dims: dict[str, int],
+        quotient_jacobi: Verdict,
+        quotient_simple: SimplicityVerdict,
+        hypotheses_met: bool,
+        conclusion_holds: bool,
+        flags: tuple[str, ...],
+        notes: tuple[str, ...],
+        seed: int,
+    ):
+        _set(self, "axioms", axioms)
+        _set(self, "poisson_simple", poisson_simple)
+        _set(self, "dims", dims)
+        _set(self, "quotient_jacobi", quotient_jacobi)
+        _set(self, "quotient_simple", quotient_simple)
+        _set(self, "hypotheses_met", hypotheses_met)
+        _set(self, "conclusion_holds", conclusion_holds)
+        _set(self, "flags", flags)
+        _set(self, "notes", notes)
+        _set(self, "seed", seed)
 
 
 def theorem1_pipeline(

@@ -1,7 +1,9 @@
 """End-to-end command line coverage via in-process main() calls."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import nlie
-from nlie.cli import main
+from nlie import algebra, algfile, constructions, poly, structure
+from nlie.cli import _render, main
 
 CROSS = {
     "field": "Q",
@@ -472,9 +475,11 @@ import contextlib, io, json, sys
 def loaded():
     return sorted(
         m for m, mod in sys.modules.items()
-        if mod is not None and (m == "numpy" or m.startswith("nlie."))
+        if mod is not None and m not in preloaded
+        and (m in ("numpy", "dataclasses", "inspect") or m.startswith("nlie."))
     )
 
+preloaded = set(sys.modules)
 import nlie
 seen = [loaded()]
 from nlie.cli import main
@@ -492,9 +497,10 @@ print(json.dumps({"codes": codes, "loaded": seen, "outs": outs}))
 def _fresh_run(*commands, block_numpy=False):
     """Run CLI commands in one fresh interpreter (pytest has imported numpy
     and every nlie module already), where `import numpy` fails if
-    block_numpy.  Returns the exit codes, the sorted numpy/nlie.* modules
-    loaded after `import nlie` and after each command, and each command's
-    stdout."""
+    block_numpy.  Returns the exit codes, the sorted numpy, dataclasses,
+    inspect and nlie.* modules loaded after `import nlie` and after each
+    command, leaving out what the interpreter had loaded before it, and
+    each command's stdout."""
     src = str(Path(nlie.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     script = _IMPORT_WEIGHT
@@ -508,7 +514,7 @@ def _fresh_run(*commands, block_numpy=False):
     return got["codes"], got["loaded"], got["outs"]
 
 
-def test_no_command_loads_numpy(cross_path, char3_path, tmp_path):
+def test_no_command_loads_numpy_dataclasses_or_inspect(cross_path, char3_path, tmp_path):
     c5_path = str(tmp_path / "c5.json")
     assert main(["generate", "jacobian-trunc", "--n", "2", "--p", "5", "-o", c5_path]) == 0
     c32_path = _golden_input("c32", tmp_path)
@@ -524,8 +530,10 @@ def test_no_command_loads_numpy(cross_path, char3_path, tmp_path):
         ["theorem1", c32_path],
     )
     assert codes == [0] * 8
-    # after import nlie, after each command
-    assert not any("numpy" in mods for mods in loaded)
+    # a heavy module absent after import nlie stays absent after each command
+    heavy = {"numpy", "dataclasses", "inspect"} - set(loaded[0])
+    assert "numpy" in heavy
+    assert not any(heavy.intersection(mods) for mods in loaded[1:])
     verdict = json.loads(outs[4])["results"]["verdict"]
     assert verdict["certificate"]["inner"]["method"] == "ExhaustiveProjective"
 
@@ -570,3 +578,47 @@ def test_each_command_loads_only_its_layers(cross_path, char3_path):
     codes, loaded, _ = _fresh_run(["generate", "jacobian-trunc", "--n", "2", "--p", "3"])
     assert codes == [0]
     assert loaded[1] == sorted([*base, "nlie.constructions"])
+
+
+# every result record with its fields in declared order, which is the key
+# order of its rendered report
+_RECORDS = [
+    (algebra.Witness, ("kind", "data")),
+    (algebra.Verdict, ("ok", "witness", "instances")),
+    (algfile.LoadedAlgebra,
+     ("field", "dimension", "arity", "basis_names", "bracket", "product", "unit")),
+    (constructions.TruncatedCarrier, ("product", "unit", "derivations", "names", "exponents")),
+    (poly.TruncatedSubspace, ("nvars", "degree_bound", "monomials", "basis")),
+    (structure.QuotientMap, ("ideal", "rep_indices")),
+    (structure.SimplicityVerdict,
+     ("status", "kind", "certificate", "witness", "reason", "seed")),
+    (structure.ProbeReport,
+     ("probe", "hypothesis", "conclusion", "hypotheses_hold", "hypothesis_notes",
+      "conclusion_holds", "witness", "flags", "seed")),
+    (structure.PipelineReport,
+     ("axioms", "poisson_simple", "dims", "quotient_jacobi", "quotient_simple",
+      "hypotheses_met", "conclusion_holds", "flags", "notes", "seed")),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS, ids=[c.__name__ for c, _ in _RECORDS])
+def test_record_semantics(cls, fields):
+    values = [f"{name}-value" for name in fields]
+    rec = cls(*values)
+    same = cls(**dict(zip(fields, values)))
+    assert rec == same and hash(rec) == hash(same)
+    assert rec != cls(*values[:-1], "other")
+    assert copy.copy(rec) == rec == pickle.loads(pickle.dumps(rec))
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    assert getattr(rec, fields[0]) == values[0]
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(rec) == f"{cls.__name__}({shown})"
+    assert list(_render(rec).items()) == list(zip(fields, values))
+
+
+def test_witness_data_is_fresh_per_instance():
+    a, b = algebra.Witness("k"), algebra.Witness("k")
+    assert a.data == {} and a.data is not b.data
+    assert a == b

@@ -202,6 +202,9 @@ class TestSubspaces:
         b = span(QQ, 3, [(Fraction(3), Fraction(0), Fraction(0)), (Fraction(1), Fraction(1), Fraction(0))])
         assert a == b
         assert hash(a) == hash(b)
+        # an entry outside [0, p) is normalised even when no pivot reduces it
+        c = span(F3, 2, [(1, 5)])
+        assert c == span(F3, 2, [(1, 2)]) and c.rows == ((1, 2),)
 
     def test_trusted_freezes_containers(self):
         # equality must not depend on whether the caller handed in lists
@@ -218,6 +221,8 @@ class TestSubspaces:
         assert coords == (1, 1)
         assert not S.contains((0, 0, 1))
         assert S.coordinates_of((0, 0, 1)) is None
+        # 3 is zero in F_3, though no row of the zero subspace touches it
+        assert SubspaceBasis.zero(F3, 1).contains((3,))
 
     def test_sum_intersect_dims(self):
         a = span(F3, 4, [unit_vector(F3, 4, 0), unit_vector(F3, 4, 1)])
