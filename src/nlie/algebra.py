@@ -67,8 +67,9 @@ class SkewBracketTensor:
     """Structure constants of an alternating n-linear bracket on F^d.
 
     `table` maps strictly increasing n-tuples of basis indices to coefficient
-    vectors; omitted tuples are zero.  For n > d the table is necessarily
-    empty and the bracket is identically zero.
+    vectors; omitted tuples are zero.  Entries are normalised through the
+    field, and vectors that vanish there dropped.  For n > d the table is
+    necessarily empty and the bracket is identically zero.
     """
 
     __slots__ = ("dim", "arity", "field", "table")
@@ -79,6 +80,7 @@ class SkewBracketTensor:
         self.dim = dim
         self.arity = arity
         self.field = field
+        norm = field.from_int
         clean: dict[tuple[int, ...], tuple] = {}
         for key, value in (table or {}).items():
             key = tuple(key)
@@ -88,7 +90,7 @@ class SkewBracketTensor:
                 raise ValueError(f"key {key} out of range for dimension {dim}")
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError(f"key {key} is not strictly increasing")
-            value = tuple(value)
+            value = tuple(map(norm, value))
             if len(value) != dim:
                 raise ValueError(f"value for {key} has length {len(value)}, expected {dim}")
             if not is_zero_vector(value):
@@ -161,13 +163,15 @@ class SkewBracketTensor:
 
 
 class SymProductTensor:
-    """Structure constants of a commutative bilinear product on F^d."""
+    """Structure constants of a commutative bilinear product on F^d;
+    entries are normalised through the field as in SkewBracketTensor."""
 
     __slots__ = ("dim", "field", "table")
 
     def __init__(self, dim: int, field: Field, table: dict | None = None):
         self.dim = dim
         self.field = field
+        norm = field.from_int
         clean: dict[tuple[int, int], tuple] = {}
         for key, value in (table or {}).items():
             i, j = key
@@ -175,14 +179,12 @@ class SymProductTensor:
                 raise ValueError(f"product key {key} out of range")
             if i > j:
                 i, j = j, i
-            value = tuple(value)
+            value = tuple(map(norm, value))
             if len(value) != dim:
                 raise ValueError(f"product value for {key} has wrong length")
-            if (i, j) in clean and clean[(i, j)] != value:
+            if clean.setdefault((i, j), value) != value:
                 raise ValueError(f"conflicting entries for product pair {(i, j)}")
-            if not is_zero_vector(value):
-                clean[(i, j)] = value
-        self.table = clean
+        self.table = {key: value for key, value in clean.items() if not is_zero_vector(value)}
 
     def entry(self, i: int, j: int) -> tuple:
         if i > j:
@@ -317,17 +319,33 @@ class NLiePoissonAlgebra:
         return f"NLiePoissonAlgebra(dim={self.dim}, arity={self.arity}, {self.field})"
 
 
-# A record's __init__ sets each field once through _set, past Record.__setattr__.
-_set = object.__setattr__
-
-
 class Record:
     """Base of the immutable result records.  A subclass names its fields
-    in `__slots__`, in declared order, and sets them in its own __init__;
-    equality, hashing, repr and the CLI's rendering walk them in that
-    order.  Assigning to a field raises AttributeError."""
+    in `__slots__`, in declared order, and the defaults of its optional
+    fields in a class-level `_defaults` dict; a record takes its fields by
+    position or keyword.  Equality, hashing, repr and the CLI's rendering
+    walk the fields in order.  Assigning to a field raises AttributeError."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names, set_field = self.__slots__, object.__setattr__  # past Record.__setattr__
+        if kwargs or len(args) != len(names):  # library calls pass every field by position
+            args = self._fill(args, kwargs)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+
+    def _fill(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value from a call with keywords or defaults; a
+        malformed call raises TypeError naming the record."""
+        names = self.__slots__
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__}() takes each of the fields "
+                            f"{', '.join(names)} once, by position or keyword")
+        return [values[name] for name in names]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -361,17 +379,14 @@ class Witness(Record):
     __slots__ = ("kind", "data")
 
     def __init__(self, kind: str, data: dict | None = None):
-        _set(self, "kind", kind)
-        _set(self, "data", {} if data is None else data)
+        super().__init__(kind, {} if data is None else data)  # a fresh dict per witness
 
 
 class Verdict(Record):
-    __slots__ = ("ok", "witness", "instances")
+    """Whether an identity holds, its first failing Witness or None, and the instance count."""
 
-    def __init__(self, ok: bool, witness: Witness | None = None, instances: int = 0):
-        _set(self, "ok", ok)
-        _set(self, "witness", witness)
-        _set(self, "instances", instances)
+    __slots__ = ("ok", "witness", "instances")
+    _defaults = {"witness": None, "instances": 0}
 
 
 # ---------------------------------------------------------------------------

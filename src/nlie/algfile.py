@@ -22,7 +22,6 @@ from .algebra import (
     Record,
     SkewBracketTensor,
     SymProductTensor,
-    _set,
 )
 from .fields import Field, PrimeField, QQ, RationalField
 
@@ -98,32 +97,14 @@ def _require_int(doc: dict, key: str, minimum: int) -> int:
 
 
 class LoadedAlgebra(Record):
-    __slots__ = ("field", "dimension", "arity", "basis_names", "bracket", "product", "unit")
+    """A validated algebra document; `basis_names`, `product` and `unit`
+    are None when the document omits them."""
 
-    def __init__(
-        self,
-        field: Field,
-        dimension: int,
-        arity: int,
-        basis_names: tuple[str, ...] | None,
-        bracket: SkewBracketTensor,
-        product: SymProductTensor | None,
-        unit: tuple | None,
-    ):
-        _set(self, "field", field)
-        _set(self, "dimension", dimension)
-        _set(self, "arity", arity)
-        _set(self, "basis_names", basis_names)
-        _set(self, "bracket", bracket)
-        _set(self, "product", product)
-        _set(self, "unit", unit)
+    __slots__ = ("field", "dimension", "arity", "basis_names", "bracket", "product", "unit")
 
     @property
     def has_product(self) -> bool:
         return self.product is not None
-
-    def as_nlie(self) -> NLieAlgebra:
-        return NLieAlgebra(self.bracket, basis_names=self.basis_names)
 
     def as_poisson(self) -> NLiePoissonAlgebra:
         if self.product is None:
@@ -133,7 +114,8 @@ class LoadedAlgebra(Record):
         )
 
     def algebra(self) -> NLieAlgebra | NLiePoissonAlgebra:
-        return self.as_poisson() if self.has_product else self.as_nlie()
+        return (self.as_poisson() if self.has_product
+                else NLieAlgebra(self.bracket, basis_names=self.basis_names))
 
 
 def from_document(doc) -> LoadedAlgebra:

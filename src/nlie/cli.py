@@ -34,7 +34,7 @@ from .algebra import (
     check_leibniz,
     check_poisson_identity,
 )
-from .fields import QQ
+from .fields import PrimeField, QQ
 from .guards import GuardExceeded
 from .linalg import SubspaceBasis, span
 
@@ -119,8 +119,18 @@ def _cmd_generate(args):
         w_from_derivations,
     )
 
-    if args.kind in ("jacobian-trunc", "w-trunc") and args.p is None:
-        raise ValueError(f"generate {args.kind} needs --p")
+    min_n = 1 if args.kind in ("jacobian-trunc", "zero") else 2
+    if args.n < min_n:
+        raise ValueError(f"generate {args.kind} needs --n >= {min_n}")
+    if args.kind in ("jacobian-trunc", "w-trunc"):
+        if args.p is None:
+            raise ValueError(f"generate {args.kind} needs --p")
+        try:
+            PrimeField(args.p)
+        except ValueError as exc:
+            raise ValueError(f"generate {args.kind} --p: {exc}") from None
+    if args.kind == "zero" and (args.dim is None or args.dim < 1):
+        raise ValueError("generate zero needs --dim >= 1")
     if args.kind == "vector-product":
         alg = vector_product_algebra(args.n)
     elif args.kind == "jacobian-trunc":
@@ -128,16 +138,12 @@ def _cmd_generate(args):
         built = jacobian_from_derivations(carrier.derivations)
         alg = NLiePoissonAlgebra(built.product, built.unit, built.bracket, carrier.names)
     elif args.kind == "w-trunc":
-        if args.n < 2:
-            raise ValueError("w-trunc needs --n >= 2")
         carrier = truncated_polynomial_algebra(args.n - 1, args.p)
         built = w_from_derivations(carrier.derivations, args.n)
         # The carrier product is included so the Leibniz failure of this
         # bracket can be demonstrated with `check --poisson`.
         alg = NLiePoissonAlgebra(carrier.product, carrier.unit, built.bracket, carrier.names)
     else:
-        if args.dim is None:
-            raise ValueError("generate zero needs --dim")
         alg = NLieAlgebra(SkewBracketTensor(args.dim, args.n, QQ, {}))
     text = algfile.dumps(alg)
     doc = algfile.to_document(alg)

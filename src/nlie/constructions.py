@@ -19,7 +19,6 @@ from .algebra import (
     SymProductTensor,
     Verdict,
     Witness,
-    _set,
     default_var_names,
     grlex_key,
 )
@@ -192,23 +191,10 @@ def w_from_derivations(ds: DerivationSet, arity: int) -> NLieAlgebra:
 
 
 class TruncatedCarrier(Record):
-    """Monomial-basis truncated polynomial algebra with its partials."""
+    """Monomial-basis truncated polynomial algebra with its partials, a
+    DerivationSet, and each basis monomial's name and exponent tuple."""
 
     __slots__ = ("product", "unit", "derivations", "names", "exponents")
-
-    def __init__(
-        self,
-        product: SymProductTensor,
-        unit: tuple,
-        derivations: DerivationSet,
-        names: tuple[str, ...],
-        exponents: tuple[tuple[int, ...], ...],
-    ):
-        _set(self, "product", product)
-        _set(self, "unit", unit)
-        _set(self, "derivations", derivations)
-        _set(self, "names", names)
-        _set(self, "exponents", exponents)
 
 
 def _monomial_name(e: tuple[int, ...], var_names: Sequence[str]) -> str:

@@ -17,7 +17,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .algebra import IDENTITIES, Record, Verdict, Witness, _set, default_var_names, grlex_key
+from .algebra import IDENTITIES, Record, Verdict, Witness, default_var_names, grlex_key
 from .fields import QQ
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
 from .linalg import SubspaceBasis, check_det_arity, det_expand, kernel
@@ -443,21 +443,10 @@ def verify_identity_truncated(
 
 class TruncatedSubspace(Record):
     """A subspace of the span of the degree-bounded monomials, with the
-    monomial coordinate order made explicit."""
+    monomial coordinate order made explicit: the exponent tuple of each
+    coordinate of the SubspaceBasis `basis`."""
 
     __slots__ = ("nvars", "degree_bound", "monomials", "basis")
-
-    def __init__(
-        self,
-        nvars: int,
-        degree_bound: int,
-        monomials: tuple[Exponents, ...],
-        basis: SubspaceBasis,
-    ):
-        _set(self, "nvars", nvars)
-        _set(self, "degree_bound", degree_bound)
-        _set(self, "monomials", monomials)
-        _set(self, "basis", basis)
 
     @property
     def dim(self) -> int:

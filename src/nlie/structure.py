@@ -33,7 +33,6 @@ from .algebra import (
     Witness,
     _ad_columns,
     _mult_columns,
-    _set,
     check_assoc_comm_unital,
     check_generalized_jacobi,
     check_leibniz,
@@ -290,10 +289,6 @@ class QuotientMap(Record):
 
     __slots__ = ("ideal", "rep_indices")
 
-    def __init__(self, ideal: SubspaceBasis, rep_indices: tuple[int, ...]):
-        _set(self, "ideal", ideal)
-        _set(self, "rep_indices", rep_indices)
-
     @property
     def dim(self) -> int:
         return len(self.rep_indices)
@@ -403,23 +398,11 @@ def subalgebra_on(alg: AlgebraLike, S: SubspaceBasis) -> NLieAlgebra:
 
 
 class SimplicityVerdict(Record):
-    __slots__ = ("status", "kind", "certificate", "witness", "reason", "seed")
+    """`status` is "simple", "not_simple" or "unknown" for ideals of the IdealKind
+    `kind`; `certificate` is a dict or None, `witness` a SubspaceBasis or None."""
 
-    def __init__(
-        self,
-        status: str,  # "simple" | "not_simple" | "unknown"
-        kind: IdealKind,
-        certificate: dict | None = None,
-        witness: SubspaceBasis | None = None,
-        reason: str | None = None,
-        seed: int = 0,
-    ):
-        _set(self, "status", status)
-        _set(self, "kind", kind)
-        _set(self, "certificate", certificate)
-        _set(self, "witness", witness)
-        _set(self, "reason", reason)
-        _set(self, "seed", seed)
+    __slots__ = ("status", "kind", "certificate", "witness", "reason", "seed")
+    _defaults = {"certificate": None, "witness": None, "reason": None, "seed": 0}
 
 
 def _projective_count(p: int, k: int) -> int:
@@ -915,6 +898,9 @@ _PROBE_TEXT = {
 
 
 class ProbeReport(Record):
+    """One probe's statements and whether each holds; `witness` is a Witness
+    or None, the notes and flags are tuples of strings."""
+
     __slots__ = (
         "probe",
         "hypothesis",
@@ -926,28 +912,6 @@ class ProbeReport(Record):
         "flags",
         "seed",
     )
-
-    def __init__(
-        self,
-        probe: str,
-        hypothesis: str,
-        conclusion: str,
-        hypotheses_hold: bool,
-        hypothesis_notes: tuple[str, ...],
-        conclusion_holds: bool,
-        witness: Witness | None,
-        flags: tuple[str, ...],
-        seed: int,
-    ):
-        _set(self, "probe", probe)
-        _set(self, "hypothesis", hypothesis)
-        _set(self, "conclusion", conclusion)
-        _set(self, "hypotheses_hold", hypotheses_hold)
-        _set(self, "hypothesis_notes", hypothesis_notes)
-        _set(self, "conclusion_holds", conclusion_holds)
-        _set(self, "witness", witness)
-        _set(self, "flags", flags)
-        _set(self, "seed", seed)
 
 
 def _stable_under(t: SkewBracketTensor, U: SubspaceBasis, B: SubspaceBasis) -> bool:
@@ -1134,6 +1098,9 @@ def probe_lemma(
 
 
 class PipelineReport(Record):
+    """A theorem1_pipeline run: the axiom Verdicts and the dimensions by
+    name, SimplicityVerdicts, and the notes and flags as tuples of strings."""
+
     __slots__ = (
         "axioms",
         "poisson_simple",
@@ -1146,30 +1113,6 @@ class PipelineReport(Record):
         "notes",
         "seed",
     )
-
-    def __init__(
-        self,
-        axioms: dict[str, Verdict],
-        poisson_simple: SimplicityVerdict,
-        dims: dict[str, int],
-        quotient_jacobi: Verdict,
-        quotient_simple: SimplicityVerdict,
-        hypotheses_met: bool,
-        conclusion_holds: bool,
-        flags: tuple[str, ...],
-        notes: tuple[str, ...],
-        seed: int,
-    ):
-        _set(self, "axioms", axioms)
-        _set(self, "poisson_simple", poisson_simple)
-        _set(self, "dims", dims)
-        _set(self, "quotient_jacobi", quotient_jacobi)
-        _set(self, "quotient_simple", quotient_simple)
-        _set(self, "hypotheses_met", hypotheses_met)
-        _set(self, "conclusion_holds", conclusion_holds)
-        _set(self, "flags", flags)
-        _set(self, "notes", notes)
-        _set(self, "seed", seed)
 
 
 def theorem1_pipeline(

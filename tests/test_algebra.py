@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlie.algebra import (
+    NLieAlgebra,
     NLiePoissonAlgebra,
     SkewBracketTensor,
     SymProductTensor,
@@ -27,6 +28,7 @@ from nlie.constructions import (
     w_from_derivations,
 )
 from nlie.fields import PrimeField, QQ
+from nlie.structure import is_simple
 
 from loop_oracle import assoc_oracle, jacobi_oracle, leibniz_oracle, shift_oracle
 
@@ -50,6 +52,20 @@ def test_tensor_rejects_bad_tables():
         SkewBracketTensor(3, 2, QQ, {(1, 0): (Z, Z, ONE)})
     with pytest.raises(ValueError):
         SkewBracketTensor(3, 2, QQ, {(0, 1): (Z, ONE)})
+
+
+def test_bracket_entries_normalised_through_the_field():
+    zero = SkewBracketTensor(2, 2, F3, {(0, 1): (3, 0)})
+    assert zero.is_zero() and zero == SkewBracketTensor(2, 2, F3)
+    assert is_simple(NLieAlgebra(zero)).reason.startswith("the bracket is zero")
+    assert SkewBracketTensor(2, 2, F3, {(0, 1): (4, -1)}).table == {(0, 1): (1, 2)}
+
+
+def test_product_entries_normalised_before_the_conflict_check():
+    product = SymProductTensor(2, F3, {(0, 1): (4, 0), (1, 0): (1, 0), (1, 1): (0, 3)})
+    assert product == SymProductTensor(2, F3, {(0, 1): (1, 0)})
+    with pytest.raises(ValueError, match="conflicting"):
+        SymProductTensor(2, F3, {(0, 1): (0, 0), (1, 0): (1, 0)})
 
 
 def test_component_signs():

@@ -186,6 +186,21 @@ class TestGenerate:
         code, _, err = run(capsys, ["generate", "jacobian-trunc", "--n", "2", "--p", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["jacobian-trunc", "--n", "0", "--p", "3"], "--n"),
+        (["jacobian-trunc", "--n", "2", "--p", "4"], "--p"),
+        (["w-trunc", "--n", "2", "--p", "4"], "--p"),
+        (["zero", "--n", "0", "--dim", "2"], "--n"),
+        (["zero", "--n", "2", "--dim", "-1"], "--dim"),
+        (["zero", "--n", "2", "--dim", "0"], "--dim"),
+        (["vector-product", "--n", "1"], "--n"),
+    ])
+    def test_refusal_names_the_flag(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "out.json"
+        code, out, err = run(capsys, ["generate", *argv, "-o", str(path)])
+        assert code == 2 and out == "" and flag in err
+        assert not path.exists()
+
     def test_zero_needs_dim(self, capsys):
         code, out, err = run(capsys, ["generate", "zero", "--n", "2"])
         assert code == 2 and out == ""
@@ -616,6 +631,14 @@ def test_record_semantics(cls, fields):
     shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
     assert repr(rec) == f"{cls.__name__}({shown})"
     assert list(_render(rec).items()) == list(zip(fields, values))
+    for args, kwargs in [
+        ((), {}),  # a missing field
+        ((*values, "surplus"), {}),
+        (values, {"extra": 1}),
+        (values, {fields[0]: values[0]}),  # a field by position and by keyword
+    ]:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **kwargs)
 
 
 def test_witness_data_is_fresh_per_instance():
