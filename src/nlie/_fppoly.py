@@ -198,13 +198,6 @@ def factor(f: Poly, p: int) -> list[tuple[Poly, int]]:
     return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
 
 
-def is_irreducible(f: Poly, p: int) -> bool:
-    """Whether f is monic, of degree at least 1, and irreducible over F_p."""
-    if len(f) < 2 or f[-1] != 1 or any(not 0 <= c < p for c in f):
-        return False
-    return factor(f, p) == [(f, 1)]
-
-
 def matmul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]

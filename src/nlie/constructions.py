@@ -9,6 +9,7 @@ wrong silently would poison every downstream structural computation.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 
 from .algebra import (
@@ -136,7 +137,9 @@ def _det_bracket_table(
 ) -> dict:
     """Expand det[rows[r][i_s]] in the carrier algebra for every increasing
     tuple (i_1, .., i_n): rows[r][i] is the coefficient vector of the
-    determinant entry in row r for basis index i."""
+    determinant entry in row r for basis index i.  The tuple count is
+    guarded by the enumeration limit."""
+    check_instances(math.comb(dim, arity), None, DEFAULT_MAX_ENUM, "determinant bracket tuples")
     zero = zero_vector(field, dim)
 
     def add(a, b):
@@ -207,18 +210,25 @@ def _monomial_name(e: tuple[int, ...], var_names: Sequence[str]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def truncated_polynomial_algebra(nvars: int, p: int, max_dim: int | None = None) -> TruncatedCarrier:
+def truncated_polynomial_algebra(nvars: int, p: int) -> TruncatedCarrier:
     """F_p[x1..xk] with every variable's p-th power set to zero: dimension
     p^k, monomial basis in graded lexicographic order (constant first).
 
     This carrier makes the formal partials honest derivations: the boundary
-    term p*x^(p-1) vanishes in characteristic p.
+    term p*x^(p-1) vanishes in characteristic p.  The product table's
+    stored coefficients are guarded by the enumeration limit.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
     field = PrimeField(p)
     dim = p**nvars
-    check_instances(dim, max_dim, DEFAULT_MAX_ENUM, "truncated polynomial basis")
+    # a dim-length vector for each monomial pair (i <= j) whose product
+    # survives the truncation: per variable, p(p+1)/2 ordered exponent
+    # pairs and (p+1)//2 diagonal ones
+    pairs = ((p * (p + 1) // 2) ** nvars + ((p + 1) // 2) ** nvars) // 2
+    check_instances(
+        pairs * dim, None, DEFAULT_MAX_ENUM, "truncated polynomial product coefficients"
+    )
     exps = sorted(itertools.product(range(p), repeat=nvars), key=grlex_key)
     index = {e: i for i, e in enumerate(exps)}
     var_names = default_var_names(nvars)

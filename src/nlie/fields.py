@@ -42,7 +42,6 @@ def _is_prime(p: int) -> bool:
 class RationalField:
     """The field Q, with values represented as `fractions.Fraction`."""
 
-    characteristic = 0
     p = None
 
     zero = Fraction(0)
@@ -54,9 +53,6 @@ class RationalField:
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -95,7 +91,6 @@ class PrimeField:
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"not a prime: {p!r}")
         self.p = p
-        self.characteristic = p
         self.zero = 0
         self.one = 1 % p
 
@@ -105,10 +100,6 @@ class PrimeField:
     def add(self, a, b):
         s = a + b
         return s - self.p if s >= self.p else s
-
-    def sub(self, a, b):
-        d = a - b
-        return d + self.p if d < 0 else d
 
     def mul(self, a, b):
         return a * b % self.p

@@ -15,6 +15,7 @@ is in _fppoly, loaded on first use).
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from collections import defaultdict
@@ -427,6 +428,18 @@ def _projective_points(p: int, k: int):
             tail[i] += 1
 
 
+def _first_proper_closure(
+    field: Field, dim: int, vectors, ops: list[Matrix]
+) -> SubspaceBasis | None:
+    """The first closure of these vectors, in order, that is nonzero and
+    proper; None when there is none."""
+    for v in vectors:
+        closure = _closure(field, dim, [v], ops)
+        if 0 < closure.dim < dim:
+            return closure
+    return None
+
+
 def _exhaustive_projective(
     t: SkewBracketTensor, kind: IdealKind, ops: list[Matrix], limit: int, seed: int
 ) -> SimplicityVerdict:
@@ -436,17 +449,16 @@ def _exhaustive_projective(
         raise GuardExceeded(
             f"exhaustive projective enumeration needs {points} closures > limit {limit}"
         )
-    for point in _projective_points(p, d):
-        closure = _closure(t.field, d, [point], ops)
-        if closure.dim < d:
-            return SimplicityVerdict(
-                "not_simple",
-                kind,
-                None,
-                closure,
-                "a projective point generates a proper invariant subspace",
-                seed,
-            )
+    witness = _first_proper_closure(t.field, d, _projective_points(p, d), ops)
+    if witness is not None:
+        return SimplicityVerdict(
+            "not_simple",
+            kind,
+            None,
+            witness,
+            "a projective point generates a proper invariant subspace",
+            seed,
+        )
     certificate = {
         "method": "ExhaustiveProjective",
         "p": p,
@@ -479,110 +491,93 @@ def _norton_word(ops: list[Matrix], p: int, d: int, seed: int, word: int) -> lis
     ]
 
 
-def _spin_kernel_row(field: PrimeField, ker: SubspaceBasis, ops: list[Matrix]) -> SubspaceBasis:
-    """The closure under `ops` of the first row of a nonzero kernel."""
-    return _closure(field, ker.ambient_dim, ker.rows[:1], ops)
+def _norton_decide(
+    t: SkewBracketTensor,
+    kind: IdealKind,
+    ops: list[Matrix],
+    transposed: list[Matrix],
+    seed: int,
+    word: int,
+) -> SimplicityVerdict | None:
+    """One seeded word of Norton's test in the Holt-Rees form: a verdict,
+    or None when the word does not decide.
+
+    Take an irreducible factor f of the word A's characteristic polynomial
+    with nullity f(A) = deg f.  Then ker f(A) is one-dimensional over
+    F_p[A]/(f), so a proper invariant subspace U that meets it contains all
+    of it, and spinning any one kernel vector under the operations stays
+    inside U.  If U misses it, f(A) is injective on U, hence f(A) has a
+    kernel on V/U, and the annihilator of U, which is invariant under the
+    transposed operations, meets ker f(A)^t; the same argument spins one
+    vector of it inside that annihilator.  So two whole spins prove the
+    module irreducible, and a proper spin is a witness.  A word without
+    such a factor still spins the kernel of its first factor, which often
+    exposes an invariant subspace.
+    """
+    from . import _fppoly
+    field = t.field
+    p, d = field.p, t.dim
+    rows = _norton_word(ops, p, d, seed, word)
+    first = good = None
+    for f, _ in _fppoly.factor(_fppoly.charpoly(rows, p), p):
+        fA = _fppoly.at_matrix(f, rows, p)
+        ker = kernel(field, d, fA)
+        first = first or (f, fA, ker)
+        if ker.dim == len(f) - 1:
+            good = (f, fA, ker)
+            break
+    f, fA, ker = good or first
+    # each spin closes the first row of a nonzero kernel
+    spin = _closure(field, d, ker.rows[:1], ops)
+    if spin.dim < d:
+        return SimplicityVerdict(
+            "not_simple",
+            kind,
+            None,
+            spin,
+            "a kernel vector of f(A) spins to a proper invariant subspace",
+            seed,
+        )
+    dual = _closure(field, d, kernel(field, d, zip(*fA)).rows[:1], transposed)
+    if dual.dim < d:
+        witness = kernel(field, d, dual.rows)
+        if not _is_invariant(witness, ops):
+            raise AssertionError("claimed invariant subspace is not invariant")
+        return SimplicityVerdict(
+            "not_simple",
+            kind,
+            None,
+            witness,
+            "the annihilator of a transposed-operation spin is a proper invariant subspace",
+            seed,
+        )
+    if good is None:
+        return None
+    certificate = {
+        "method": "Norton",
+        "p": p,
+        "dim": d,
+        "seed": seed,
+        "word": word,
+        "factor": f,
+        "nullity": ker.dim,
+    }
+    return SimplicityVerdict("simple", kind, certificate, None, None, seed)
 
 
 def _norton(
     t: SkewBracketTensor, kind: IdealKind, ops: list[Matrix], seed: int
 ) -> SimplicityVerdict:
-    """Norton's irreducibility test in the Holt-Rees form.
-
-    Draw a seeded word A in the operations, and an irreducible factor f of
-    its characteristic polynomial with nullity f(A) = deg f.  Then ker f(A)
-    is one-dimensional over F_p[A]/(f), so a proper invariant subspace U
-    that meets it contains all of it, and spinning any one kernel vector
-    under the operations stays inside U.  If U misses it, f(A) is injective
-    on U, hence f(A) has a kernel on V/U, and the annihilator of U, which
-    is invariant under the transposed operations, meets ker f(A)^t; the
-    same argument spins one vector of it inside that annihilator.  So two
-    whole spins prove the module irreducible, and a proper spin is a
-    witness.  A word without such a factor still spins the kernel of its
-    first factor, which often exposes an invariant subspace, and then the
-    next word is drawn, up to a fixed budget.
-    """
-    from . import _fppoly
-    field = t.field
-    p, d = field.p, t.dim
+    """Norton's irreducibility test: the seeded words in order, up to a
+    fixed budget, until one decides."""
     transposed = [m.transpose() for m in ops]
     for word in range(_NORTON_WORDS):
-        rows = _norton_word(ops, p, d, seed, word)
-        first = good = None
-        for f, _ in _fppoly.factor(_fppoly.charpoly(rows, p), p):
-            fA = _fppoly.at_matrix(f, rows, p)
-            ker = kernel(field, d, fA)
-            first = first or (f, fA, ker)
-            if ker.dim == len(f) - 1:
-                good = (f, fA, ker)
-                break
-        f, fA, ker = good or first
-        spin = _spin_kernel_row(field, ker, ops)
-        if spin.dim < d:
-            return SimplicityVerdict(
-                "not_simple",
-                kind,
-                None,
-                spin,
-                "a kernel vector of f(A) spins to a proper invariant subspace",
-                seed,
-            )
-        dual = _spin_kernel_row(field, kernel(field, d, zip(*fA)), transposed)
-        if dual.dim < d:
-            witness = kernel(field, d, dual.rows)
-            if not _is_invariant(witness, ops):
-                raise AssertionError("claimed invariant subspace is not invariant")
-            return SimplicityVerdict(
-                "not_simple",
-                kind,
-                None,
-                witness,
-                "the annihilator of a transposed-operation spin is a proper invariant subspace",
-                seed,
-            )
-        if good is not None:
-            certificate = {
-                "method": "Norton",
-                "p": p,
-                "dim": d,
-                "seed": seed,
-                "word": word,
-                "factor": f,
-                "nullity": ker.dim,
-            }
-            return SimplicityVerdict("simple", kind, certificate, None, None, seed)
+        verdict = _norton_decide(t, kind, ops, transposed, seed, word)
+        if verdict is not None:
+            return verdict
     raise GuardExceeded(
         f"Norton's test drew its budget of {_NORTON_WORDS} words without a "
         "decisive irreducible factor"
-    )
-
-
-def _replay_norton(t: SkewBracketTensor, ops: list[Matrix], certificate: dict) -> bool:
-    """Rebuild the certificate's word, check that its factor is irreducible
-    with nullity f(A) = deg f, and re-spin both kernel vectors."""
-    from . import _fppoly
-    field = t.field
-    p, d = field.p, t.dim
-    f, seed, word = certificate.get("factor"), certificate.get("seed"), certificate.get("word")
-    if not (
-        isinstance(f, list)
-        and all(isinstance(c, int) for c in f)
-        and isinstance(seed, int)
-        and isinstance(word, int)
-        and word >= 0
-        and _fppoly.is_irreducible(f, p)
-        and certificate.get("nullity") == len(f) - 1
-    ):
-        return False
-    fA = _fppoly.at_matrix(f, _norton_word(ops, p, d, seed, word), p)
-    ker = kernel(field, d, fA)
-    if ker.dim != len(f) - 1:
-        return False
-    dual_ker = kernel(field, d, zip(*fA))
-    transposed = [m.transpose() for m in ops]
-    return (
-        _spin_kernel_row(field, ker, ops).is_full()
-        and _spin_kernel_row(field, dual_ker, transposed).is_full()
     )
 
 
@@ -591,17 +586,8 @@ def _zero_bracket_verdict(
 ) -> SimplicityVerdict:
     d = t.dim
     reason = "the bracket is zero; abelian algebras are not simple by convention"
-    ops = _ops_for_kind(t, kind, product)
-    witness = None
-    if not ops:
-        if d >= 2:
-            witness = span(t.field, d, [unit_vector(t.field, d, 0)])
-    else:
-        for k in range(d):
-            closure = _closure(t.field, d, [unit_vector(t.field, d, k)], ops)
-            if 0 < closure.dim < d:
-                witness = closure
-                break
+    units = (unit_vector(t.field, d, k) for k in range(d))
+    witness = _first_proper_closure(t.field, d, units, _ops_for_kind(t, kind, product))
     if witness is None:
         reason += "; no proper nonzero invariant subspace exists to exhibit"
     return SimplicityVerdict("not_simple", kind, None, witness, reason, seed)
@@ -613,35 +599,24 @@ def _reduce_mod_p(
     """Clear bracket denominators by their lcm (a nonzero scale does not
     change the invariant-subspace lattice) and reduce mod p; the product
     must be p-integral as it stands.  None when p is inadmissible."""
-    scale = 1
-    for _, vec in t.sorted_items():
-        for c in vec:
-            scale = scale * Fraction(c).denominator // math.gcd(scale, Fraction(c).denominator)
+    scale = math.lcm(*(c.denominator for _, vec in t.sorted_items() for c in vec))
     if scale % p == 0:
         return None
     field = PrimeField(p)
-    table: dict[tuple[int, ...], tuple] = {}
-    for key, vec in t.sorted_items():
-        row = tuple(int(Fraction(c) * scale) % p for c in vec)
-        if any(row):
-            table[key] = row
-    if not table:
-        return None
+    table = {key: [int(c * scale) for c in vec] for key, vec in t.sorted_items()}
     reduced_t = SkewBracketTensor(t.dim, t.arity, field, table)
-    reduced_product = None
-    if product is not None:
-        ptable: dict[tuple[int, int], tuple] = {}
-        for key, vec in product.sorted_items():
-            row = []
-            for c in vec:
-                frac = Fraction(c)
-                if frac.denominator % p == 0:
-                    return None
-                row.append(frac.numerator % p * pow(frac.denominator % p, p - 2, p) % p)
-            if any(row):
-                ptable[key] = tuple(row)
-        reduced_product = SymProductTensor(product.dim, field, ptable)
-    return reduced_t, reduced_product, scale
+    if reduced_t.is_zero():
+        return None
+    if product is None:
+        return reduced_t, None, scale
+    try:
+        table = {
+            key: [c.numerator * pow(c.denominator, -1, p) for c in vec]
+            for key, vec in product.sorted_items()
+        }
+    except ValueError:  # a denominator divisible by p
+        return None
+    return reduced_t, SymProductTensor(product.dim, field, table), scale
 
 
 def _is_simple_fp(
@@ -659,13 +634,14 @@ def _is_simple_fp(
 
 def is_simple(
     alg: AlgebraLike,
-    kind: IdealKind | None = None,
     *,
     mod_p: int | None = None,
     max_enum: int | None = None,
     seed: int = 0,
 ) -> SimplicityVerdict:
-    """Certified simplicity verdict.
+    """Certified simplicity verdict for the ideals of the algebra's kind:
+    Poisson ideals when it has a product, n-Lie ideals otherwise (so
+    `is_simple(alg.bracket)` gives the n-Lie verdict of a Poisson algebra).
 
     Over F_p: exhaustive projective closure when the point count fits the
     enumeration limit, Norton's irreducibility test otherwise; both
@@ -680,10 +656,7 @@ def is_simple(
     if mod_p is not None and not isinstance(t.field, RationalField):
         raise ValueError(f"mod_p {mod_p} reduces rational algebras only")
     product = _product_of(alg)
-    if kind is None:
-        kind = IdealKind.POISSON if product is not None else IdealKind.NLIE
-    if kind is not IdealKind.NLIE and product is None:
-        raise ValueError(f"{kind.value} simplicity requires the product")
+    kind = IdealKind.POISSON if product is not None else IdealKind.NLIE
     limit = effective_limit(max_enum, DEFAULT_MAX_ENUM, "max_enum")
     if t.is_zero():
         return _zero_bracket_verdict(t, kind, product, seed)
@@ -696,21 +669,20 @@ def is_simple(
         v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(t.dim))
         if any(v):
             probes.append(v)
-    for v in probes:
-        closure = _closure(t.field, t.dim, [v], ops)
-        if 0 < closure.dim < t.dim:
-            return SimplicityVerdict(
-                "not_simple",
-                kind,
-                None,
-                closure,
-                "a probed vector generates a proper invariant subspace",
-                seed,
-            )
+    witness = _first_proper_closure(t.field, t.dim, probes, ops)
+    if witness is not None:
+        return SimplicityVerdict(
+            "not_simple",
+            kind,
+            None,
+            witness,
+            "a probed vector generates a proper invariant subspace",
+            seed,
+        )
     primes = (mod_p,) if mod_p is not None else DEFAULT_REDUCTION_PRIMES
     attempts = []
     for p in primes:
-        reduced = _reduce_mod_p(t, product if kind is not IdealKind.NLIE else None, p)
+        reduced = _reduce_mod_p(t, product, p)
         if reduced is None:
             attempts.append(f"p={p}: inadmissible reduction")
             continue
@@ -743,10 +715,10 @@ def verify_simplicity_certificate(
     alg: AlgebraLike, verdict: SimplicityVerdict, *, max_enum: int | None = None
 ) -> bool:
     """Replay a verdict: witnesses are re-checked for invariance, an
-    exhaustive certificate checks its point count and re-runs its search, a
-    Norton certificate rebuilds its word and re-spins both kernel vectors,
-    and a mod-p reduction replays its inner certificate on the reduced
-    algebra."""
+    exhaustive or Norton certificate re-runs the decider it names (the
+    whole search, or its one word) with the verdict's seed and must come
+    back identical, by type as well as value, and a mod-p reduction
+    replays its inner certificate on the reduced algebra."""
     limit = effective_limit(max_enum, DEFAULT_MAX_ENUM, "max_enum")
     return _replay(_bracket_of(alg), _product_of(alg), verdict, limit)
 
@@ -771,15 +743,16 @@ def _replay(
     if method in ("ExhaustiveProjective", "Norton"):
         if not isinstance(t.field, PrimeField):
             return False
-        if t.field.p != certificate.get("p") or t.dim != certificate.get("dim"):
-            return False
-        if method == "Norton":
-            return _replay_norton(t, _ops_for_kind(t, kind, product), certificate)
-        points = certificate.get("points")
-        if not isinstance(points, int) or points != _projective_count(t.field.p, t.dim):
-            return False
         ops = _ops_for_kind(t, kind, product)
-        return _exhaustive_projective(t, kind, ops, limit, verdict.seed).status == "simple"
+        if method == "ExhaustiveProjective":
+            rerun = _exhaustive_projective(t, kind, ops, limit, verdict.seed)
+        else:
+            word = certificate.get("word")
+            if type(word) is not int or word < 0:
+                return False
+            transposed = [m.transpose() for m in ops]
+            rerun = _norton_decide(t, kind, ops, transposed, verdict.seed, word)
+        return rerun is not None and _same_certificate(rerun.certificate, certificate)
     if method == "ModPReduction":
         p, inner = certificate.get("p"), certificate.get("inner")
         if not (
@@ -801,6 +774,15 @@ def _replay(
         inner_verdict = SimplicityVerdict("simple", kind, inner, None, None, verdict.seed)
         return _replay(reduced_t, reduced_product, inner_verdict, limit)
     return False
+
+
+def _same_certificate(a: dict, b) -> bool:
+    """Whether two certificates print the same in a report: by type as well
+    as value, in any key order."""
+    try:
+        return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    except (TypeError, ValueError):
+        return False
 
 
 def brute_force_ideals(
@@ -1019,10 +1001,9 @@ def probe_lemma(
                 "a bracket image escapes it"
             )
 
-    kind = IdealKind.POISSON if product is not None else IdealKind.NLIE
-    simplicity = is_simple(alg, kind, seed=seed, max_enum=max_enum)
+    simplicity = is_simple(alg, seed=seed, max_enum=max_enum)
     simple_ok = simplicity.status == "simple"
-    notes = [f"simplicity ({kind.value}): {simplicity.status}"]
+    notes = [f"simplicity ({simplicity.kind.value}): {simplicity.status}"]
     hyp_ok = simple_ok
     flags = _char_flags(field)
     hypothesis, conclusion = _PROBE_TEXT[which]
@@ -1134,7 +1115,7 @@ def theorem1_pipeline(
         "generalized_jacobi": check_generalized_jacobi(t),
         "leibniz": check_leibniz(alg),
     }
-    poisson_simple = is_simple(alg, IdealKind.POISSON, seed=seed, max_enum=max_enum)
+    poisson_simple = is_simple(alg, seed=seed, max_enum=max_enum)
     derived = derived_subspace(t)
     Z = center(t)
     inter = derived.intersect(Z)
@@ -1167,9 +1148,7 @@ def theorem1_pipeline(
         inter_sub = span(field, derived.dim, inter_rows)
         quotient, _ = quotient_algebra(sub, inter_sub)
         quotient_jacobi = check_generalized_jacobi(quotient.bracket)
-        quotient_simple = is_simple(
-            quotient, IdealKind.NLIE, seed=seed, max_enum=max_enum
-        )
+        quotient_simple = is_simple(quotient, seed=seed, max_enum=max_enum)
     hypotheses_met = all(v.ok for v in axioms.values()) and poisson_simple.status == "simple"
     conclusion_holds = quotient_simple.status == "simple"
     return PipelineReport(

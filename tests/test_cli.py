@@ -186,6 +186,15 @@ class TestGenerate:
         code, _, err = run(capsys, ["generate", "jacobian-trunc", "--n", "2", "--p", "4"])
         assert code == 2
 
+    def test_construction_guard_refuses(self, capsys, tmp_path):
+        # 13267701 stored product pairs of 101^2 coefficients each
+        path = tmp_path / "out.json"
+        code, out, err = run(capsys, ["generate", "jacobian-trunc", "--n", "2", "--p", "101",
+                                      "-o", str(path)])
+        assert code == 2 and out == "" and not path.exists()
+        assert err == (f"error: truncated polynomial product coefficients: {13267701 * 101**2} "
+                       "instances exceed the bound 1000000\n")
+
     @pytest.mark.parametrize("argv, flag", [
         (["jacobian-trunc", "--n", "0", "--p", "3"], "--n"),
         (["jacobian-trunc", "--n", "2", "--p", "4"], "--p"),
@@ -482,6 +491,21 @@ def test_simplicity_reports_match_golden(capsys, tmp_path, golden, command, name
     code, out, _ = run(capsys, [*command, "--format", "json", path])
     assert code == 0
     assert _golden_text(out, path) == (GOLDEN / f"{golden}.json").read_text()
+
+
+@pytest.mark.parametrize("name, method", [
+    ("c32", "ExhaustiveProjective"), ("c33", "Norton"), ("cross", "ModPReduction"),
+])
+def test_certificate_read_back_from_report_replays(capsys, tmp_path, name, method):
+    path = _golden_input(name, tmp_path)
+    code, out, _ = run(capsys, ["simple", "--format", "json", path])
+    assert code == 0
+    v = json.loads(out)["results"]["verdict"]
+    assert v["certificate"]["method"] == method
+    verdict = nlie.SimplicityVerdict(
+        v["status"], nlie.IdealKind(v["kind"]), v["certificate"], None, v["reason"], v["seed"]
+    )
+    assert nlie.verify_simplicity_certificate(nlie.load_path(path).algebra(), verdict)
 
 
 _IMPORT_WEIGHT = """

@@ -91,8 +91,25 @@ class TestTruncatedCarrier:
         with pytest.raises(GuardExceeded):
             truncated_polynomial_algebra(12, 11)
 
+    def test_product_table_guard(self, monkeypatch):
+        from nlie.guards import GuardExceeded
+
+        # 112 stored pairs of 27 coefficients each, past the bound
+        monkeypatch.setenv("NLIE_MAX_INSTANCES", "1000")
+        with pytest.raises(GuardExceeded, match="3024 instances exceed the bound 1000"):
+            truncated_polynomial_algebra(3, 3)
+
 
 class TestJacobianBracket:
+    def test_bracket_tuple_guard(self, monkeypatch):
+        from nlie.guards import GuardExceeded
+
+        # the carrier stores 656 coefficients, but C(16, 4) = 1820 tuples
+        monkeypatch.setenv("NLIE_MAX_INSTANCES", "1000")
+        carrier = truncated_polynomial_algebra(4, 2)
+        with pytest.raises(GuardExceeded, match="1820 instances exceed the bound 1000"):
+            jacobian_from_derivations(carrier.derivations)
+
     def test_symbolic_cross_check_char3(self):
         """Tensor entries must equal the symbolic Jacobian determinant of
         the corresponding monomials, truncated (drop exponents >= p) and
