@@ -6,8 +6,11 @@ stored only on pairs (i, j) with i <= j.  Checkers cover every basis tuple
 (complete by multilinearity) and report the first failing instance in
 lexicographic tuple order, with both sides as a replayable witness.  They
 evaluate each distinct instance once: an instance that commutativity makes
-a mirror of an earlier one is skipped, and the instances that share their
-leading indices are summed together in one pass over the sparse columns.
+a mirror of an earlier one is skipped, a binary Jacobi instance is summed
+only on its sorted triple, and the instances that share their leading
+indices are summed together in one pass over the sparse columns.  The sums
+are plain ints in every field: residues over F_p, and over Q the numerators
+of tables scaled once per check by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .fields import Field
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
@@ -401,35 +405,57 @@ class Verdict(Record):
 # (a, b) for shift), walked in lexicographic order, and an inner key.  For
 # each outer key, `_first_failure` adds up lhs - rhs of every inner key at
 # once, from column indexes built once per call; inner keys that no term
-# reaches hold trivially.  It scans the inner keys in sorted order, and the
-# first nonzero one is the witness, whose two sides it sums again from that
-# instance's terms alone.  Sums accumulate unreduced (ints over F_p,
-# Fractions over Q) and are normalised once through the field, so the check
-# is exact for every p.
+# reaches hold trivially.  The least inner key whose sum is nonzero is the
+# witness, whose two sides it sums again from that instance's terms alone.
+#
+# Sums are plain ints.  Over F_p they accumulate residues unreduced and are
+# reduced once, so the check is exact for every p.  Over Q each check scales
+# the bracket table by the lcm L_B of its denominators and the product table
+# by theirs, L_P (`_integral`).  Every identity is bihomogeneous: each term
+# multiplies two entries, so all sums of one check share one scale, L_B^2
+# for Jacobi, L_B * L_P for Leibniz and shift, L_P^2 for associativity.  A
+# sum is then zero exactly when its int is, and a witness entry is
+# Fraction(sum, scale), the Fraction the unscaled sum would be.
 #
 # The product is commutative by storage, so Leibniz (i, j, y) has the sides
 # of (j, i, y), shift (a, b, c, u) those of (b, a, c, u), and associativity
 # (k, j, i) those of (i, j, k) swapped.  Such a pair fails together, and
 # the one with i <= j, a <= b or i <= k comes first in lexicographic order,
-# so only those are evaluated.
+# so only those are evaluated.  Likewise, for a binary bracket lhs - rhs of
+# Jacobi instance (x1, x2, y) is the Jacobiator, alternating in all three
+# slots, and the first instance of a triple in lexicographic order is its
+# sorted one, so only the instances with y > x2 are summed.
 
 _NO_COLUMNS: dict = {}
+
+
+def _integral(table: dict, field: Field) -> tuple[dict, int]:
+    """(table with int entries, scale): over Q every entry times the lcm of
+    the table's denominators; over F_p the residues as they are, at 1."""
+    if field.p is not None:
+        return table, 1
+    scale = math.lcm(*{c.denominator for value in table.values() for c in value})
+    return {
+        key: tuple(c.numerator * (scale // c.denominator) for c in value)
+        for key, value in table.items()
+    }, scale
 
 
 def _sparse(value) -> list:
     return [(m, c) for m, c in enumerate(value) if c != 0] if value else []
 
 
-def _ad_columns(t: SkewBracketTensor) -> tuple[dict, list[dict], list[dict]]:
+def _ad_columns(dim: int, table: dict) -> tuple[dict, list[dict], list[dict]]:
     """ad[z][k] = bracket(e_k, e_z1, .., e_z(n-1)) for sorted z, its
     transpose by_col[k][z], and hits[k][m] = the (z, c) with c != 0 the
-    e_m-coefficient of ad[z][k]; only nonzero columns are stored.  The
-    structure operators are built from `ad` too.  A column from an odd
-    slot holds negated values, not normalised through the field."""
+    e_m-coefficient of ad[z][k], from a bracket `table`; only nonzero
+    columns are stored.  The structure operators are built from `ad` too.
+    A column from an odd slot holds negated values, not normalised through
+    the field."""
     ad: dict = {}
-    by_col: list[dict] = [{} for _ in range(t.dim)]
-    hits: list[dict] = [{} for _ in range(t.dim)]
-    for key, value in t.table.items():
+    by_col: list[dict] = [{} for _ in range(dim)]
+    hits: list[dict] = [{} for _ in range(dim)]
+    for key, value in table.items():
         col = _sparse(value)
         neg = [(m, -c) for m, c in col]
         for s, k in enumerate(key):
@@ -440,20 +466,22 @@ def _ad_columns(t: SkewBracketTensor) -> tuple[dict, list[dict], list[dict]]:
     return ad, by_col, hits
 
 
-def _mult_columns(product: SymProductTensor) -> list[dict[int, list]]:
-    """mult[i][k] = e_i * e_k; only nonzero columns are stored."""
-    mult: list[dict] = [{} for _ in range(product.dim)]
-    for (i, j), value in product.table.items():
+def _mult_columns(dim: int, table: dict) -> list[dict[int, list]]:
+    """mult[i][k] = e_i * e_k from a product `table`; only nonzero columns
+    are stored."""
+    mult: list[dict] = [{} for _ in range(dim)]
+    for (i, j), value in table.items():
         mult[i][j] = mult[j][i] = _sparse(value)
     return mult
 
 
-def _first_failure(f: Field, d: int, sides, *args) -> tuple | None:
+def _first_failure(f: Field, scale: int, d: int, sides, *args) -> tuple | None:
     """(inner key, lhs, rhs) of the first failing instance of one outer key.
 
     sides(*args) gives the lhs and the rhs terms (inner key, column, c), each
-    adding c * column to that side of the instance.  The inner keys are
-    scanned in sorted order; None when every instance holds.
+    adding c * column to that side of the instance; over Q the sums are
+    `scale` times the field values.  The least failing inner key wins; None
+    when every instance holds.
     """
     acc: dict = {}
     for sign, terms in zip((1, -1), sides(*args)):
@@ -464,18 +492,25 @@ def _first_failure(f: Field, d: int, sides, *args) -> tuple | None:
             c *= sign
             for m, a in col:
                 row[m] = row.get(m, 0) + c * a
-    norm = f.from_int  # also maps an unreduced sum of field values to its value
-    for key in sorted(acc):
-        if any(map(norm, acc[key].values())):
-            out = [key]
-            for terms in sides(*args):  # each side of this instance alone
-                vec: dict = {}
-                for _, col, c in (term for term in terms if term[0] == key):
-                    for m, a in col:
-                        vec[m] = vec.get(m, 0) + c * a
-                out.append(tuple(norm(vec.get(m, 0)) for m in range(d)))
-            return tuple(out)
-    return None
+    p = f.p
+    if p is None:
+        failing = [key for key, row in acc.items() if any(row.values())]
+    else:
+        reduce = p.__rmod__  # s -> s % p
+        failing = [key for key, row in acc.items() if any(map(reduce, row.values()))]
+    if not failing:
+        return None
+    key = min(failing)
+    out = [key]
+    for terms in sides(*args):  # each side of this instance alone
+        vec: dict = {}
+        for _, col, c in (term for term in terms if term[0] == key):
+            for m, a in col:
+                vec[m] = vec.get(m, 0) + c * a
+        sums = [vec.get(m, 0) for m in range(d)]
+        out.append(tuple(Fraction(s, scale) for s in sums) if p is None
+                   else tuple(s % p for s in sums))
+    return tuple(out)
 
 
 def check_generalized_jacobi(t: SkewBracketTensor, max_instances: int | None = None) -> Verdict:
@@ -484,18 +519,20 @@ def check_generalized_jacobi(t: SkewBracketTensor, max_instances: int | None = N
     d, n, f = t.dim, t.arity, t.field
     total = math.comb(d, n) * math.comb(d, n - 1)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "generalized Jacobi check")
-    ad, by_col, hits = _ad_columns(t)
+    table, scale = _integral(t.table, f)
+    ad, by_col, hits = _ad_columns(d, table)
 
-    def sides(x, vx, faces):
-        # ad_y(bracket(x)), and sum_s (-1)^s ad_{x without x_s}(ad_y(e_{x_s}))
-        lhs = ((y, col, c) for k, c in vx for y, col in by_col[k].items())
+    def sides(x, vx, faces, low):
+        # ad_y(bracket(x)), and sum_s (-1)^s ad_{x without x_s}(ad_y(e_{x_s})), for y >= low
+        lhs = ((y, col, c) for k, c in vx for y, col in by_col[k].items() if y >= low)
         rhs = ((y, col, -c if s % 2 else c) for s, face in enumerate(faces)
-               for k, col in face.items() for y, c in hits[x[s]].get(k, ()))
+               for k, col in face.items() for y, c in hits[x[s]].get(k, ()) if y >= low)
         return lhs, rhs
 
     for x in itertools.combinations(range(d), n):
         faces = [ad.get(x[:s] + x[s + 1 :], _NO_COLUMNS) for s in range(n)]
-        if hit := _first_failure(f, d, sides, x, _sparse(t.table.get(x)), faces):
+        low = (x[1] + 1,) if n == 2 else ()  # binary: sorted triples only
+        if hit := _first_failure(f, scale * scale, d, sides, x, _sparse(table.get(x)), faces, low):
             data = dict(zip(("x", "y", "lhs", "rhs"), (x, *hit)))
             return Verdict(False, Witness("generalized_jacobi", data), total)
     return Verdict(True, None, total)
@@ -511,7 +548,8 @@ def check_assoc_comm_unital(
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "associativity check")
     if unit is not None and (failure := unit_failure(product, unit)) is not None:
         return Verdict(False, Witness("unit", failure), total)
-    mult = _mult_columns(product)
+    table, scale = _integral(product.table, f)
+    mult = _mult_columns(d, table)
 
     def sides(i, j):
         # (e_i e_j) e_k, and e_i (e_j e_k), for k >= i
@@ -521,7 +559,7 @@ def check_assoc_comm_unital(
         return lhs, rhs
 
     for i, j in itertools.product(range(d), repeat=2):
-        if hit := _first_failure(f, d, sides, i, j):
+        if hit := _first_failure(f, scale * scale, d, sides, i, j):
             data = {"triple": (i, j, hit[0]), "lhs": hit[1], "rhs": hit[2]}
             return Verdict(False, Witness("associativity", data), total)
     return Verdict(True, None, total)
@@ -533,8 +571,10 @@ def check_leibniz(alg: NLiePoissonAlgebra, max_instances: int | None = None) -> 
     d, n, f = t.dim, t.arity, t.field
     total = d * d * math.comb(d, n - 1)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "Leibniz check")
-    _, by_col, hits = _ad_columns(t)
-    mult = _mult_columns(alg.product)
+    bracket, lb = _integral(t.table, f)
+    product, lp = _integral(alg.product.table, f)
+    _, by_col, hits = _ad_columns(d, bracket)
+    mult = _mult_columns(d, product)
 
     def sides(i, j):
         # ad_y(e_i e_j), and e_i ad_y(e_j) + e_j ad_y(e_i)
@@ -544,7 +584,7 @@ def check_leibniz(alg: NLiePoissonAlgebra, max_instances: int | None = None) -> 
         return lhs, rhs
 
     for i, j in itertools.combinations_with_replacement(range(d), 2):
-        if hit := _first_failure(f, d, sides, i, j):
+        if hit := _first_failure(f, lb * lp, d, sides, i, j):
             data = dict(zip(("i", "j", "y", "lhs", "rhs"), (i, j, *hit)))
             return Verdict(False, Witness("leibniz", data), total)
     return Verdict(True, None, total)
@@ -563,10 +603,12 @@ def check_poisson_identity(alg: NLiePoissonAlgebra, max_instances: int | None = 
         raise ValueError("the compatibility identity needs arity >= 2")
     total = d * d * d * math.comb(d, n - 2)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "compatibility check")
-    mult = _mult_columns(alg.product)
+    bracket, lb = _integral(t.table, f)
+    product, lp = _integral(alg.product.table, f)
+    mult = _mult_columns(d, product)
     # by_m[m][k] = the (u, column, sign) with bracket(e_m, e_k, e_u..) = sign * column
     by_m: list[dict] = [{} for _ in range(d)]
-    for m, cols in enumerate(_ad_columns(t)[1]):
+    for m, cols in enumerate(_ad_columns(d, bracket)[1]):
         for z, col in cols.items():
             for q, k in enumerate(z):
                 by_m[m].setdefault(k, []).append((z[:q] + z[q + 1 :], col, -1 if q % 2 else 1))
@@ -581,7 +623,7 @@ def check_poisson_identity(alg: NLiePoissonAlgebra, max_instances: int | None = 
         return lhs, rhs
 
     for a, b in itertools.combinations_with_replacement(range(d), 2):
-        if hit := _first_failure(f, d, sides, a, b):
+        if hit := _first_failure(f, lb * lp, d, sides, a, b):
             (c, u), lhs, rhs = hit
             data = {"a": a, "b": b, "c": c, "u": u, "lhs": lhs, "rhs": rhs}
             return Verdict(False, Witness("poisson_compatibility", data), total)

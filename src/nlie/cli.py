@@ -21,7 +21,6 @@ from enum import Enum
 from fractions import Fraction
 from collections.abc import Sequence
 
-from . import algfile
 from .algebra import (
     IDENTITIES,
     PROBE_IDS,
@@ -85,6 +84,8 @@ def _compact(x) -> str:
 
 
 def _cmd_check(args):
+    from . import algfile
+
     loaded = algfile.load_path(args.file)
     checks: list[tuple[str, object]] = [
         ("generalized_jacobi", check_generalized_jacobi(loaded.bracket))
@@ -112,6 +113,7 @@ def _cmd_check(args):
 
 
 def _cmd_generate(args):
+    from . import algfile
     from .constructions import (
         jacobian_from_derivations,
         truncated_polynomial_algebra,
@@ -167,6 +169,7 @@ def _cmd_generate(args):
 
 
 def _cmd_analyze(args):
+    from . import algfile
     from .structure import center, derived_series, derived_subspace, nilradical
 
     loaded = algfile.load_path(args.file)
@@ -206,6 +209,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_simple(args):
+    from . import algfile
     from .structure import is_simple
 
     loaded = algfile.load_path(args.file)
@@ -229,6 +233,7 @@ def _cmd_simple(args):
 
 
 def _cmd_theorem1(args):
+    from . import algfile
     from .structure import theorem1_pipeline
 
     loaded = algfile.load_path(args.file)
@@ -255,7 +260,9 @@ def _cmd_theorem1(args):
     return 0, _report("theorem1", {"seed": args.seed}, {"pipeline": report}, args.file), lines
 
 
-def _parse_subspace(text: str, loaded: algfile.LoadedAlgebra) -> SubspaceBasis:
+def _parse_subspace(text: str, loaded) -> SubspaceBasis:
+    from . import algfile
+
     field, dim = loaded.field, loaded.dimension
     vectors = []
     for chunk in text.split(";"):
@@ -271,6 +278,7 @@ def _parse_subspace(text: str, loaded: algfile.LoadedAlgebra) -> SubspaceBasis:
 
 
 def _cmd_lemmas(args):
+    from . import algfile
     from .structure import probe_lemma
 
     loaded = algfile.load_path(args.file)
@@ -472,7 +480,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code, report, lines = args.handler(args)
-    except (algfile.AlgebraFileError, ValueError, GuardExceeded) as exc:
+    except (ValueError, GuardExceeded) as exc:  # AlgebraFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -48,7 +48,7 @@ class RationalField:
     one = Fraction(1)
 
     def from_int(self, n: int) -> Fraction:
-        # also the identity on a Fraction, such as an unreduced sum
+        # also the identity on a Fraction
         return n if type(n) is Fraction else Fraction(n)
 
     def add(self, a, b):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from collections import defaultdict
 from enum import Enum
@@ -33,6 +32,7 @@ from .algebra import (
     Verdict,
     Witness,
     _ad_columns,
+    _integral,
     _mult_columns,
     check_assoc_comm_unital,
     check_generalized_jacobi,
@@ -99,14 +99,15 @@ def _ad_operators(t: SkewBracketTensor) -> list[tuple[tuple[int, ...], Matrix]]:
     """The nonzero adjoint operators (z, ad_z), column k = bracket(e_k, e_z),
     from strictly increasing basis tuples z in lexicographic order, built
     from the checkers' sparse column index."""
-    ad = _ad_columns(t)[0]
+    ad = _ad_columns(t.dim, t.table)[0]
     return [(z, Matrix.from_columns(t.field, t.dim, ad[z])) for z in sorted(ad)]
 
 
 def _mult_operators(product: SymProductTensor) -> list[Matrix]:
     """The nonzero left-multiplication matrices of the basis elements in
     index order (commutative, so one side covers both)."""
-    return [Matrix.from_columns(product.field, product.dim, m) for m in _mult_columns(product) if m]
+    f, d = product.field, product.dim
+    return [Matrix.from_columns(f, d, m) for m in _mult_columns(d, product.table) if m]
 
 
 def _ops_for_kind(
@@ -169,7 +170,7 @@ def center(alg: AlgebraLike) -> SubspaceBasis:
     if t.is_zero():
         return SubspaceBasis.full(f, d)
     rows: dict = defaultdict(lambda: [f.zero] * d)
-    for z, cols in _ad_columns(t)[0].items():
+    for z, cols in _ad_columns(t.dim, t.table)[0].items():
         for k, col in cols.items():
             for m, c in col:
                 rows[z, m][k] = f.from_int(c)
@@ -599,11 +600,10 @@ def _reduce_mod_p(
     """Clear bracket denominators by their lcm (a nonzero scale does not
     change the invariant-subspace lattice) and reduce mod p; the product
     must be p-integral as it stands.  None when p is inadmissible."""
-    scale = math.lcm(*(c.denominator for _, vec in t.sorted_items() for c in vec))
+    table, scale = _integral(dict(t.sorted_items()), t.field)
     if scale % p == 0:
         return None
     field = PrimeField(p)
-    table = {key: [int(c * scale) for c in vec] for key, vec in t.sorted_items()}
     reduced_t = SkewBracketTensor(t.dim, t.arity, field, table)
     if reduced_t.is_zero():
         return None
@@ -617,6 +617,10 @@ def _reduce_mod_p(
     except ValueError:  # a denominator divisible by p
         return None
     return reduced_t, SymProductTensor(product.dim, field, table), scale
+
+
+def _mod_p_certificate(p: int, scale: int, inner: dict) -> dict:
+    return {"method": "ModPReduction", "p": p, "scale": str(scale), "inner": inner}
 
 
 def _is_simple_fp(
@@ -693,12 +697,7 @@ def is_simple(
             attempts.append(f"p={p}: {exc}")
             continue
         if inner.status == "simple":
-            certificate = {
-                "method": "ModPReduction",
-                "p": p,
-                "scale": str(scale),
-                "inner": inner.certificate,
-            }
+            certificate = _mod_p_certificate(p, scale, inner.certificate)
             return SimplicityVerdict("simple", kind, certificate, None, None, seed)
         attempts.append(f"p={p}: reduction is {inner.status}")
     return SimplicityVerdict(
@@ -717,8 +716,10 @@ def verify_simplicity_certificate(
     """Replay a verdict: witnesses are re-checked for invariance, an
     exhaustive or Norton certificate re-runs the decider it names (the
     whole search, or its one word) with the verdict's seed and must come
-    back identical, by type as well as value, and a mod-p reduction
-    replays its inner certificate on the reduced algebra."""
+    back identical, by type as well as value, and a mod-p reduction must
+    re-derive whole and replay its inner certificate on the reduced
+    algebra.  True or False for any verdict: a status, kind, certificate
+    or witness of the wrong shape gives False."""
     limit = effective_limit(max_enum, DEFAULT_MAX_ENUM, "max_enum")
     return _replay(_bracket_of(alg), _product_of(alg), verdict, limit)
 
@@ -726,19 +727,25 @@ def verify_simplicity_certificate(
 def _replay(
     t: SkewBracketTensor, product: SymProductTensor | None, verdict: SimplicityVerdict, limit: int
 ) -> bool:
-    kind = verdict.kind
-    if verdict.status == "unknown":
+    status, kind = verdict.status, verdict.kind
+    if status == "unknown":
         return True
-    if verdict.status == "not_simple":
+    if not isinstance(kind, IdealKind) or (kind is not IdealKind.NLIE and product is None):
+        return False
+    if status == "not_simple":
         witness = verdict.witness
         if witness is None:
             return t.is_zero() or t.dim == 0
+        if not isinstance(witness, SubspaceBasis):
+            return False
         if witness.field != t.field or witness.ambient_dim != t.dim:
             return False
         if not 0 < witness.dim < t.dim:
             return False
         return _is_invariant(witness, _ops_for_kind(t, kind, product))
-    certificate = verdict.certificate or {}
+    certificate = verdict.certificate
+    if status != "simple" or not isinstance(certificate, dict):
+        return False
     method = certificate.get("method")
     if method in ("ExhaustiveProjective", "Norton"):
         if not isinstance(t.field, PrimeField):
@@ -769,7 +776,7 @@ def _replay(
         if reduced is None:
             return False
         reduced_t, reduced_product, scale = reduced
-        if str(scale) != certificate.get("scale"):
+        if not _same_certificate(_mod_p_certificate(p, scale, inner), certificate):
             return False
         inner_verdict = SimplicityVerdict("simple", kind, inner, None, None, verdict.seed)
         return _replay(reduced_t, reduced_product, inner_verdict, limit)

@@ -25,6 +25,7 @@ from nlie.algebra import (
 from nlie.constructions import (
     jacobian_from_derivations,
     truncated_polynomial_algebra,
+    vector_product_algebra,
     w_from_derivations,
 )
 from nlie.fields import PrimeField, QQ
@@ -304,6 +305,186 @@ class TestFastPathAgreement:
             check_assoc_comm_unital(carrier.product, carrier.unit),
             assoc_oracle(carrier.product, carrier.unit),
         )
+
+
+def _inverse(M):
+    """The inverse of a square rational matrix, by Gauss-Jordan."""
+    d = len(M)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+            for i, row in enumerate(M)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[d:] for row in rows]
+
+
+def _in_basis(alg, M):
+    """A rational algebra (bracket, or Poisson algebra) in the basis
+    f_a = sum_i M[i][a] e_i."""
+    t, d = alg.bracket, alg.dim
+    inv = _inverse(M)
+    cols = [tuple(Fraction(M[i][a]) for i in range(d)) for a in range(d)]
+
+    def back(v):
+        return tuple(sum((inv[i][j] * v[j] for j in range(d)), Z) for i in range(d))
+
+    bracket = SkewBracketTensor(d, t.arity, QQ, {
+        key: back(t.eval([cols[a] for a in key]))
+        for key in itertools.combinations(range(d), t.arity)
+    })
+    if not isinstance(alg, NLiePoissonAlgebra):
+        return NLieAlgebra(bracket)
+    product = SymProductTensor(d, QQ, {
+        (a, b): back(alg.product.eval(cols[a], cols[b]))
+        for a, b in itertools.combinations_with_replacement(range(d), 2)
+    })
+    return NLiePoissonAlgebra(product, back(alg.unit), bracket)
+
+
+def _unimodular(d, seed):
+    """A seeded dense integer matrix of determinant 1: lower times upper
+    unitriangular, entries of each in -2..2."""
+    import random
+
+    rng = random.Random(seed)
+    L = [[int(i == j) if j >= i else rng.randint(-2, 2) for j in range(d)] for i in range(d)]
+    U = [[int(i == j) if j <= i else rng.randint(-2, 2) for j in range(d)] for i in range(d)]
+    return [[sum(L[i][k] * U[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
+def _moved(alg, which, key, m, delta):
+    """A copy with `delta` added to the e_m-coefficient of one bracket or
+    product entry."""
+    t = alg.bracket
+    tables = {"bracket": dict(t.table)}
+    if isinstance(alg, NLiePoissonAlgebra):
+        tables["product"] = dict(alg.product.table)
+    table = tables[which]
+    value = list(table.get(key, (Z,) * alg.dim))
+    value[m] += delta
+    table[key] = tuple(value)
+    bracket = SkewBracketTensor(alg.dim, t.arity, QQ, tables["bracket"])
+    if "product" not in tables:
+        return NLieAlgebra(bracket)
+    return NLiePoissonAlgebra(SymProductTensor(alg.dim, QQ, tables["product"]), alg.unit, bracket)
+
+
+def _scaled_cross(s):
+    t = vector_product_algebra(2).bracket
+    return NLieAlgebra(SkewBracketTensor(3, 2, QQ, {k: tuple(s * x for x in v)
+                                                    for k, v in t.table.items()}))
+
+
+def _square_zero_poisson():
+    """Q.1 + so(3) with the cross product as bracket and g.g = 0, in the basis
+    (e_0/3, e_1, 2 e_2, e_3/2): the product has 1/3 in every entry, the
+    bracket 4, 1 and 1/4, and the unit is 3 f_0."""
+    d = 4
+    e = [tuple(ONE if k == i else Z for k in range(d)) for i in range(d)]
+    product = SymProductTensor(d, QQ, {(0, j): e[j] for j in range(d)})
+    bracket = SkewBracketTensor(d, 2, QQ, {(1, 2): e[3], (1, 3): tuple(-x for x in e[2]),
+                                           (2, 3): e[1]})
+    alg = NLiePoissonAlgebra(product, e[0], bracket)
+    diag = (Fraction(1, 3), 1, 2, Fraction(1, 2))
+    return _in_basis(alg, [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)])
+
+
+def _q_cases():
+    cases = {
+        "cross/2": _scaled_cross(Fraction(1, 2)),
+        "cross*2/3": _scaled_cross(Fraction(2, 3)),
+        "cross*2/3.dense": _in_basis(_scaled_cross(Fraction(2, 3)), _unimodular(3, 5)),
+        "cross4/3.dense": _in_basis(NLieAlgebra(SkewBracketTensor(
+            5, 4, QQ, {k: tuple(x / 3 for x in v)
+                       for k, v in vector_product_algebra(4).bracket.table.items()})),
+            _unimodular(5, 7)),
+        "square-zero/3": _square_zero_poisson(),
+    }
+    failing = {}
+    for name, alg in cases.items():
+        key = min(alg.bracket.table)
+        failing[name + ".moved"] = _moved(alg, "bracket", key, 0, Fraction(1, 5))
+    sq = cases["square-zero/3"]
+    failing["square-zero/3.moved-product"] = _moved(sq, "product", (1, 1), 2, Fraction(1, 3))
+    return cases, failing
+
+
+class TestRationalEngine:
+    """Over Q the engine sums scaled ints; every verdict must equal the
+    oracle loops' Fraction arithmetic, witness and value types included."""
+
+    @staticmethod
+    def _pairs(alg):
+        pairs = [(check_generalized_jacobi(alg.bracket), jacobi_oracle(alg.bracket))]
+        if isinstance(alg, NLiePoissonAlgebra):
+            pairs += [
+                (check_leibniz(alg), leibniz_oracle(alg)),
+                (check_poisson_identity(alg), shift_oracle(alg)),
+                (check_assoc_comm_unital(alg.product, alg.unit),
+                 assoc_oracle(alg.product, alg.unit)),
+            ]
+        return pairs
+
+    def test_constants_are_not_integral(self):
+        for alg in (*_q_cases()[0].values(), *_q_cases()[1].values()):
+            values = {c for v in alg.bracket.table.values() for c in v}
+            if isinstance(alg, NLiePoissonAlgebra):
+                values |= {c for v in alg.product.table.values() for c in v}
+            assert any(c.denominator > 1 for c in values)
+        sq = _square_zero_poisson()
+        assert Fraction(1, 3) in sq.product.table[(0, 0)] and sq.unit == (3, 0, 0, 0)
+
+    @pytest.mark.parametrize("name", list(_q_cases()[0]))
+    def test_passing_copies_agree(self, name):
+        alg = _q_cases()[0][name]
+        for engine, oracle in self._pairs(alg):
+            assert repr(engine) == repr(oracle)
+            assert engine.ok
+
+    @pytest.mark.parametrize("name", list(_q_cases()[1]))
+    def test_failing_copies_agree(self, name):
+        alg = _q_cases()[1][name]
+        verdicts = [TestFastPathAgreement._agree(*pair) for pair in self._pairs(alg)]
+        failed = [v for v in verdicts if not v.ok]
+        assert failed
+        for v in failed:
+            sides = [c for key in ("lhs", "rhs") for c in v.witness.data[key]]
+            assert all(type(c) is Fraction for c in sides) and sides != [Z] * len(sides)
+
+
+_SWEEP_FIELDS = (PrimeField(2), F3, F5, PrimeField(2**61 - 1), QQ)
+
+
+@pytest.mark.parametrize("f", _SWEEP_FIELDS, ids=repr)
+def test_binary_jacobi_first_witness_sweep(f):
+    # seeded binary brackets that fail Jacobi: the engine sums only the
+    # sorted triples, and its first witness must be the one the oracle's
+    # scan of every (x, y) finds, which has y > x2
+    import random
+
+    rng = random.Random(f"binary-sweep:{f!r}")
+    if f is QQ:
+        values = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
+    else:
+        values = sorted({0, 1, f.p - 1, f.p // 2, (f.p - 1) // 3})
+    found = 0
+    while found < 12:
+        d = rng.randint(3, 6)
+        keys = list(itertools.combinations(range(d), 2))
+        table = {key: tuple(rng.choice(values) if rng.random() < 0.4 else f.zero
+                            for _ in range(d))
+                 for key in rng.sample(keys, rng.randint(2, len(keys)))}
+        t = SkewBracketTensor(d, 2, f, table)
+        v = check_generalized_jacobi(t)
+        if v.ok:
+            continue
+        assert repr(v) == repr(jacobi_oracle(t))
+        assert v.witness.data["y"][0] > v.witness.data["x"][1]
+        found += 1
 
 
 _PROPERTY_FIELDS = (QQ, PrimeField(2), F3, F5, PrimeField(2**61 - 1))

@@ -436,11 +436,13 @@ def _perturbed_c5(path):
 
 @pytest.mark.parametrize("name, exit_code", [
     ("c3", 0), ("c5", 0), ("c5_perturbed", 1), ("w33", 1), ("q_failing", 1), ("c33", 0),
+    ("q_square_zero", 0), ("q_square_zero_moved", 1),
 ])
 def test_check_reports_match_golden(capsys, tmp_path, name, exit_code):
     # golden reports were written by the per-instance checkers, before the
     # sparse engine replaced them (c33 by the sparse engine, before it
-    # skipped mirrored instances); only the input path is dropped
+    # skipped mirrored instances, and the q_square_zero pair by the engine
+    # that summed Fractions); only the input path is dropped
     if name == "c5_perturbed":
         path = str(tmp_path / f"{name}.json")
         _perturbed_c5(Path(path))
@@ -458,6 +460,17 @@ def test_analyze_report_matches_golden(capsys, tmp_path):
     code, out, _ = run(capsys, ["analyze", "--format", "json", path])
     assert code == 0
     assert _golden_text(out, path) == (GOLDEN / "analyze_c5.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["q_square_zero", "q_square_zero_moved"])
+def test_q_fixture_analyze_matches_golden(capsys, name):
+    # Poisson algebras over Q with 1/3 in the product and 1/4 in the
+    # bracket, the second with one bracket entry moved by 1/5; written by
+    # the checkers that summed Fractions, before they summed scaled ints
+    path = _golden_input(name, None)
+    code, out, _ = run(capsys, ["analyze", "--format", "json", path])
+    assert code == 0
+    assert _golden_text(out, path) == (GOLDEN / f"analyze_{name}.json").read_text()
 
 
 @pytest.mark.parametrize("command", ["analyze", "theorem1"])
@@ -604,16 +617,17 @@ def test_norton_loads_only_past_the_limit(cross_path, tmp_path):
 
 
 def test_each_command_loads_only_its_layers(cross_path, char3_path):
-    base = ["nlie.algebra", "nlie.algfile", "nlie.cli", "nlie.fields", "nlie.guards",
-            "nlie.linalg"]
+    core = ["nlie.algebra", "nlie.cli", "nlie.fields", "nlie.guards", "nlie.linalg"]
+    base = sorted([*core, "nlie.algfile"])
     codes, loaded, _ = _fresh_run(["check", cross_path], ["check", "--poisson", char3_path])
     assert codes == [0, 0]
     assert loaded == [[], base, base]
+    # poly reads no algebra file, so it does not load algfile
     codes, loaded, _ = _fresh_run(
         ["poly", "verify", "--bracket", "w", "--n", "3", "--identity", "jacobi",
          "--degree", "1"])
     assert codes == [0]
-    assert loaded[1] == sorted([*base, "nlie.poly"])
+    assert loaded[1] == sorted([*core, "nlie.poly"])
     codes, loaded, _ = _fresh_run(["generate", "jacobian-trunc", "--n", "2", "--p", "3"])
     assert codes == [0]
     assert loaded[1] == sorted([*base, "nlie.constructions"])

@@ -572,6 +572,30 @@ class TestSimplicity:
         )
         assert not verify_simplicity_certificate(cross, altered)
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"status": "bogus"}, {"status": None}, {"kind": "nlie"},
+         {"kind": IdealKind.POISSON}, {"certificate": "ExhaustiveProjective"},
+         {"certificate": ["x"]}, {"certificate": 5}, {"certificate": None},
+         {"status": "not_simple", "witness": "x"}, {"extra": 1}, {"scale": 1},
+         {"method": "modpreduction"}],
+        ids=["status", "no-status", "kind-str", "kind-poisson", "cert-str", "cert-list",
+             "cert-int", "cert-none", "witness-str", "extra-key", "scale-int", "method"],
+    )
+    def test_malformed_verdict_replays_false(self, change):
+        # every verdict replays to a bool: a wrong shape is False, never an error
+        from nlie.structure import SimplicityVerdict
+
+        cross = vector_product_algebra(2)
+        v = is_simple(cross)
+        assert v.certificate["method"] == "ModPReduction"
+        assert verify_simplicity_certificate(cross, v)
+        fields = {name: getattr(v, name) for name in SimplicityVerdict.__slots__}
+        if not change.keys() <= fields.keys():
+            change = {"certificate": dict(v.certificate, **change)}
+        altered = SimplicityVerdict(**{**fields, **change})
+        assert verify_simplicity_certificate(cross, altered) is False
+
     def test_mod_p_norton_inner_replays(self):
         # an inner Norton certificate, as auto makes past the limit, replays
         cross = vector_product_algebra(2)
