@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .fields import Field
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
-from .linalg import is_zero_vector, unit_vector, zero_vector
+from .linalg import is_zero_vector, normalized, unit_vector, zero_vector
 
 # Names the CLI parser offers before it loads the modules that use them:
 # the identities of poly.verify_identity_truncated and the statement probes
@@ -115,42 +115,35 @@ class SkewBracketTensor:
             return zero_vector(self.field, self.dim)
         value = self.table[canon]
         if sign < 0:
-            value = tuple(self.field.neg(x) for x in value)
+            value = normalized(self.field, [-x for x in value])
         return value
 
     def eval(self, args: Sequence[Sequence]) -> tuple:
         """Multilinear evaluation on coefficient vectors."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        f = self.field
         d = self.dim
-        out = [f.zero] * d
+        out = [0] * d
         supports = []
         for a in args:
             if len(a) != d:
                 raise ValueError("argument length does not match the dimension")
-            sup = [(i, c) for i, c in enumerate(a) if c != 0]
+            sup = [(i, c) for i, c in enumerate(a) if c]
             if not sup:
-                return tuple(out)
+                return zero_vector(self.field, d)
             supports.append(sup)
         for combo in itertools.product(*supports):
             canon, sign = canonicalize_index([i for i, _ in combo], d)
-            if sign == 0:
-                continue
-            value = self.table.get(canon)
+            value = self.table.get(canon)  # None also when an index repeats
             if value is None:
                 continue
-            coeff = f.one
+            coeff = sign
             for _, c in combo:
-                coeff = f.mul(coeff, c)
-            if sign < 0:
-                coeff = f.neg(coeff)
-            if coeff == 0:
-                continue
+                coeff *= c
             for m, t in enumerate(value):
-                if t != 0:
-                    out[m] = f.add(out[m], f.mul(coeff, t))
-        return tuple(out)
+                if t:
+                    out[m] += coeff * t
+        return normalized(self.field, out)
 
     def sorted_items(self):
         return sorted(self.table.items())
@@ -196,23 +189,20 @@ class SymProductTensor:
         return self.table.get((i, j), zero_vector(self.field, self.dim))
 
     def eval(self, a: Sequence, b: Sequence) -> tuple:
-        f = self.field
-        d = self.dim
-        out = [f.zero] * d
-        sup_a = [(i, c) for i, c in enumerate(a) if c != 0]
-        sup_b = [(j, c) for j, c in enumerate(b) if c != 0]
-        for i, ca in sup_a:
+        out = [0] * self.dim
+        sup_b = [(j, c) for j, c in enumerate(b) if c]
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
             for j, cb in sup_b:
                 value = self.table.get((i, j) if i <= j else (j, i))
                 if value is None:
                     continue
-                coeff = f.mul(ca, cb)
-                if coeff == 0:
-                    continue
+                coeff = ca * cb
                 for m, t in enumerate(value):
-                    if t != 0:
-                        out[m] = f.add(out[m], f.mul(coeff, t))
-        return tuple(out)
+                    if t:
+                        out[m] += coeff * t
+        return normalized(self.field, out)
 
     def is_zero(self) -> bool:
         return not self.table

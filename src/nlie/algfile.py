@@ -5,9 +5,9 @@ optional commutative product with its unit (both or neither), and the
 bracket's structure constants on strictly increasing index tuples.
 Coefficients are strings: "a/b" or "a" over Q, decimal residues over F_p.
 Unknown fields, duplicate JSON keys, malformed coefficients, digits outside
-ASCII, out-of-range, repeated or unsorted indices, and duplicate entries
-are all rejected with a message naming the offender; omitted entries mean
-zero.
+ASCII, out-of-range, repeated or unsorted indices, duplicate entries, a
+dimension above the enumeration limit and an arity above dimension + 1 are
+all rejected with a message naming the offender; omitted entries mean zero.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .algebra import (
     SymProductTensor,
 )
 from .fields import Field, PrimeField, QQ, RationalField
+from .guards import DEFAULT_MAX_ENUM, check_instances
 
 # ASCII digits only: \d and str.isdigit also accept other scripts' digits
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
@@ -96,6 +97,15 @@ def _require_int(doc: dict, key: str, minimum: int) -> int:
     return v
 
 
+def check_shape(dim: int, arity: int) -> None:
+    """Refuse a dimension above the enumeration limit, since commands build
+    vectors of that length, and an arity above dimension + 1: such a
+    bracket is zero, and the checkers' tuple counts overflow on it."""
+    check_instances(dim, None, DEFAULT_MAX_ENUM, '"dimension"')
+    if arity > dim + 1:
+        _fail(f'"arity" {arity} exceeds dimension + 1 = {dim + 1}')
+
+
 class LoadedAlgebra(Record):
     """A validated algebra document; `basis_names`, `product` and `unit`
     are None when the document omits them."""
@@ -129,6 +139,7 @@ def from_document(doc) -> LoadedAlgebra:
     field = _parse_field(doc["field"])
     dim = _require_int(doc, "dimension", 1)
     arity = _require_int(doc, "arity", 1)
+    check_shape(dim, arity)
 
     names = None
     if "basis_names" in doc:
@@ -240,9 +251,8 @@ def to_document(alg: NLieAlgebra | NLiePoissonAlgebra) -> dict:
     """Canonical document for an algebra; entries appear in sorted index
     order so equal algebras serialize identically."""
     bracket = alg.bracket
-    field = bracket.field
     doc: dict = {
-        "field": _field_descriptor(field),
+        "field": _field_descriptor(bracket.field),
         "dimension": bracket.dim,
         "arity": bracket.arity,
     }
@@ -253,17 +263,15 @@ def to_document(alg: NLieAlgebra | NLiePoissonAlgebra) -> dict:
             {
                 "i": key[0],
                 "j": key[1],
-                "value": {
-                    str(k): field.fmt(c) for k, c in enumerate(vec) if c != field.zero
-                },
+                "value": {str(k): str(c) for k, c in enumerate(vec) if c},
             }
             for key, vec in alg.product.sorted_items()
         ]
-        doc["unit"] = [field.fmt(c) for c in alg.unit]
+        doc["unit"] = [str(c) for c in alg.unit]
     doc["bracket"] = [
         {
             "args": list(key),
-            "value": {str(k): field.fmt(c) for k, c in enumerate(vec) if c != field.zero},
+            "value": {str(k): str(c) for k, c in enumerate(vec) if c},
         }
         for key, vec in bracket.sorted_items()
     ]

@@ -131,8 +131,10 @@ def _cmd_generate(args):
             PrimeField(args.p)
         except ValueError as exc:
             raise ValueError(f"generate {args.kind} --p: {exc}") from None
-    if args.kind == "zero" and (args.dim is None or args.dim < 1):
-        raise ValueError("generate zero needs --dim >= 1")
+    if args.kind == "zero":
+        if args.dim is None or args.dim < 1:
+            raise ValueError("generate zero needs --dim >= 1")
+        algfile.check_shape(args.dim, args.n)
     if args.kind == "vector-product":
         alg = vector_product_algebra(args.n)
     elif args.kind == "jacobian-trunc":

@@ -120,10 +120,9 @@ def vector_product_algebra(n: int, field: Field = QQ) -> NLieAlgebra:
     table = {}
     for m in range(d):
         key = tuple(i for i in range(d) if i != m)
-        coeff = field.one if (n + m) % 2 == 0 else field.neg(field.one)
-        value = [field.zero] * d
-        value[m] = coeff
-        table[key] = tuple(value)
+        value = [0] * d
+        value[m] = -1 if (n + m) % 2 else 1
+        table[key] = value
     names = tuple(f"e{i + 1}" for i in range(d))
     return NLieAlgebra(SkewBracketTensor(d, n, field, table), names)
 
@@ -146,7 +145,7 @@ def _det_bracket_table(
         return vec_add(field, a, b)
 
     def neg(a):
-        return tuple(field.neg(c) for c in a)
+        return tuple(field.from_int(-c) for c in a)
 
     table = {}
     for key in itertools.combinations(range(dim), arity):

@@ -1,8 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-A field object provides a uniform arithmetic protocol over plain Python
-values: `fractions.Fraction` for Q, ints in [0, p) for F_p.  Values can be
-compared to 0 directly, which keeps inner loops free of dispatch.
+Field values are plain Python numbers: `fractions.Fraction` for Q, ints in
+[0, p) for F_p.  Code adds and multiplies them with the operators, sums
+unreduced, and normalises each result once through the field's `from_int`.
+A field object is only that normaliser, with its zero, one, inverse and
+literal parser.  A value is false exactly when it is zero.
 """
 
 from __future__ import annotations
@@ -51,15 +53,6 @@ class RationalField:
         # also the identity on a Fraction
         return n if type(n) is Fraction else Fraction(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -70,9 +63,6 @@ class RationalField:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {text!r}") from exc
-
-    def fmt(self, value) -> str:
-        return str(value)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -97,16 +87,6 @@ class PrimeField:
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    def add(self, a, b):
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return self.p - a if a else 0
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -117,9 +97,6 @@ class PrimeField:
             return int(text.strip(), 10) % self.p
         except ValueError as exc:
             raise ValueError(f"not an integer literal: {text!r}") from exc
-
-    def fmt(self, value) -> str:
-        return str(value)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -28,8 +28,14 @@ def unit_vector(field: Field, dim: int, i: int) -> tuple:
     return tuple(field.one if j == i else field.zero for j in range(dim))
 
 
+def normalized(field: Field, sums: Sequence) -> tuple:
+    """Unreduced sums of field values, each normalised once."""
+    norm, zero = field.from_int, field.zero
+    return tuple([norm(x) if x else zero for x in sums])
+
+
 def vec_add(field: Field, a: Sequence, b: Sequence) -> tuple:
-    return tuple(field.add(x, y) for x, y in zip(a, b, strict=True))
+    return normalized(field, [x + y for x, y in zip(a, b, strict=True)])
 
 
 def is_zero_vector(a: Sequence) -> bool:
@@ -106,10 +112,7 @@ class Matrix:
             if c:
                 for i, x in col:
                     out[i] += c * x
-        # unreduced sums of field values, normalised once
-        f = self.field
-        norm, zero = f.from_int, f.zero
-        return tuple([norm(x) if x else zero for x in out])
+        return normalized(self.field, out)
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -175,10 +178,10 @@ class EchelonAccumulator:
         if first is None:
             return None
         lead = v.index(first)  # every entry before the first nonzero one is zero
+        norm = f.from_int
         if first != f.one:
             inv = f.inv(first)
-            v = [f.mul(inv, x) for x in v]
-        norm = f.from_int
+            v = [norm(inv * x) for x in v]
         for i, row in enumerate(self.rows):
             c = row[lead]
             if c:
@@ -312,8 +315,8 @@ def kernel(field: Field, ncols: int, rows: Iterable[Sequence]) -> SubspaceBasis:
         v = [field.zero] * ncols
         v[free] = field.one
         for row, p in zip(rows, pivots):
-            if row[free] != 0:
-                v[p] = field.neg(row[free])
+            if row[free]:
+                v[p] = field.from_int(-row[free])
         basis.append(v)
     return SubspaceBasis(field, ncols, basis)
 

@@ -61,7 +61,7 @@ def jacobi_oracle(t) -> Verdict:
                 rest = x[:s] + x[s + 1 :]
                 term = t.eval([w, *(unit_vector(f, d, i) for i in rest)])
                 if s % 2 == 1:
-                    term = tuple(f.neg(c) for c in term)
+                    term = tuple(f.from_int(-c) for c in term)
                 rhs = vec_add(f, rhs, term)
             if lhs != rhs:
                 data = {"x": x, "y": y, "lhs": lhs, "rhs": rhs}
@@ -143,12 +143,12 @@ def stacked_kernel_intersect(U, W):
     """U ∩ W from the kernel of the stacked bases [U^t | -W^t]: each kernel
     vector (a, b) gives the common vector sum_r a_r u_r."""
     f, d = U.field, U.ambient_dim
-    stacked = [[u[i] for u in U.rows] + [f.neg(w[i]) for w in W.rows] for i in range(d)]
+    stacked = [[u[i] for u in U.rows] + [f.from_int(-w[i]) for w in W.rows] for i in range(d)]
     vectors = []
     for sol in kernel(f, U.dim + W.dim, stacked).rows if U.rows and W.rows else ():
         v = zero_vector(f, d)
         for c, u in zip(sol, U.rows):
-            v = vec_add(f, v, tuple(f.mul(c, x) for x in u))
+            v = vec_add(f, v, tuple(f.from_int(c * x) for x in u))
         vectors.append(v)
     return SubspaceBasis(f, d, vectors)
 

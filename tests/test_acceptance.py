@@ -99,7 +99,7 @@ def test_c1_axiom_suite():
     ej = unit_vector(field, d, j)
     term1 = carrier.product.eval(ei, w23.bracket.eval([ej, unit_vector(field, d, y[0])]))
     term2 = carrier.product.eval(ej, w23.bracket.eval([ei, unit_vector(field, d, y[0])]))
-    rhs = tuple(field.add(a, b) for a, b in zip(term1, term2))
+    rhs = tuple(field.from_int(a + b) for a, b in zip(term1, term2))
     assert lhs == tuple(data["lhs"]) and rhs == tuple(data["rhs"])
     assert lhs != rhs
     elapsed = time.perf_counter() - start

@@ -9,7 +9,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from nlie.algebra import (
     NLieAlgebra,
@@ -29,6 +31,7 @@ from nlie.constructions import (
     w_from_derivations,
 )
 from nlie.fields import PrimeField, QQ
+from nlie.linalg import kernel, span, vec_add
 from nlie.structure import is_simple
 
 from loop_oracle import assoc_oracle, jacobi_oracle, leibniz_oracle, shift_oracle
@@ -97,7 +100,7 @@ def test_alternation_property(a, b, c):
     assert t.eval([a, a, c]) == (0, 0, 0)
     swapped = t.eval([b, a, c])
     direct = t.eval([a, b, c])
-    assert swapped == tuple(F5.neg(x) for x in direct)
+    assert swapped == tuple(F5.from_int(-x) for x in direct)
 
 
 @given(st.integers(0, 4), st.integers(0, 4))
@@ -107,9 +110,114 @@ def test_linearity_property(u, v):
     a = (u, 1, 2)
     b = (v, 3, 1)
     c = (2, 0, 4)
-    lhs = t.eval([tuple(F5.add(x, y) for x, y in zip(a, b)), c])
-    rhs = tuple(F5.add(x, y) for x, y in zip(t.eval([a, c]), t.eval([b, c])))
+    lhs = t.eval([tuple(F5.from_int(x + y) for x, y in zip(a, b)), c])
+    rhs = tuple(F5.from_int(x + y) for x, y in zip(t.eval([a, c]), t.eval([b, c])))
     assert lhs == rhs
+
+
+FIELDS = (PrimeField(2), F3, F5, PrimeField(2**61 - 1), QQ)
+
+
+def _exact(f, sums) -> tuple:
+    """Exact sums as field values: residues in [0, p), or Fractions."""
+    return tuple(Fraction(x) if f.p is None else x % f.p for x in sums)
+
+
+def _perm_sign(idx) -> int:
+    if len(set(idx)) < len(idx):
+        return 0
+    return -1 if sum(a > b for a, b in itertools.combinations(idx, 2)) % 2 else 1
+
+
+def _assert_normalised(f, vec) -> None:
+    for x in vec:
+        y = f.from_int(x)
+        assert type(y) is type(x) and y == x, (f, vec)
+
+
+@st.composite
+def _field_case(draw):
+    """A field, a dimension, an arity, raw tables and arguments.  Over F_p
+    entries run from -2p to 3p, so many are negative or p and above;
+    over Q they are ints and Fractions."""
+    f = draw(st.sampled_from(FIELDS))
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, min(d, 3)))
+    if f.p is None:
+        fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+        entry = st.one_of(st.integers(-4, 4), fractions)
+    else:
+        edges = st.sampled_from([-2 * f.p, -f.p, -1, 0, f.p - 1, f.p, f.p + 1, 3 * f.p - 1])
+        entry = st.one_of(edges, st.integers(-2 * f.p, 3 * f.p))
+    vec = st.lists(entry, min_size=d, max_size=d)
+    keys = st.sampled_from(list(itertools.combinations(range(d), n)))
+    bracket = draw(st.dictionaries(keys, vec, max_size=4))
+    pairs = st.sampled_from(list(itertools.combinations_with_replacement(range(d), 2)))
+    product = draw(st.dictionaries(pairs, vec, max_size=4))
+    args = draw(st.lists(vec, min_size=n, max_size=n))
+    raw = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+    rows = draw(st.lists(vec, max_size=4))
+    return f, d, n, bracket, product, args, raw, rows
+
+
+@given(_field_case())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_unreduced_sums_match_expansion(case):
+    # both tensors' eval, component, vec_add, kernel and span on raw
+    # entries return normalised values equal to the test's own expansion:
+    # over index tuples with permutation signs for the bracket, over index
+    # pairs for the product, and rank-nullity against sympy for the echelon
+    f, d, n, bracket, product, args, raw, rows = case
+    t = SkewBracketTensor(d, n, f, bracket)
+    prod = SymProductTensor(d, f, product)
+    zero = [0] * d
+
+    expected = list(zero)
+    for idx in itertools.product(range(d), repeat=n):
+        value, coeff = bracket.get(tuple(sorted(idx))), _perm_sign(idx)
+        if coeff and value:
+            for a, i in zip(args, idx):
+                coeff *= a[i]
+            expected = [e + coeff * v for e, v in zip(expected, value)]
+    got = t.eval(args)
+    _assert_normalised(f, got)
+    assert got == _exact(f, expected)
+
+    value = bracket.get(tuple(sorted(raw)), zero)
+    got = t.component(raw)
+    _assert_normalised(f, got)
+    assert got == _exact(f, [_perm_sign(raw) * v for v in value])
+
+    a, b = args[0], args[-1]
+    expected = list(zero)
+    for i, j in itertools.product(range(d), repeat=2):
+        value = product.get((min(i, j), max(i, j)), zero)
+        expected = [e + a[i] * b[j] * v for e, v in zip(expected, value)]
+    got = prod.eval(a, b)
+    _assert_normalised(f, got)
+    assert got == _exact(f, expected)
+
+    got = vec_add(f, a, b)
+    _assert_normalised(f, got)
+    assert got == _exact(f, [x + y for x, y in zip(a, b)])
+
+    dom = sympy.QQ if f.p is None else sympy.GF(f.p)
+    conv = (lambda x: dom(x.numerator, x.denominator)) if f.p is None else dom
+    rank = DomainMatrix([[conv(x) for x in r] for r in rows], (len(rows), d), dom).rank()
+    S, K = span(f, d, rows), kernel(f, d, rows)
+    for basis in (S, K):
+        for r in basis.rows:
+            _assert_normalised(f, r)
+        for r, p in zip(basis.rows, basis.pivots):
+            assert [r[q] for q in basis.pivots] == [int(q == p) for q in basis.pivots]
+    assert S.dim == rank and K.dim == d - rank
+    for r in rows:  # each input row is its pivot expansion in the span's rows
+        expansion = list(zero)
+        for row, p in zip(S.rows, S.pivots):
+            expansion = [e + r[p] * x for e, x in zip(expansion, row)]
+        assert _exact(f, expansion) == _exact(f, r)
+        for v in K.rows:
+            assert _exact(f, [sum(x * y for x, y in zip(r, v))]) == _exact(f, [0])
 
 
 class TestJacobiChecker:
@@ -148,7 +256,7 @@ class TestJacobiChecker:
         lhs = t.eval([t.eval([e(0), e(2)]), e(1)])
         rhs_1 = t.eval([t.eval([e(0), e(1)]), e(2)])
         rhs_2 = t.eval([e(0), t.eval([e(2), e(1)])])
-        rhs = tuple(QQ.add(a, b) for a, b in zip(rhs_1, rhs_2))
+        rhs = tuple(a + b for a, b in zip(rhs_1, rhs_2))
         assert lhs != rhs
 
 

@@ -146,6 +146,18 @@ class TestMalformedInput:
         code, _, err = run(capsys, ["check", self.bad_file(tmp_path, doc)])
         assert code == 2 and "3317044064679887385961981" in err
 
+    @pytest.mark.parametrize("command", ["check", "analyze", "simple"])
+    @pytest.mark.parametrize("dim, arity, message", [
+        (3, 2**70, f'"arity" {2**70} exceeds dimension + 1 = 4'),
+        (2**70, 2, f'"dimension": {2**70} instances exceed the bound 1000000'),
+    ])
+    def test_shape_beyond_limits_refused(self, capsys, tmp_path, command, dim, arity, message):
+        # refused on loading: the arity overflowed the checkers' tuple
+        # enumeration, and the dimension sized every vector a command builds
+        doc = {"field": "Q", "dimension": dim, "arity": arity, "bracket": []}
+        code, out, err = run(capsys, [command, self.bad_file(tmp_path, doc)])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_env_limit_named(self, capsys, monkeypatch, cross_path, value):
@@ -209,6 +221,23 @@ class TestGenerate:
         code, out, err = run(capsys, ["generate", *argv, "-o", str(path)])
         assert code == 2 and out == "" and flag in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("dim, n, named", [
+        ("3", "5", '"arity" 5'), ("1000001", "2", '"dimension": 1000001'),
+    ])
+    def test_zero_refuses_what_the_loader_refuses(self, capsys, tmp_path, dim, n, named):
+        path = tmp_path / "out.json"
+        code, out, err = run(capsys, ["generate", "zero", "--dim", dim, "--n", n,
+                                      "-o", str(path)])
+        assert code == 2 and out == "" and named in err
+        assert not path.exists()
+
+    def test_zero_at_arity_dimension_plus_one_loads(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        assert main(["generate", "zero", "--dim", "1", "--n", "2", "-o", str(path)]) == 0
+        capsys.readouterr()
+        code, _, _ = run(capsys, ["check", str(path)])
+        assert code == 0
 
     def test_zero_needs_dim(self, capsys):
         code, out, err = run(capsys, ["generate", "zero", "--n", "2"])

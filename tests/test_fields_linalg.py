@@ -39,16 +39,16 @@ class TestFields:
     def test_rational_parse_fmt(self):
         assert QQ.parse("3/4") == Fraction(3, 4)
         assert QQ.parse("-2") == Fraction(-2)
-        assert QQ.fmt(Fraction(-1, 3)) == "-1/3"
-        assert QQ.fmt(Fraction(5)) == "5"
+        # algebra files write a value as its str
+        assert str(QQ.parse("-1/3")) == "-1/3"
+        assert str(QQ.parse("10/2")) == "5"
 
     def test_prime_field_ops(self):
-        assert F5.add(3, 4) == 2
-        assert F5.mul(3, 4) == 2
-        assert F5.neg(2) == 3
+        assert F5.from_int(3 + 4) == 2
+        assert F5.from_int(3 * 4) == 2
+        assert F5.from_int(-2) == 3
         assert F5.inv(3) == 2  # 3*2 = 6 = 1 mod 5
         assert F5.parse("-1") == 4
-        assert F5.fmt(4) == "4"
 
     def test_prime_field_rejects_composites(self):
         with pytest.raises(ValueError):
@@ -93,7 +93,7 @@ class TestFields:
         p = 2**61 - 1
         F = PrimeField(p)
         for a in (1, 2, p - 1, 123456789123456789, -5):
-            assert F.mul(a, F.inv(a)) == 1
+            assert F.from_int(a * F.inv(a)) == 1
             assert F.inv(a) == pow(a, p - 2, p)
         for zero in (0, p, -p):
             with pytest.raises(ZeroDivisionError):
@@ -102,7 +102,7 @@ class TestFields:
     @given(st.integers(1, 4), st.integers(1, 4))
     @settings(max_examples=20)
     def test_fp_inverse_property(self, a, b):
-        assert F5.mul(a % 5 or 1, F5.inv(a % 5 or 1)) == 1
+        assert F5.from_int((a % 5 or 1) * F5.inv(a % 5 or 1)) == 1
 
 
 class TestMatrix:

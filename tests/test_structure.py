@@ -26,7 +26,7 @@ from nlie.constructions import (
 )
 from nlie.fields import PrimeField, QQ
 from nlie.guards import DEFAULT_MAX_ENUM, GuardExceeded
-from nlie.linalg import Matrix, SubspaceBasis, span, unit_vector
+from nlie.linalg import Matrix, SubspaceBasis, span, unit_vector, vec_add
 from nlie.structure import (
     IdealKind,
     brute_force_ideals,
@@ -119,7 +119,7 @@ def direct_sum_cross(field) -> NLieAlgebra:
     c = vector_product_algebra(2).bracket
     table = {}
     for (i, j), vec in c.table.items():
-        left = [field.parse(QQ.fmt(x)) for x in vec]
+        left = [field.parse(str(x)) for x in vec]
         table[(i, j)] = tuple(left + [field.zero] * 3)
         table[(i + 3, j + 3)] = tuple([field.zero] * 3 + left)
     return NLieAlgebra(SkewBracketTensor(6, 2, field, table))
@@ -474,6 +474,37 @@ class TestQuotients:
         cross = vector_product_algebra(2)
         with pytest.raises(ValueError):
             quotient_algebra(cross, span(QQ, 3, [unit_vector(QQ, 3, 0)]))
+
+    @staticmethod
+    def _assert_well_defined(alg, I):
+        # shifting any slot's representative by any row of I leaves every
+        # projected bracket unchanged
+        t = alg.bracket
+        q, qm = quotient_algebra(alg, I)
+        reps = [unit_vector(t.field, t.dim, r) for r in qm.rep_indices]
+        for combo in itertools.combinations(range(qm.dim), t.arity):
+            args = [reps[c] for c in combo]
+            expected = q.bracket.entry(combo)
+            for s, shift in itertools.product(range(t.arity), I.rows):
+                moved = list(args)
+                moved[s] = vec_add(t.field, args[s], shift)
+                assert qm.project(t.eval(moved)) == expected
+
+    @pytest.mark.parametrize("nvars, p", [(2, 3), (3, 2), (3, 3)])
+    def test_center_quotient_well_defined(self, nvars, p):
+        alg = truncated_poisson(nvars, p)
+        self._assert_well_defined(alg, center(alg))
+
+    def test_corpus_quotients_well_defined(self):
+        from test_acceptance import build_corpus
+
+        proper = 0
+        for alg in build_corpus():
+            for I in brute_force_ideals(alg):
+                if 0 < I.dim < alg.dim:
+                    self._assert_well_defined(alg, I)
+                    proper += 1
+        assert proper > 0
 
     def test_project_lift_roundtrip(self):
         char3 = truncated_poisson(2, 3)
