@@ -37,8 +37,7 @@ _EXPORTS = {
         "IdealKind", "PipelineReport", "ProbeReport", "QuotientMap", "SimplicityVerdict",
         "brute_force_ideals", "center", "derived_series", "derived_subspace",
         "ideal_closure", "is_ideal", "is_simple", "nilradical", "probe_lemma",
-        "quotient_algebra", "radical_of_ideal", "subalgebra_on", "theorem1_pipeline",
-        "verify_simplicity_certificate",
+        "quotient_algebra", "subalgebra_on", "theorem1_pipeline", "verify_simplicity_certificate",
     ),
 }
 _HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}

@@ -1,9 +1,10 @@
 """Univariate polynomials over F_p on Python ints, for Norton's
 irreducibility test: the characteristic polynomial of a square matrix by
 Hessenberg reduction (Cohen, *A Course in Computational Algebraic Number
-Theory*, Alg. 2.2.9), factorization into monic irreducibles (squarefree,
-distinct-degree, then Cantor-Zassenhaus equal-degree splitting), and the
-value of a polynomial at a matrix.  Exact at every p.
+Theory*, Alg. 2.2.9), the distinct monic irreducible factors, yielded
+lazily degree by degree (distinct-degree, then Cantor-Zassenhaus
+equal-degree splitting), and the value of a polynomial at a matrix.  Exact
+at every p.
 
 A polynomial is a list of residues in [0, p), constant term first, with no
 trailing zeros (the zero polynomial is []).  Matrices are lists of int rows.
@@ -12,6 +13,7 @@ trailing zeros (the zero polynomial is []).  Matrices are lists of int rows.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 Poly = list[int]
 
@@ -122,46 +124,6 @@ def charpoly(rows: list[list[int]], p: int) -> Poly:
     return polys[n]
 
 
-def _squarefree(f: Poly, p: int) -> list[tuple[Poly, int]]:
-    """Squarefree decomposition of a monic f: pairs (g, m) with f the
-    product of the g^m, each g squarefree and the g pairwise coprime."""
-    out: list[tuple[Poly, int]] = []
-    deriv = _trim([i * c % p for i, c in enumerate(f)][1:])
-    c = _gcd(f, deriv, p)
-    w = _divmod(f, c, p)[0]
-    i = 1
-    while len(w) > 1:
-        y = _gcd(w, c, p)
-        fac = _divmod(w, y, p)[0]
-        if len(fac) > 1:
-            out.append((fac, i))
-        w, c = y, _divmod(c, y, p)[0]
-        i += 1
-    if len(c) > 1:
-        # c is a polynomial in x^p; over F_p its p-th root keeps the coefficients
-        root = c[::p]
-        out.extend((g, m * p) for g, m in _squarefree(root, p))
-    return out
-
-
-def _distinct_degree(f: Poly, p: int) -> list[tuple[Poly, int]]:
-    """Split a monic squarefree f into pairs (g, k): g is the product of
-    f's irreducible factors of degree k."""
-    out: list[tuple[Poly, int]] = []
-    h, k = _X, 0
-    while len(f) - 1 >= 2 * (k + 1):
-        k += 1
-        h = _powmod(h, p, f, p)
-        g = _gcd(f, _sub(h, _X, p), p)
-        if len(g) > 1:
-            out.append((g, k))
-            f = _divmod(f, g, p)[0]
-            h = _rem(h, f, p)
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
-    return out
-
-
 def _equal_degree(f: Poly, k: int, p: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus: the irreducible factors of a monic squarefree f
     whose factors all have degree k."""
@@ -187,15 +149,28 @@ def _equal_degree(f: Poly, k: int, p: int, rng: random.Random) -> list[Poly]:
             )
 
 
-def factor(f: Poly, p: int) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors of a monic f with their multiplicities,
-    sorted by degree, then by coefficients from the constant term up."""
+def factors(f: Poly, p: int) -> Iterator[Poly]:
+    """The distinct monic irreducible factors of a monic f, lazily, sorted
+    by degree, then by coefficients from the constant term up.
+
+    Step k takes g = gcd(f, x^(p^k) - x), which is squarefree and holds
+    exactly the degree-k factors still in f, then divides every copy of
+    them out of f; so repeated and p-th-power factors need no squarefree
+    split.  Once deg f < 2(k + 1), what remains is irreducible or 1."""
     rng = random.Random(p)
-    out: list[tuple[Poly, int]] = []
-    for g, m in _squarefree(f, p):
-        for h, k in _distinct_degree(g, p):
-            out.extend((q, m) for q in _equal_degree(h, k, p, rng))
-    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
+    h, k = _X, 0
+    while len(f) - 1 >= 2 * (k + 1):
+        k += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd(f, _sub(h, _X, p), p)
+        if len(g) > 1:
+            yield from sorted(_equal_degree(g, k, p, rng))
+            while len(g) > 1:
+                f = _divmod(f, g, p)[0]
+                g = _gcd(f, g, p)
+            h = _rem(h, f, p)
+    if len(f) > 1:
+        yield f
 
 
 def matmul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
@@ -204,11 +179,12 @@ def matmul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
 
 
 def at_matrix(f: Poly, rows: list[list[int]], p: int) -> list[list[int]]:
-    """f(M) by Horner's rule."""
-    n = len(rows)
-    out = [[0] * n for _ in range(n)]
-    for c in reversed(f):
-        out = matmul(out, rows, p)
-        for i in range(n):
-            out[i][i] = (out[i][i] + c) % p
+    """f(M) for a monic f of degree at least 1, by Horner's rule started
+    from M, so a linear f costs no matrix product."""
+    out = [list(row) for row in rows]
+    for j, c in enumerate(reversed(f[:-1])):
+        if j:
+            out = matmul(out, rows, p)
+        for i, row in enumerate(out):
+            row[i] = (row[i] + c) % p
     return out

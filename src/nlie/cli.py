@@ -83,28 +83,30 @@ def _compact(x) -> str:
 # the layers it runs that not every command needs
 
 
+def _axioms(loaded, poisson: bool) -> dict:
+    """Jacobi, then, with the product, its axioms, Leibniz and shift."""
+    axioms = {"generalized_jacobi": check_generalized_jacobi(loaded.bracket)}
+    if poisson:
+        alg = loaded.as_poisson()
+        axioms["associative_commutative_unital"] = check_assoc_comm_unital(
+            alg.product, alg.unit
+        )
+        axioms["leibniz"] = check_leibniz(alg)
+        axioms["shift"] = check_poisson_identity(alg)
+    return axioms
+
+
 def _cmd_check(args):
     from . import algfile
 
     loaded = algfile.load_path(args.file)
-    checks: list[tuple[str, object]] = [
-        ("generalized_jacobi", check_generalized_jacobi(loaded.bracket))
-    ]
-    if args.poisson:
-        if not loaded.has_product:
-            raise algfile.AlgebraFileError(
-                "--poisson requires a product and unit in the file"
-            )
-        alg = loaded.as_poisson()
-        checks.append(
-            ("associative_commutative_unital", check_assoc_comm_unital(alg.product, alg.unit))
-        )
-        checks.append(("leibniz", check_leibniz(alg)))
-        checks.append(("shift", check_poisson_identity(alg)))
-    all_ok = all(v.ok for _, v in checks)
-    results = {"checks": {name: v for name, v in checks}, "all_passed": all_ok}
+    if args.poisson and not loaded.has_product:
+        raise algfile.AlgebraFileError("--poisson requires a product and unit in the file")
+    checks = _axioms(loaded, args.poisson)
+    all_ok = all(v.ok for v in checks.values())
+    results = {"checks": checks, "all_passed": all_ok}
     lines = []
-    for name, v in checks:
+    for name, v in checks.items():
         lines.append(f"{name}: {'pass' if v.ok else 'FAIL'} ({v.instances} instances)")
         if not v.ok:
             lines.append(f"  witness: {_compact(v.witness)}")
@@ -176,14 +178,7 @@ def _cmd_analyze(args):
 
     loaded = algfile.load_path(args.file)
     t = loaded.bracket
-    axioms = {"generalized_jacobi": check_generalized_jacobi(t)}
-    if loaded.has_product:
-        alg = loaded.as_poisson()
-        axioms["associative_commutative_unital"] = check_assoc_comm_unital(
-            alg.product, alg.unit
-        )
-        axioms["leibniz"] = check_leibniz(alg)
-        axioms["shift"] = check_poisson_identity(alg)
+    axioms = _axioms(loaded, loaded.has_product)
     series = derived_series(t)
     Z = center(t)
     results = {

@@ -53,7 +53,6 @@ from .linalg import (
     kernel,
     span,
     unit_vector,
-    zero_vector,
 )
 
 AlgebraLike = NLieAlgebra | NLiePoissonAlgebra | SkewBracketTensor
@@ -225,7 +224,7 @@ def ideal_closure(
 
 
 # ---------------------------------------------------------------------------
-# nilradical and radicals of ideals
+# nilradical
 
 
 def _require_unit(product: SymProductTensor, unit: Sequence) -> tuple:
@@ -298,44 +297,10 @@ class QuotientMap(Record):
         reduced = self.ideal.reduce(vec)
         return tuple(reduced[j] for j in self.rep_indices)
 
-    def lift(self, qvec: Sequence) -> tuple:
-        field = self.ideal.field
-        out = list(zero_vector(field, self.ideal.ambient_dim))
-        for j, c in zip(self.rep_indices, qvec):
-            out[j] = c
-        return tuple(out)
-
 
 def _quotient_map(I: SubspaceBasis) -> QuotientMap:
     reps = tuple(j for j in range(I.ambient_dim) if j not in I.pivots)
     return QuotientMap(I, reps)
-
-
-def radical_of_ideal(product: SymProductTensor, unit: Sequence, I: SubspaceBasis) -> SubspaceBasis:
-    """Elements with some power inside I: the preimage of the nilradical
-    of the quotient algebra."""
-    field = product.field
-    d = product.dim
-    unit = _require_unit(product, unit)
-    _check_space(I, field, d)
-    mults = _mult_operators(product)
-    if not _is_invariant(I, mults):
-        raise ValueError("the subspace is not an associative ideal")
-    if I.is_full():
-        return I
-    qm = _quotient_map(I)
-    table: dict[tuple[int, int], tuple] = {}
-    for a in range(qm.dim):
-        ea = unit_vector(field, d, qm.rep_indices[a])
-        for b in range(a, qm.dim):
-            table[(a, b)] = qm.project(product.eval(ea, unit_vector(field, d, qm.rep_indices[b])))
-    qprod = SymProductTensor(qm.dim, field, table)
-    qnil = nilradical(qprod, qm.project(unit))
-    vectors = list(I.rows) + [qm.lift(row) for row in qnil.rows]
-    radical = span(field, d, vectors)
-    if not _is_invariant(radical, mults):
-        raise AssertionError("radical failed to close under multiplication")
-    return radical
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +461,7 @@ def _norton_decide(
     p, d = field.p, t.dim
     rows = _norton_word(ops, p, d, seed, word)
     first = good = None
-    for f, _ in _fppoly.factor(_fppoly.charpoly(rows, p), p):
+    for f in _fppoly.factors(_fppoly.charpoly(rows, p), p):
         fA = _fppoly.at_matrix(f, rows, p)
         ker = kernel(field, d, fA)
         first = first or (f, fA, ker)

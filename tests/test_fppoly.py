@@ -1,5 +1,6 @@
 """Polynomial arithmetic over F_p behind Norton's test: characteristic
-polynomials and factorizations against sympy, at small and large primes."""
+polynomials and distinct irreducible factors against sympy, at small and
+large primes, and the laziness of the factor generator."""
 
 import pytest
 import sympy
@@ -12,14 +13,25 @@ X = sympy.Symbol("x")
 
 
 def sympy_factors(f, p):
-    """Monic irreducible factors with multiplicities, in _fppoly's order."""
+    """The distinct monic irreducible factors, in _fppoly's order."""
     _, factors = sympy.Poly(list(reversed(f)), X, modulus=p).factor_list()
     out = []
-    for g, m in factors:
+    for g, _ in factors:
         coeffs = [int(c) % p for c in reversed(g.all_coeffs())]
         inv = pow(coeffs[-1], -1, p)
-        out.append(([c * inv % p for c in coeffs], m))
-    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
+        out.append([c * inv % p for c in coeffs])
+    return sorted(out, key=lambda g: (len(g), g))
+
+
+def recording(monkeypatch, name, calls, pick):
+    """Wrap _fppoly's `name` so each call appends pick(*args) to calls."""
+    inner = getattr(_fppoly, name)
+
+    def wrapper(*args):
+        calls.append(pick(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(_fppoly, name, wrapper)
 
 
 @st.composite
@@ -58,6 +70,16 @@ class TestCharpoly:
         p, rows = case
         assert not any(map(any, _fppoly.at_matrix(_fppoly.charpoly(rows, p), rows, p)))
 
+    @given(matrices(), st.integers(0, 2**61))
+    @settings(max_examples=30, deadline=None)
+    def test_linear_at_matrix_is_a_shift(self, case, c):
+        p, rows = case
+        c %= p
+        shifted = [
+            [(x + c * (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(rows)
+        ]
+        assert _fppoly.at_matrix([c, 1], rows, p) == shifted
+
 
 class TestFactor:
     @given(matrices())
@@ -65,13 +87,13 @@ class TestFactor:
     def test_charpoly_factors_match_sympy(self, case):
         p, rows = case
         f = _fppoly.charpoly(rows, p)
-        assert _fppoly.factor(f, p) == sympy_factors(f, p)
+        assert list(_fppoly.factors(f, p)) == sympy_factors(f, p)
 
     @given(products())
     @settings(max_examples=60, deadline=None)
     def test_repeated_factors_match_sympy(self, case):
         p, f = case
-        assert _fppoly.factor(f, p) == sympy_factors(f, p)
+        assert list(_fppoly.factors(f, p)) == sympy_factors(f, p)
 
     @pytest.mark.parametrize(
         "f, p, irreducible",
@@ -80,4 +102,19 @@ class TestFactor:
     )
     def test_is_irreducible(self, f, p, irreducible):
         # a monic f is irreducible when it is its own one factor
-        assert (_fppoly.factor(f, p) == [(f, 1)]) is irreducible
+        assert (list(_fppoly.factors(f, p)) == [f]) is irreducible
+
+    # x·q1·q2 with distinct irreducible cubics q1 and q2
+    @pytest.mark.parametrize(
+        "p, q1, q2", [(2, [1, 1, 0, 1], [1, 0, 1, 1]), (3, [1, 2, 0, 1], [2, 2, 0, 1])]
+    )
+    def test_first_factor_splits_only_degree_one(self, monkeypatch, p, q1, q2):
+        for q in (q1, q2):
+            assert sympy.Poly(list(reversed(q)), X, modulus=p).is_irreducible
+        split = []
+        recording(monkeypatch, "_equal_degree", split, lambda f, k, p, rng: k)
+        factors = _fppoly.factors(_fppoly._mul([0, 1], _fppoly._mul(q1, q2, p), p), p)
+        assert next(factors) == [0, 1]
+        assert split == [1]
+        assert list(factors) == sorted([q1, q2])
+        assert set(split) == {1, 3}

@@ -35,7 +35,7 @@ PUBLIC = {
         "SimplicityVerdict", "brute_force_ideals", "center",
         "derived_series", "derived_subspace", "ideal_closure", "is_ideal", "is_simple",
         "nilradical", "probe_lemma", "quotient_algebra",
-        "radical_of_ideal", "subalgebra_on", "theorem1_pipeline",
+        "subalgebra_on", "theorem1_pipeline",
         "verify_simplicity_certificate",
     ),
 }

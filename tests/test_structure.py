@@ -40,7 +40,6 @@ from nlie.structure import (
     nilradical,
     probe_lemma,
     quotient_algebra,
-    radical_of_ideal,
     subalgebra_on,
     theorem1_pipeline,
     verify_simplicity_certificate,
@@ -442,23 +441,6 @@ class TestNilradical:
         with pytest.raises(ValueError):
             nilradical(prod, (Z, ONE, Z))
 
-    def test_radical_of_ideal_oracle(self):
-        prod, unit = poly_quotient_ring(4)
-        I = span(QQ, 4, [unit_vector(QQ, 4, 2), unit_vector(QQ, 4, 3)])
-        R = radical_of_ideal(prod, unit, I)
-        assert R == span(QQ, 4, [unit_vector(QQ, 4, k) for k in (1, 2, 3)])
-
-    def test_radical_requires_ideal(self):
-        prod, unit = poly_quotient_ring(4)
-        with pytest.raises(ValueError):
-            radical_of_ideal(prod, unit, span(QQ, 4, [unit_vector(QQ, 4, 1)]))
-
-    def test_radical_refuses_a_subspace_of_another_space(self):
-        prod, unit = poly_quotient_ring(3)
-        for I in (span(F3, 3, [unit_vector(F3, 3, 2)]), span(QQ, 4, [unit_vector(QQ, 4, 2)])):
-            with pytest.raises(ValueError, match="does not live in the algebra's space"):
-                radical_of_ideal(prod, unit, I)
-
 
 class TestQuotients:
     def test_quotient_by_center(self):
@@ -506,12 +488,6 @@ class TestQuotients:
                     proper += 1
         assert proper > 0
 
-    def test_project_lift_roundtrip(self):
-        char3 = truncated_poisson(2, 3)
-        _, qm = quotient_algebra(char3, center(char3))
-        v = qm.project((1, 2, 0, 1, 0, 0, 0, 0, 2))
-        assert qm.project(qm.lift(v)) == v
-
     def test_subalgebra_on_derived(self):
         char3 = truncated_poisson(2, 3)
         sub = subalgebra_on(char3, derived_subspace(char3))
@@ -540,6 +516,20 @@ class TestSimplicity:
         assert v.certificate["method"] == "Norton"
         assert v.certificate["nullity"] == len(v.certificate["factor"]) - 1
         assert verify_simplicity_certificate(char3, v)
+
+    def test_norton_stops_at_the_certificate_factor(self, monkeypatch):
+        # word 0 on c5 has irreducible factors of degrees 4, 8 and 13, and
+        # the first already has nullity 4: nothing past it is split or evaluated
+        from test_fppoly import recording
+
+        evaluated, split = [], []
+        recording(monkeypatch, "at_matrix", evaluated, lambda f, rows, p: f)
+        recording(monkeypatch, "_equal_degree", split, lambda f, k, p, rng: k)
+        v = norton(truncated_poisson(2, 5))
+        assert v.certificate["word"] == 0
+        assert evaluated == [v.certificate["factor"]]
+        assert len(v.certificate["factor"]) - 1 == v.certificate["nullity"] == 4
+        assert split == [4]
 
     # over F_3, x^2 + x + 1 = (x - 1)^2 is reducible, and x does not divide
     # the characteristic polynomial of the certified word
