@@ -124,13 +124,17 @@ def charpoly(rows: list[list[int]], p: int) -> Poly:
     return polys[n]
 
 
+# each draw splits a valid input with probability >= 1/2: all fail at most 2^-64 of the time
+_SPLIT_DRAWS = 64
+
+
 def _equal_degree(f: Poly, k: int, p: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus: the irreducible factors of a monic squarefree f
-    whose factors all have degree k."""
+    whose factors all have degree k; ValueError if _SPLIT_DRAWS draws fail."""
     n = len(f) - 1
     if n == k:
         return [f]
-    while True:
+    for _ in range(_SPLIT_DRAWS):
         a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
@@ -147,6 +151,7 @@ def _equal_degree(f: Poly, k: int, p: int, rng: random.Random) -> list[Poly]:
             return _equal_degree(g, k, p, rng) + _equal_degree(
                 _divmod(f, g, p)[0], k, p, rng
             )
+    raise ValueError(f"degree {n} does not split into factors of degree k={k} over F_{p}")
 
 
 def factors(f: Poly, p: int) -> Iterator[Poly]:

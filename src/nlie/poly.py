@@ -20,7 +20,7 @@ from fractions import Fraction
 from .algebra import IDENTITIES, Record, Verdict, Witness, default_var_names, grlex_key
 from .fields import QQ
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
-from .linalg import SubspaceBasis, check_det_arity, det_expand, kernel
+from .linalg import SubspaceBasis, check_det_arity, det_expand, unit_vector
 
 Exponents = tuple[int, ...]
 
@@ -466,11 +466,11 @@ class TruncatedSubspace(Record):
         return tuple(out)
 
 
-def _single_term(value: Poly) -> tuple[Exponents, Fraction] | None:
-    if len(value.terms) != 1:
-        return None
-    [(e, c)] = value.terms.items()
-    return e, c
+def _unit_span(nvars: int, degree_bound: int, coords: list[Exponents], members):
+    """The span of the coordinate monomials at the indices `members`."""
+    d = len(coords)
+    basis = SubspaceBasis(QQ, d, [unit_vector(QQ, d, i) for i in members])
+    return TruncatedSubspace(nvars, degree_bound, tuple(coords), basis)
 
 
 def truncated_derived_span(
@@ -483,7 +483,8 @@ def truncated_derived_span(
     (arity for 'jac', arity-1 for 'w') and send monomial tuples to scalar
     multiples of single monomials, so inputs of total degree up to the bound
     plus that drop are exhaustive and the intersection with the truncation
-    is just membership.
+    is just membership.  The sweep stops once every coordinate monomial is
+    hit.
     """
     fn, nvars = _bracket_fn(bracket, arity)
     drop = arity if bracket == "jac" else arity - 1
@@ -492,27 +493,19 @@ def truncated_derived_span(
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "truncated derived span")
     coords = monomials_up_to(nvars, degree_bound)
     coord_index = {e: i for i, e in enumerate(coords)}
-    hits: set[Exponents] = set()
+    hits: set[int] = set()
     for combo in itertools.combinations(inputs, arity):
         if sum(sum(e) for e in combo) > degree_bound + drop:
             continue
-        value = fn([Poly.monomial(e) for e in combo])
-        if value.is_zero():
-            continue
-        single = _single_term(value)
-        if single is None:
+        terms = fn([Poly.monomial(e) for e in combo]).terms
+        if len(terms) > 1:
             raise AssertionError("determinant bracket of monomials must be a monomial")
-        e, _ = single
-        if e in coord_index:
-            hits.add(e)
-    vectors = []
-    for e in sorted(hits, key=grlex_key):
-        v = [Fraction(0)] * len(coords)
-        v[coord_index[e]] = Fraction(1)
-        vectors.append(v)
-    return TruncatedSubspace(
-        nvars, degree_bound, tuple(coords), SubspaceBasis(QQ, len(coords), vectors)
-    )
+        i = coord_index.get(next(iter(terms), None))  # None also for a zero value
+        if i is not None:
+            hits.add(i)
+            if len(hits) == len(coords):
+                break
+    return _unit_span(nvars, degree_bound, coords, hits)
 
 
 def truncated_center(
@@ -522,21 +515,21 @@ def truncated_center(
     every tuple of co-argument monomials of degree <= degree_bound + arity.
 
     A degree-truncated shadow of the center: membership here is necessary,
-    not sufficient, for lying in the center of the full algebra.
+    not sufficient, for lying in the center of the full algebra.  Against
+    fixed co-arguments, distinct monomials go to multiples of distinct
+    monomials, so the center is spanned by the coordinate monomials whose
+    every bracket vanishes; each coordinate's walk stops at its first
+    nonzero bracket.
     """
     fn, nvars = _bracket_fn(bracket, arity)
     coords = monomials_up_to(nvars, degree_bound)
     cargs = monomials_up_to(nvars, degree_bound + arity)
-    tuples = list(itertools.combinations(cargs, arity - 1))
-    total = len(coords) * len(tuples)
+    total = len(coords) * math.comb(len(cargs), arity - 1)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "truncated center")
-    rows: dict[tuple, list[Fraction]] = {}
-    for t, combo in enumerate(tuples):
-        others = [Poly.monomial(e) for e in combo]
-        for i, e in enumerate(coords):
-            value = fn([Poly.monomial(e), *others])
-            for out_e, c in value.terms.items():
-                row = rows.setdefault((t, out_e), [Fraction(0)] * len(coords))
-                row[i] += c
-    basis = kernel(QQ, len(coords), [rows[k] for k in sorted(rows)])
-    return TruncatedSubspace(nvars, degree_bound, tuple(coords), basis)
+    others = [[Poly.monomial(e) for e in combo]
+              for combo in itertools.combinations(cargs, arity - 1)]
+    members = [
+        i for i, e in enumerate(coords)
+        if all(fn([Poly.monomial(e), *rest]).is_zero() for rest in others)
+    ]
+    return _unit_span(nvars, degree_bound, coords, members)

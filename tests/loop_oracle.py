@@ -7,21 +7,28 @@ the first instance whose sides differ.  The verdicts, instance counts and
 witnesses are the ones the library must report.  `ad_operator` evaluates
 an adjoint operator on every basis vector, the dense twin of the library's
 sparse operator builders, and the center loop intersects the kernel of each
-adjoint operator one at a time.
+adjoint operator one at a time.  The truncated center is the exact kernel of
+one coefficient row per (co-argument tuple, output monomial), and the
+truncated derived span is the span of every bracket value in the degree
+budget, swept to the end.
 """
 
 import itertools
+from fractions import Fraction
 
 from nlie.algebra import Verdict, Witness
+from nlie.fields import QQ
 from nlie.linalg import (
     Matrix,
     SubspaceBasis,
     is_zero_vector,
     kernel,
+    span,
     unit_vector,
     vec_add,
     zero_vector,
 )
+from nlie.poly import Poly, TruncatedSubspace, _bracket_fn, monomials_up_to
 
 
 def dense(m: Matrix) -> tuple:
@@ -161,3 +168,40 @@ def center_oracle(t):
         if not m.is_zero():
             K = stacked_kernel_intersect(K, kernel(f, d, dense(m)))
     return K
+
+
+def truncated_center_oracle(bracket, arity, degree_bound):
+    """The kernel of the rows indexed by (co-argument tuple, output
+    monomial), each holding the coefficients with which the coordinate
+    monomials reach that output."""
+    fn, nvars = _bracket_fn(bracket, arity)
+    coords = monomials_up_to(nvars, degree_bound)
+    cargs = monomials_up_to(nvars, degree_bound + arity)
+    rows: dict[tuple, list[Fraction]] = {}
+    for t, combo in enumerate(itertools.combinations(cargs, arity - 1)):
+        others = [Poly.monomial(e) for e in combo]
+        for i, e in enumerate(coords):
+            value = fn([Poly.monomial(e), *others])
+            for out_e, c in value.terms.items():
+                row = rows.setdefault((t, out_e), [Fraction(0)] * len(coords))
+                row[i] += c
+    basis = kernel(QQ, len(coords), [rows[k] for k in sorted(rows)])
+    return TruncatedSubspace(nvars, degree_bound, tuple(coords), basis)
+
+
+def truncated_derived_span_oracle(bracket, arity, degree_bound):
+    """The span of the coefficient vectors of every bracket value on
+    monomial tuples whose total degree keeps the value inside the
+    truncation."""
+    fn, nvars = _bracket_fn(bracket, arity)
+    drop = arity if bracket == "jac" else arity - 1
+    coords = monomials_up_to(nvars, degree_bound)
+    index = {e: i for i, e in enumerate(coords)}
+    vectors = []
+    for combo in itertools.combinations(monomials_up_to(nvars, degree_bound + drop), arity):
+        if sum(map(sum, combo)) <= degree_bound + drop:
+            v = [Fraction(0)] * len(coords)
+            for e, c in fn([Poly.monomial(e) for e in combo]).terms.items():
+                v[index[e]] += c
+            vectors.append(v)
+    return TruncatedSubspace(nvars, degree_bound, tuple(coords), span(QQ, len(coords), vectors))

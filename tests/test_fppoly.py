@@ -2,6 +2,9 @@
 polynomials and distinct irreducible factors against sympy, at small and
 large primes, and the laziness of the factor generator."""
 
+import random
+import time
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -118,3 +121,40 @@ class TestFactor:
         assert split == [1]
         assert list(factors) == sorted([q1, q2])
         assert set(split) == {1, 3}
+
+
+class CountingRandom(random.Random):
+    """random.Random that fails the test instead of hanging once a retry
+    loop has drawn far more than the split budget allows."""
+
+    def __init__(self, seed, fixed=None):
+        super().__init__(seed)
+        self.fixed, self.calls = fixed, 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        assert self.calls < 10**5, "the split retries without a bound"
+        return super().randrange(*args) if self.fixed is None else self.fixed
+
+
+class TestEqualDegree:
+    def test_linear_factors_at_degree_two_raise(self):
+        # (x-1)(x-2)(x-3)(x-4) over F_5 has no factor of degree 2; with the
+        # seed that factors() uses at p = 5 it once retried forever
+        f = [1]
+        for r in (1, 2, 3, 4):
+            f = _fppoly._mul(f, [-r % 5, 1], 5)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="k=2"):
+            _fppoly._equal_degree(f, 2, 5, CountingRandom(5))
+        assert time.perf_counter() - start < 1
+
+    def test_draws_that_never_split_exhaust_the_budget(self):
+        # two distinct irreducible quadratics over F_3; an all-zero draw is a
+        # constant, which never splits
+        f = _fppoly._mul([1, 0, 1], [2, 1, 1], 3)
+        rng = CountingRandom(0, fixed=0)
+        with pytest.raises(ValueError, match="k=2 over F_3"):
+            _fppoly._equal_degree(f, 2, 3, rng)
+        assert rng.calls == 4 * _fppoly._SPLIT_DRAWS  # one coefficient per degree of f
+        assert sorted(_fppoly._equal_degree(f, 2, 3, CountingRandom(0))) == [[1, 0, 1], [2, 1, 1]]

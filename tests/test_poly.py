@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from loop_oracle import truncated_center_oracle, truncated_derived_span_oracle
 
 from nlie.guards import GuardExceeded
 from nlie.poly import (
@@ -183,6 +184,44 @@ class TestTruncatedSubspaces:
         assert cen.basis.dim == 1
         (row,) = cen.basis.rows
         assert row[0] == 1 and all(c == 0 for c in row[1:])
+
+    # each degree whose kernel oracle takes at most about a second
+    ORACLE_GRID = [
+        *(("jac", 2, d) for d in range(1, 7)),
+        *(("w", 2, d) for d in range(1, 7)),
+        ("jac", 3, 1),
+        *(("w", 3, d) for d in range(1, 4)),
+    ]
+
+    @pytest.mark.parametrize("bracket,arity,degree", ORACLE_GRID)
+    def test_center_matches_kernel_oracle(self, bracket, arity, degree):
+        assert truncated_center(bracket, arity, degree) == truncated_center_oracle(
+            bracket, arity, degree
+        )
+
+    @pytest.mark.parametrize("bracket,arity,degree", ORACLE_GRID)
+    def test_derived_span_matches_full_sweep(self, bracket, arity, degree):
+        assert truncated_derived_span(bracket, arity, degree) == truncated_derived_span_oracle(
+            bracket, arity, degree
+        )
+
+    @pytest.mark.parametrize(
+        "bracket,arity,degree,nominal",
+        [
+            ("jac", 2, 2, 6 * 15),  # 6 coordinates, 15 co-arguments of degree <= 4
+            ("w", 3, 2, 6 * 210),  # 6 coordinates, C(21, 2) pairs of degree <= 5
+        ],
+    )
+    def test_center_guard_counts_every_instance(self, bracket, arity, degree, nominal):
+        truncated_center(bracket, arity, degree, max_instances=nominal)
+        with pytest.raises(GuardExceeded, match=f": {nominal} instances exceed the bound"):
+            truncated_center(bracket, arity, degree, max_instances=nominal - 1)
+
+    def test_derived_span_guard_counts_every_instance(self):
+        # C(28, 2) pairs of monomials of degree <= 6
+        truncated_derived_span("jac", 2, 4, max_instances=378)
+        with pytest.raises(GuardExceeded, match=": 378 instances exceed the bound"):
+            truncated_derived_span("jac", 2, 4, max_instances=377)
 
     def test_default_var_names(self):
         assert default_var_names(2) == ("x", "y")
