@@ -8,6 +8,11 @@ higher exponents first).  Truncated checks enumerate monomial tuples, which
 is exhaustive for the stated degree bound by multilinearity; reports always
 carry the bound, since no finite truncation proves the identity in all
 degrees.
+
+Coefficients are Fractions.  A product scales each operand's coefficients
+to ints by the lcm of its denominators, sums the term products as ints, and
+makes one Fraction per result term.  A power refuses, through the instance
+guard, a result that could hold too many terms.
 """
 
 from __future__ import annotations
@@ -91,16 +96,17 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.nvars, out)
+        a, la = _scaled(self.terms)
+        b, lb = _scaled(other.terms)
+        out: dict[Exponents, int] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        scale = la * lb
+        if scale == 1:
+            return Poly(self.nvars, {e: Fraction(s) for e, s in out.items() if s})
+        return Poly(self.nvars, {e: Fraction(s, scale) for e, s in out.items() if s})
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -109,6 +115,12 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
+        # the result has at most as many terms as k-multisets of the base's
+        # terms, or as monomials of degree <= k * deg, whichever is fewer
+        t = max(len(self.terms), 1)
+        bound = min(math.comb(k + t - 1, t - 1),
+                    math.comb(self.nvars + k * max(self.degree(), 0), self.nvars))
+        check_instances(bound**2, None, DEFAULT_MAX_INSTANCES, "polynomial power")
         result = Poly.const(self.nvars, 1)
         base = self
         while k:
@@ -167,6 +179,13 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render()})"
+
+
+def _scaled(terms: dict[Exponents, Fraction]) -> tuple[dict[Exponents, int], int]:
+    """(terms with int coefficients, scale): every coefficient times the lcm
+    of the denominators."""
+    scale = math.lcm(*{c.denominator for c in terms.values()})
+    return {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}, scale
 
 
 class PolyParseError(ValueError):

@@ -10,7 +10,9 @@ sparse operator builders, and the center loop intersects the kernel of each
 adjoint operator one at a time.  The truncated center is the exact kernel of
 one coefficient row per (co-argument tuple, output monomial), and the
 truncated derived span is the span of every bracket value in the degree
-budget, swept to the end.
+budget, swept to the end.  Polynomial products multiply and sum one
+Fraction at a time, and the determinant brackets expand over every
+permutation on those products.
 """
 
 import itertools
@@ -205,3 +207,44 @@ def truncated_derived_span_oracle(bracket, arity, degree_bound):
                 v[index[e]] += c
             vectors.append(v)
     return TruncatedSubspace(nvars, degree_bound, tuple(coords), span(QQ, len(coords), vectors))
+
+
+def poly_product_oracle(a: Poly, b: Poly) -> Poly:
+    """a * b, term by term over Fractions."""
+    out: dict[tuple, Fraction] = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return Poly(a.nvars, out)
+
+
+def poly_power_oracle(a: Poly, k: int) -> Poly:
+    """a ** k, as k products."""
+    out = Poly.const(a.nvars, 1)
+    for _ in range(k):
+        out = poly_product_oracle(out, a)
+    return out
+
+
+def bracket_oracle(bracket: str, args) -> Poly:
+    """The determinant bracket over every permutation, on oracle products:
+    'jac' is det[partial_r(u_s)], 'w' has the arguments as its first row
+    and partial_r(u_s) below."""
+    n = len(args)
+    if bracket == "jac":
+        grid = [[u.partial(r) for u in args] for r in range(n)]
+    else:
+        grid = [list(args), *([u.partial(r) for u in args] for r in range(n - 1))]
+    total = Poly.zero(args[0].nvars)
+    for perm in itertools.permutations(range(n)):
+        term = Poly.const(total.nvars, 1)
+        for r, s in enumerate(perm):
+            term = poly_product_oracle(term, grid[r][s])
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        total = total - term if odd else total + term
+    return total

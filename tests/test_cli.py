@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,14 @@ class TestPoly:
         assert code == 0
         assert "span{1}" in out
 
+    def test_power_guard_exit_two(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["poly", "eval", "--bracket", "jac", "--n", "2",
+                                      "--args", "(x+y+1)^1000; x"])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err.startswith("error: polynomial power: ")
+
     def test_bad_expression_exit_two(self, capsys):
         code, _, err = run(capsys, ["poly", "eval", "--bracket", "jac", "--n", "2",
                                     "--args", "x^2; z"])
@@ -533,6 +542,29 @@ def test_simplicity_reports_match_golden(capsys, tmp_path, golden, command, name
     code, out, _ = run(capsys, [*command, "--format", "json", path])
     assert code == 0
     assert _golden_text(out, path) == (GOLDEN / f"{golden}.json").read_text()
+
+
+# golden report, exit code and the poly command line; the reports were
+# written by the one-Fraction-at-a-time product, and hold no input path
+_POLY_GOLDEN = [
+    ("poly_eval_w3", 0, ["eval", "--bracket", "w", "--n", "3",
+                         "--args", "1/2*x^2*y-3*y;x*y^2+2/3*x;(x-2*y+1)^2"]),
+    ("poly_eval_jac2", 0, ["eval", "--bracket", "jac", "--n", "2",
+                           "--args", "1/2*x^3*y-2/3*y^2+x;3/4*x*y^2-5*x+1/3*y"]),
+    ("poly_verify_jac2_leibniz", 0, ["verify", "--bracket", "jac", "--n", "2",
+                                     "--identity", "leibniz", "--degree", "3"]),
+    ("poly_verify_w2_leibniz", 1, ["verify", "--bracket", "w", "--n", "2",
+                                   "--identity", "leibniz", "--degree", "2"]),
+    ("poly_center_w3", 0, ["center", "--bracket", "w", "--n", "3", "--degree", "2"]),
+    ("poly_derived_jac2", 0, ["derived", "--bracket", "jac", "--n", "2", "--degree", "4"]),
+]
+
+
+@pytest.mark.parametrize("golden, exit_code, argv", _POLY_GOLDEN)
+def test_poly_reports_match_golden(capsys, golden, exit_code, argv):
+    code, out, _ = run(capsys, ["poly", *argv, "--format", "json"])
+    assert code == exit_code
+    assert out == (GOLDEN / f"{golden}.json").read_text()
 
 
 @pytest.mark.parametrize("name, method", [

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from loop_oracle import truncated_center_oracle, truncated_derived_span_oracle
+from loop_oracle import (
+    bracket_oracle,
+    poly_power_oracle,
+    poly_product_oracle,
+    truncated_center_oracle,
+    truncated_derived_span_oracle,
+)
 
 from nlie.guards import GuardExceeded
 from nlie.poly import (
@@ -48,6 +54,25 @@ class TestPolyArithmetic:
         with pytest.raises(ValueError):
             P("x") ** -1
 
+    @pytest.mark.parametrize("src, terms", [
+        ("x^100000", 1),
+        ("(x+y+1)^20", 231),
+        # the term count alone bounds the outer square by C(154, 2)^2 > 10^8;
+        # degree 32 in 2 variables bounds it by C(34, 2)^2
+        ("((x+y+1)^16)^2", 561),
+        ("0^1000", 0),
+    ])
+    def test_pow_within_guard(self, src, terms):
+        assert len(P(src).terms) == terms
+
+    def test_pow_guard(self, monkeypatch):
+        with pytest.raises(GuardExceeded, match="^polynomial power: "):
+            P("(x+y+1)^1000")
+        P("(x+y+1)^5")
+        monkeypatch.setenv("NLIE_MAX_INSTANCES", "100")
+        with pytest.raises(GuardExceeded, match="^polynomial power: 441 instances exceed the bound 100$"):
+            P("(x+y+1)^5")
+
     @given(
         st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)
     )
@@ -66,6 +91,62 @@ class TestPolyArithmetic:
         db = b.partial(0)
         rhs = (db * db).scale(2) + (b * b.partial(0).partial(0)).scale(2)
         assert lhs == rhs
+
+
+def rational_polys(nvars: int, max_terms: int = 4):
+    """Polynomials of up to max_terms rational terms, the zero one included."""
+    coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(exponents, coeffs, max_size=max_terms).map(
+        lambda terms: Poly(nvars, terms)
+    )
+
+
+def bracket_args(data, nvars: int, count: int) -> list[Poly]:
+    """count arguments; sometimes one is a rational multiple of another, so
+    the bracket cancels to zero."""
+    args = [data.draw(rational_polys(nvars)) for _ in range(count)]
+    if count > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.permutations(range(count)))[:2]
+        args[j] = args[i].scale(data.draw(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))))
+    return args
+
+
+def assert_normalised(r: Poly) -> None:
+    assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    assert r == Poly(r.nvars, dict(r.terms))
+
+
+class TestScaledProducts:
+    """The scaled-int products against the one-Fraction-at-a-time oracle."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_products_match_oracle(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        a, b = data.draw(rational_polys(nvars)), data.draw(rational_polys(nvars))
+        k = data.draw(st.integers(0, 4))
+        pairs = [
+            (a * b, poly_product_oracle(a, b)),
+            # the cross terms cancel
+            ((a + b) * (a - b), poly_product_oracle(a + b, a - b)),
+            (a ** k, poly_power_oracle(a, k)),
+            (jac_bracket(args := bracket_args(data, nvars, nvars)), bracket_oracle("jac", args)),
+            (w_bracket(args := bracket_args(data, nvars, nvars + 1)), bracket_oracle("w", args)),
+        ]
+        for got, want in pairs:
+            assert got == want
+            assert_normalised(got)
+
+    @pytest.mark.parametrize("bracket, args", [
+        ("jac", "1/2*x^2*y - 3*y; 3/4*x^2*y - 9/2*y"),
+        ("w", "1/2*x^2*y - 3*y; x*y^2 + 2/3*x; -x^2*y + 6*y"),
+        ("w", "x; 0; y"),
+    ])
+    def test_brackets_cancel_to_zero(self, bracket, args):
+        polys = [P(text) for text in args.split(";")]
+        fn = jac_bracket if bracket == "jac" else w_bracket
+        assert fn(polys).is_zero() and bracket_oracle(bracket, polys).is_zero()
 
 
 class TestParser:
