@@ -70,7 +70,8 @@ class TestPolyArithmetic:
             P("(x+y+1)^1000")
         P("(x+y+1)^5")
         monkeypatch.setenv("NLIE_MAX_INSTANCES", "100")
-        with pytest.raises(GuardExceeded, match="^polynomial power: 441 instances exceed the bound 100$"):
+        refusal = "^polynomial power: 441 instances exceed the bound 100$"
+        with pytest.raises(GuardExceeded, match=refusal):
             P("(x+y+1)^5")
 
     @given(
@@ -108,7 +109,8 @@ def bracket_args(data, nvars: int, count: int) -> list[Poly]:
     args = [data.draw(rational_polys(nvars)) for _ in range(count)]
     if count > 1 and data.draw(st.booleans()):
         i, j = data.draw(st.permutations(range(count)))[:2]
-        args[j] = args[i].scale(data.draw(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))))
+        c = data.draw(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+        args[j] = args[i].scale(c)
     return args
 
 
