@@ -557,12 +557,17 @@ def check_assoc_comm_unital(
 
 def check_leibniz(alg: NLiePoissonAlgebra, max_instances: int | None = None) -> Verdict:
     """Check bracket(a*b, u2..un) == a*bracket(b, u..) + bracket(a, u..)*b on basis tuples."""
-    t = alg.bracket
+    return _leibniz(alg.product, alg.bracket, max_instances)
+
+
+def _leibniz(prod: SymProductTensor, t: SkewBracketTensor, max_instances: int | None) -> Verdict:
+    """check_leibniz on the tensors themselves; for arity 1 the bracket is
+    a linear map, and this checks that it is a derivation of the product."""
     d, n, f = t.dim, t.arity, t.field
     total = d * d * math.comb(d, n - 1)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "Leibniz check")
     bracket, lb = _integral(t.table, f)
-    product, lp = _integral(alg.product.table, f)
+    product, lp = _integral(prod.table, f)
     _, by_col, hits = _ad_columns(d, bracket)
     mult = _mult_columns(d, product)
 

@@ -372,7 +372,7 @@ def _cmd_poly(args):
     else:  # center
         cen = truncated_center(args.bracket, args.n, args.degree)
         options["degree"] = args.degree
-        members = _center_members(cen, names)
+        members = [Poly.monomial(e).render(names) for e in cen.member_monomials()]
         results = {
             "dim": cen.basis.dim,
             "ambient_dim": len(cen.monomials),
@@ -380,19 +380,6 @@ def _cmd_poly(args):
         }
         lines = [f"center: span{{{', '.join(members)}}}" if members else "center: 0"]
     return code, _report("poly", options, results), lines
-
-
-def _center_members(cen, names: Sequence[str]) -> list[str]:
-    from .poly import Poly
-
-    members = []
-    for row in cen.basis.rows:
-        p = Poly.zero(len(names))
-        for coeff, exponents in zip(row, cen.monomials):
-            if coeff:
-                p = p + Poly.monomial(exponents, coeff)
-        members.append(p.render(names))
-    return members
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@ bracket, Jacobian-determinant brackets from commuting derivations, and the
 variant whose determinant keeps the arguments themselves in the first row.
 
 Derivation matrices are validated, never trusted: getting their semantics
-wrong silently would poison every downstream structural computation.
+wrong silently would poison every downstream structural computation.  Each
+is checked by the Leibniz engine as the arity-1 bracket e_k -> D(e_k), and
+the determinant brackets multiply the derivations' sparse columns through
+the carrier product's column index, the one the checkers read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 
 from .algebra import (
@@ -20,41 +24,39 @@ from .algebra import (
     SymProductTensor,
     Verdict,
     Witness,
+    _leibniz,
+    _mult_columns,
     default_var_names,
     grlex_key,
 )
 from .fields import QQ, Field, PrimeField
 from .guards import DEFAULT_MAX_ENUM, check_instances
-from .linalg import (
-    Matrix,
-    check_det_arity,
-    det_expand,
-    is_zero_vector,
-    unit_vector,
-    vec_add,
-    zero_vector,
-)
+from .linalg import Matrix, check_det_arity, det_expand, unit_vector
 
 
 def check_derivation(product: SymProductTensor, d_matrix: Matrix) -> Verdict:
-    """Check D(ei*ej) == D(ei)*ej + ei*D(ej) on all basis pairs."""
+    """Check D(ei*ej) == D(ei)*ej + ei*D(ej) on all basis pairs: the
+    Leibniz check of the arity-1 bracket e_k -> D(e_k)."""
     if d_matrix.field != product.field:
         raise ValueError("derivation matrix field does not match the product")
     if d_matrix.nrows != product.dim or d_matrix.ncols != product.dim:
         raise ValueError("derivation matrix shape does not match the dimension")
-    dim, f = product.dim, product.field
-    total = dim * dim
-    basis = [unit_vector(f, dim, i) for i in range(dim)]
-    images = [d_matrix.matvec(basis[i]) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            lhs = d_matrix.matvec(product.entry(i, j))
-            rhs = vec_add(f, product.eval(images[i], basis[j]), product.eval(basis[i], images[j]))
-            if lhs != rhs:
-                return Verdict(
-                    False, Witness("derivation", {"pair": (i, j), "lhs": lhs, "rhs": rhs}), total
-                )
-    return Verdict(True, None, total)
+    dim = product.dim
+    table = {(k,): _dense(dim, col) for k, col in enumerate(d_matrix.columns) if col}
+    verdict = _leibniz(product, SkewBracketTensor(dim, 1, product.field, table), None)
+    if verdict.ok:
+        return verdict
+    w = verdict.witness.data
+    data = {"pair": (w["i"], w["j"]), "lhs": w["lhs"], "rhs": w["rhs"]}
+    return Verdict(False, Witness("derivation", data), verdict.instances)
+
+
+def _dense(dim: int, pairs) -> list:
+    """The dim-length vector with the (index, coefficient) `pairs`."""
+    value = [0] * dim
+    for m, c in pairs:
+        value[m] = c
+    return value
 
 
 def check_commuting(maps: Sequence[Matrix]) -> Verdict:
@@ -112,11 +114,13 @@ def vector_product_algebra(n: int, field: Field = QQ) -> NLieAlgebra:
     On the increasing basis tuple omitting index m the value is
     (-1)^(n+m) * e_m (0-based).  The sign convention follows from placing
     the basis row last; the generalized Jacobi checker certifies the axioms
-    independently of that choice.
+    independently of that choice.  The (n+1)^2 stored coefficients are
+    guarded by the enumeration limit.
     """
     if n < 2:
         raise ValueError("the vector product bracket needs arity >= 2")
     d = n + 1
+    check_instances(d * d, None, DEFAULT_MAX_ENUM, "vector product coefficients")
     table = {}
     for m in range(d):
         key = tuple(i for i in range(d) if i != m)
@@ -132,27 +136,40 @@ def _det_bracket_table(
     arity: int,
     field: Field,
     product: SymProductTensor,
-    rows: list[list[tuple]],
+    rows: list[Sequence],
 ) -> dict:
     """Expand det[rows[r][i_s]] in the carrier algebra for every increasing
-    tuple (i_1, .., i_n): rows[r][i] is the coefficient vector of the
-    determinant entry in row r for basis index i.  The tuple count is
-    guarded by the enumeration limit."""
+    tuple (i_1, .., i_n): rows[r][i] holds the (index, coefficient) pairs of
+    the determinant entry in row r for basis index i.  Products read the
+    carrier's column index, and sums stay unreduced until the bracket
+    tensor normalises each value.  The tuple count is guarded by the
+    enumeration limit."""
     check_instances(math.comb(dim, arity), None, DEFAULT_MAX_ENUM, "determinant bracket tuples")
-    zero = zero_vector(field, dim)
+    mult = _mult_columns(dim, product.table)
 
-    def add(a, b):
-        return vec_add(field, a, b)
+    def add(acc, term):
+        for m, c in term:
+            acc[m] = acc.get(m, 0) + c
+        return acc
 
-    def neg(a):
-        return tuple(field.from_int(-c) for c in a)
+    def neg(term):
+        return [(m, -c) for m, c in term]
+
+    def mul(a, b):
+        out: dict = {}
+        for i, x in a:
+            cols = mult[i]
+            for j, y in b:
+                for m, t in cols.get(j, ()):
+                    out[m] = out.get(m, 0) + x * y * t
+        return out.items()
 
     table = {}
     for key in itertools.combinations(range(dim), arity):
         grid = [[row[i] for i in key] for row in rows]
-        acc = det_expand(grid, zero, add, neg, product.eval, is_zero_vector)
-        if not is_zero_vector(acc):
-            table[key] = acc
+        acc = det_expand(grid, {}, add, neg, mul, operator.not_)
+        if any(map(field.from_int, acc.values())):  # sums that vanish in the field store nothing
+            table[key] = _dense(dim, acc.items())
     return table
 
 
@@ -166,9 +183,7 @@ def jacobian_from_derivations(ds: DerivationSet) -> NLiePoissonAlgebra:
         raise ValueError("need at least one derivation")
     check_det_arity(n)
     dim, f = ds.dim, ds.field
-    basis = [unit_vector(f, dim, i) for i in range(dim)]
-    images = [[ds.maps[r].matvec(basis[i]) for i in range(dim)] for r in range(n)]
-    table = _det_bracket_table(dim, n, f, ds.product, images)
+    table = _det_bracket_table(dim, n, f, ds.product, [m.columns for m in ds.maps])
     bracket = SkewBracketTensor(dim, n, f, table)
     return NLiePoissonAlgebra(ds.product, ds.unit, bracket)
 
@@ -186,9 +201,8 @@ def w_from_derivations(ds: DerivationSet, arity: int) -> NLieAlgebra:
     if len(ds.maps) != arity - 1:
         raise ValueError(f"need exactly {arity - 1} maps for arity {arity}, got {len(ds.maps)}")
     dim, f = ds.dim, ds.field
-    basis = [unit_vector(f, dim, i) for i in range(dim)]
-    images = [[ds.maps[r].matvec(basis[i]) for i in range(dim)] for r in range(arity - 1)]
-    table = _det_bracket_table(dim, arity, f, ds.product, [basis, *images])
+    rows = [[((i, f.one),) for i in range(dim)], *(m.columns for m in ds.maps)]
+    table = _det_bracket_table(dim, arity, f, ds.product, rows)
     return NLieAlgebra(SkewBracketTensor(dim, arity, f, table))
 
 

@@ -34,10 +34,6 @@ def normalized(field: Field, sums: Sequence) -> tuple:
     return tuple([norm(x) if x else zero for x in sums])
 
 
-def vec_add(field: Field, a: Sequence, b: Sequence) -> tuple:
-    return normalized(field, [x + y for x, y in zip(a, b, strict=True)])
-
-
 def is_zero_vector(a: Sequence) -> bool:
     # field values (ints, Fractions) are false exactly when zero
     return not any(a)
@@ -246,10 +242,6 @@ class SubspaceBasis:
 
     def contains(self, vec: Sequence) -> bool:
         return is_zero_vector(_reduce(self.field, self.rows, self.pivots, vec))
-
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        self._check_compatible(other)
-        return all(self.contains(r) for r in other.rows)
 
     def coordinates_of(self, vec: Sequence) -> tuple | None:
         """Coefficients of `vec` in this basis, or None if it lies outside."""

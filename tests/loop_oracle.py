@@ -7,9 +7,11 @@ the first instance whose sides differ.  The verdicts, instance counts and
 witnesses are the ones the library must report.  `ad_operator` evaluates
 an adjoint operator on every basis vector, the dense twin of the library's
 sparse operator builders, and the center loop intersects the kernel of each
-adjoint operator one at a time.  The truncated center is the exact kernel of
-one coefficient row per (co-argument tuple, output monomial), and the
-truncated derived span is the span of every bracket value in the degree
+adjoint operator one at a time.  The derivation loop checks each basis
+pair on dense images, and the determinant bracket table expands on dense
+vectors through the product's `eval`.  The truncated center is the exact
+kernel of one coefficient row per (co-argument tuple, output monomial), and
+the truncated derived span is the span of every bracket value in the degree
 budget, swept to the end.  Polynomial products multiply and sum one
 Fraction at a time, and the determinant brackets expand over every
 permutation on those products.
@@ -23,14 +25,20 @@ from nlie.fields import QQ
 from nlie.linalg import (
     Matrix,
     SubspaceBasis,
+    det_expand,
     is_zero_vector,
     kernel,
+    normalized,
     span,
     unit_vector,
-    vec_add,
     zero_vector,
 )
 from nlie.poly import Poly, TruncatedSubspace, _bracket_fn, monomials_up_to
+
+
+def vec_add(field, a, b) -> tuple:
+    """a + b, normalised through the field."""
+    return normalized(field, [x + y for x, y in zip(a, b, strict=True)])
 
 
 def dense(m: Matrix) -> tuple:
@@ -146,6 +154,45 @@ def shift_oracle(alg) -> Verdict:
                         data = {"a": a, "b": b, "c": c, "u": u, "lhs": lhs, "rhs": rhs}
                         return Verdict(False, Witness("poisson_compatibility", data), total)
     return Verdict(True, None, total)
+
+
+def derivation_oracle(product, d_matrix) -> Verdict:
+    """D(ei*ej) == D(ei)*ej + ei*D(ej) on every basis pair i <= j, each side
+    from dense images and the product's own `eval`."""
+    dim, f = product.dim, product.field
+    total = dim * dim
+    basis = [unit_vector(f, dim, i) for i in range(dim)]
+    images = [d_matrix.matvec(basis[i]) for i in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            lhs = d_matrix.matvec(product.entry(i, j))
+            rhs = vec_add(f, product.eval(images[i], basis[j]), product.eval(basis[i], images[j]))
+            if lhs != rhs:
+                return Verdict(
+                    False, Witness("derivation", {"pair": (i, j), "lhs": lhs, "rhs": rhs}), total
+                )
+    return Verdict(True, None, total)
+
+
+def det_bracket_table_oracle(dim, arity, field, product, rows) -> dict:
+    """det[rows[r][i_s]] for every increasing tuple, with rows[r][i] a dense
+    coefficient vector, expanded on dense vectors through the product's
+    `eval`; only the nonzero values are kept."""
+    zero = zero_vector(field, dim)
+
+    def add(a, b):
+        return vec_add(field, a, b)
+
+    def neg(a):
+        return tuple(field.from_int(-c) for c in a)
+
+    table = {}
+    for key in itertools.combinations(range(dim), arity):
+        grid = [[row[i] for i in key] for row in rows]
+        acc = det_expand(grid, zero, add, neg, product.eval, is_zero_vector)
+        if not is_zero_vector(acc):
+            table[key] = acc
+    return table
 
 
 def stacked_kernel_intersect(U, W):

@@ -31,7 +31,7 @@ from nlie.constructions import (
     w_from_derivations,
 )
 from nlie.fields import PrimeField, QQ
-from nlie.linalg import kernel, span, vec_add
+from nlie.linalg import kernel, span
 from nlie.structure import is_simple
 
 from loop_oracle import assoc_oracle, jacobi_oracle, leibniz_oracle, shift_oracle
@@ -163,7 +163,7 @@ def _field_case(draw):
 @given(_field_case())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_unreduced_sums_match_expansion(case):
-    # both tensors' eval, component, vec_add, kernel and span on raw
+    # both tensors' eval and component, kernel and span on raw
     # entries return normalised values equal to the test's own expansion:
     # over index tuples with permutation signs for the bracket, over index
     # pairs for the product, and rank-nullity against sympy for the echelon
@@ -196,10 +196,6 @@ def test_unreduced_sums_match_expansion(case):
     got = prod.eval(a, b)
     _assert_normalised(f, got)
     assert got == _exact(f, expected)
-
-    got = vec_add(f, a, b)
-    _assert_normalised(f, got)
-    assert got == _exact(f, [x + y for x, y in zip(a, b)])
 
     dom = sympy.QQ if f.p is None else sympy.GF(f.p)
     conv = (lambda x: dom(x.numerator, x.denominator)) if f.p is None else dom

@@ -1,6 +1,7 @@
 """End-to-end command line coverage via in-process main() calls."""
 
 import copy
+import hashlib
 import json
 import os
 import pickle
@@ -207,6 +208,48 @@ class TestGenerate:
         assert code == 2 and out == "" and not path.exists()
         assert err == (f"error: truncated polynomial product coefficients: {13267701 * 101**2} "
                        "instances exceed the bound 1000000\n")
+
+    def test_vector_product_guard_refuses(self, capsys, tmp_path):
+        # (n + 1)^2 stored coefficients, past the bound
+        path = tmp_path / "out.json"
+        code, out, err = run(capsys, ["generate", "vector-product", "--n", "1000",
+                                      "-o", str(path)])
+        assert code == 2 and out == "" and not path.exists()
+        assert err == ("error: vector product coefficients: 1002001 "
+                       "instances exceed the bound 1000000\n")
+
+    def test_vector_product_guard_follows_the_limit(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("NLIE_MAX_INSTANCES", "100")
+        path = tmp_path / "out.json"
+        code, _, err = run(capsys, ["generate", "vector-product", "--n", "10", "-o", str(path)])
+        assert code == 2 and "vector product coefficients: 121" in err
+        assert not path.exists()
+        assert main(["generate", "vector-product", "--n", "9", "-o", str(path)]) == 0
+        assert algfile.load_path(str(path)).dimension == 10
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["jacobian-trunc", "--n", "1", "--p", "5"],
+         "4929a4a074309da40179453b19b3da73f6a8aa7c18a583f0135dc8225583649c"),
+        (["jacobian-trunc", "--n", "2", "--p", "7"],
+         "3c5e3efcb22677ac90abc45a2d750bb6ee7c57d32596602a0a1b049057e28409"),
+        (["jacobian-trunc", "--n", "2", "--p", "11"],
+         "09e1728bf13eaf8bf69734073a2280eca2a60f35fe9f09267bdb5cc2358af40f"),
+        (["jacobian-trunc", "--n", "4", "--p", "2"],
+         "c5daaf67b80a2326a1eacf360ca643f1db4e1a7e355dce4f317b08e2614e75d1"),
+        (["w-trunc", "--n", "2", "--p", "3"],
+         "d48a168a5de459ae37b2ec83ff8213a52c343dc727de32d2ed5ee9623df39c99"),
+        (["w-trunc", "--n", "2", "--p", "5"],
+         "b24062e4312e20afb760dd559622851ddf08ad5eef705fc7d091e257de231250"),
+        (["w-trunc", "--n", "3", "--p", "5"],
+         "45c48ce18df2e6b17a428df4108d0fb517ef48b475b1a30c5e94e930d4493c2e"),
+        (["w-trunc", "--n", "4", "--p", "2"],
+         "5dafcf2b0267701fbb7fe2d8c350f9d71ea04409142cd8b6df1e790fb8514bab"),
+    ])
+    def test_generated_file_pinned(self, capsys, tmp_path, argv, digest):
+        # the written file, byte for byte
+        path = tmp_path / "out.json"
+        assert main(["generate", *argv, "-o", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, flag", [
         (["jacobian-trunc", "--n", "0", "--p", "3"], "--n"),

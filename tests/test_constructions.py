@@ -9,10 +9,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nlie.algebra import check_generalized_jacobi, check_leibniz, check_poisson_identity
+from nlie.algebra import (
+    SkewBracketTensor,
+    SymProductTensor,
+    check_generalized_jacobi,
+    check_leibniz,
+    check_poisson_identity,
+)
 from nlie.constructions import (
     DerivationSet,
+    _det_bracket_table,
     check_commuting,
     check_derivation,
     jacobian_from_derivations,
@@ -23,6 +31,8 @@ from nlie.constructions import (
 from nlie.fields import PrimeField, QQ
 from nlie.linalg import Matrix, unit_vector
 from nlie.poly import Poly, jac_bracket
+
+from loop_oracle import dense, derivation_oracle, det_bracket_table_oracle, vec_add
 
 F3 = PrimeField(3)
 Z = Fraction(0)
@@ -80,6 +90,19 @@ class TestTruncatedCarrier:
         assert not check_derivation(carrier.product, bogus).ok
         with pytest.raises(ValueError):
             DerivationSet(carrier.product, carrier.unit, [bogus])
+
+    def test_derivation_check_guard(self, monkeypatch):
+        from nlie.guards import GuardExceeded
+
+        # d/dx on F_3[x]/(x^3): the Leibniz check of its arity-1 bracket
+        # has d^2 = 9 instances
+        product = truncated_polynomial_algebra(1, 3).product
+        dx = Matrix(F3, [[0, 1, 0], [0, 0, 2], [0, 0, 0]])
+        monkeypatch.setenv("NLIE_MAX_INSTANCES", "8")
+        with pytest.raises(GuardExceeded, match="Leibniz check: 9 instances exceed the bound 8"):
+            check_derivation(product, dx)
+        monkeypatch.setenv("NLIE_MAX_INSTANCES", "9")
+        assert check_derivation(product, dx) == derivation_oracle(product, dx)
 
     def test_commuting_validation(self):
         carrier = truncated_polynomial_algebra(2, 2)
@@ -153,8 +176,6 @@ class TestWBracket:
         assert data["rhs"] == (2, 0, 0)
 
     def test_witness_replays(self):
-        from nlie.linalg import vec_add
-
         carrier = truncated_polynomial_algebra(1, 3)
         w = w_from_derivations(carrier.derivations, 2).bracket
         prod = carrier.product
@@ -172,3 +193,84 @@ class TestWBracket:
         carrier = truncated_polynomial_algebra(1, 3)
         with pytest.raises(ValueError):
             w_from_derivations(carrier.derivations, 3)
+
+
+def _small_product(f):
+    """F[x, y]/(x^3, y^2, x^2*y) on the basis 1, x, 3x^2, y, x*y, with the
+    Euler derivations x d/dx and y d/dy, which hold in every characteristic."""
+    third = Fraction(1, 3) if f.p is None else f.inv(3)
+    one = f.one
+    table = {(0, k): [one if m == k else 0 for m in range(5)] for k in range(5)}
+    table[(1, 1)] = [0, 0, third, 0, 0]
+    table[(1, 3)] = [0, 0, 0, 0, one]
+    euler = [{1: [(1, 1)], 2: [(2, 2)], 4: [(4, 1)]}, {3: [(3, 1)], 4: [(4, 1)]}]
+    maps = [Matrix.from_columns(f, 5, cols) for cols in euler]
+    return SymProductTensor(5, f, table), maps
+
+
+_DERIVATION_PRODUCTS = [
+    ("carrier", 1, 2), ("carrier", 2, 2), ("carrier", 3, 2), ("carrier", 1, 3),
+    ("carrier", 2, 3), ("carrier", 1, 5), ("small", None, 2**61 - 1), ("small", None, None),
+]
+
+
+@st.composite
+def _derivation_case(draw):
+    kind, nvars, p = draw(st.sampled_from(_DERIVATION_PRODUCTS))
+    if kind == "carrier":
+        carrier = truncated_polynomial_algebra(nvars, p)
+        product, maps = carrier.product, list(carrier.derivations.maps)
+    else:
+        product, maps = _small_product(QQ if p is None else PrimeField(p))
+    f, d = product.field, product.dim
+    if f.p is None:
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    else:
+        entry = st.one_of(st.just(0), st.just(0), st.sampled_from([1, f.p - 1, 2 % f.p]),
+                          st.integers(0, f.p - 1))
+    shape = draw(st.integers(0, 4))  # 0: a true map with one entry moved, 1: a true map
+    if shape > 1:
+        rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+        return product, Matrix(f, rows)
+    rows = [list(r) for r in dense(draw(st.sampled_from(maps)))]
+    if shape == 0:
+        src = draw(st.sampled_from([(i, k) for i in range(d) for k in range(d) if rows[i][k]]))
+        dst = draw(st.sampled_from([(i, k) for i in range(d) for k in range(d)]))
+        value, rows[src[0]][src[1]] = rows[src[0]][src[1]], 0
+        rows[dst[0]][dst[1]] += value
+    return product, Matrix(f, rows)
+
+
+@given(_derivation_case())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_derivation_check_matches_loop(case):
+    # verdict, witness and instance count as the dense per-pair loop gives them
+    product, m = case
+    assert repr(check_derivation(product, m)) == repr(derivation_oracle(product, m))
+
+
+@st.composite
+def _det_case(draw):
+    nvars, p = draw(st.sampled_from([(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (1, 7)]))
+    carrier = truncated_polynomial_algebra(nvars, p)
+    f, d = carrier.product.field, carrier.product.dim
+    arity = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(0, p - 1))
+    vec = st.lists(entry, min_size=d, max_size=d)
+    rows = draw(st.lists(st.lists(vec, min_size=d, max_size=d), min_size=arity, max_size=arity))
+    if draw(st.booleans()):  # w-shaped: the arguments themselves in the first row
+        rows[0] = [unit_vector(f, d, i) for i in range(d)]
+    return carrier.product, arity, [[tuple(map(f.from_int, v)) for v in row] for row in rows]
+
+
+@given(_det_case())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_det_bracket_table_matches_dense_expansion(case):
+    # the sparse expansion on the column index, normalised by the bracket
+    # tensor, against the dense expansion through the product's eval
+    product, arity, rows = case
+    f, d = product.field, product.dim
+    pairs = [[tuple((i, c) for i, c in enumerate(v) if c) for v in row] for row in rows]
+    got = SkewBracketTensor(d, arity, f, _det_bracket_table(d, arity, f, product, pairs))
+    want = SkewBracketTensor(d, arity, f, det_bracket_table_oracle(d, arity, f, product, rows))
+    assert repr(got.table) == repr(want.table)

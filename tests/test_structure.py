@@ -26,7 +26,7 @@ from nlie.constructions import (
 )
 from nlie.fields import PrimeField, QQ
 from nlie.guards import DEFAULT_MAX_ENUM, GuardExceeded
-from nlie.linalg import Matrix, SubspaceBasis, span, unit_vector, vec_add
+from nlie.linalg import Matrix, SubspaceBasis, span, unit_vector
 from nlie.structure import (
     IdealKind,
     brute_force_ideals,
@@ -51,7 +51,7 @@ from nlie.structure import (
     _ops_for_kind,
     _reduce_mod_p,
 )
-from loop_oracle import ad_operator, center_oracle
+from loop_oracle import ad_operator, center_oracle, vec_add
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
