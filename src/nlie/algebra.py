@@ -2,15 +2,19 @@
 
 An n-ary alternating bracket is stored only on strictly increasing index
 tuples; evaluation reintroduces permutation signs.  A commutative product is
-stored only on pairs (i, j) with i <= j.  Checkers cover every basis tuple
-(complete by multilinearity) and report the first failing instance in
-lexicographic tuple order, with both sides as a replayable witness.  They
-evaluate each distinct instance once: an instance that commutativity makes
-a mirror of an earlier one is skipped, a binary Jacobi instance is summed
-only on its sorted triple, and the instances that share their leading
-indices are summed together in one pass over the sparse columns.  The sums
-are plain ints in every field: residues over F_p, and over Q the numerators
-of tables scaled once per check by the lcm of their denominators.
+stored only on pairs (i, j) with i <= j.  Each stored value is sparse at
+rest: its nonzero (index, coefficient) pairs, as in a Matrix column, which
+the loader, the constructions and the checkers read and write directly.
+Dense dim-length vectors appear only at the API edge.  Checkers cover every
+basis tuple (complete by multilinearity) and report the first failing
+instance in lexicographic tuple order, with both sides as a replayable
+witness.  They evaluate each distinct instance once: an instance that
+commutativity makes a mirror of an earlier one is skipped, a binary Jacobi
+instance is summed only on its sorted triple, and the instances that share
+their leading indices are summed together in one pass over the sparse
+columns.  The sums are plain ints in every field: residues over F_p, and
+over Q the numerators of tables scaled once per check by the lcm of their
+denominators.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 from .fields import Field
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
-from .linalg import is_zero_vector, normalized, unit_vector, zero_vector
+from .linalg import unit_vector
 
 # Names the CLI parser offers before it loads the modules that use them:
 # the identities of poly.verify_identity_truncated and the statement probes
@@ -67,155 +71,183 @@ def canonicalize_index(indices: Sequence[int], dim: int) -> tuple[tuple[int, ...
     return tuple(arr), sign
 
 
-class SkewBracketTensor:
-    """Structure constants of an alternating n-linear bracket on F^d.
+class _Tensor:
+    """Storage shared by the structure-constant tensors.
 
-    `table` maps strictly increasing n-tuples of basis indices to coefficient
-    vectors; omitted tuples are zero.  Entries are normalised through the
-    field, and vectors that vanish there dropped.  For n > d the table is
-    necessarily empty and the bracket is identically zero.
+    `entries` maps each stored key, a tuple of `arity` basis indices, to
+    the nonzero (index, coefficient) pairs of its value: a tuple sorted by
+    index and normalised through the field once, the format of a Matrix
+    column.  Keys whose value vanishes in the field are not stored.  The
+    constructor takes dim-length vectors and `from_entries` takes pairs;
+    both go through `_fill`.  Dense vectors are built only at the API
+    edge: `table`, `entry`, `component` and `eval`.
     """
 
-    __slots__ = ("dim", "arity", "field", "table")
+    __slots__ = ("dim", "field", "entries")
+
+    def __init__(self, dim: int, field: Field, table: dict | None = None):
+        if dim < 0:
+            raise ValueError("need dim >= 0")
+        self.dim, self.field = dim, field
+        self._fill(_dense_items(table, dim))
+
+    @classmethod
+    def from_entries(cls, *args):
+        """cls(*shape) with the (index, coefficient) pairs entries[key], in
+        any order, as each key's value: from_entries(dim, arity, field,
+        entries) for a bracket, from_entries(dim, field, entries) for a
+        product.  Checked and normalised as the constructor's vectors are."""
+        *shape, entries = args
+        t = cls(*shape)
+        t._fill(entries.items())
+        return t
+
+    def _fill(self, items) -> None:
+        """Store (key, pairs) items: keys checked and made canonical by
+        `_key`, pairs in any order, zeros included, indices in range and
+        distinct."""
+        dim, norm = self.dim, self.field.from_int
+        entries: dict = {}
+        for key, pairs in items:
+            key = self._key(key)
+            pairs = sorted(pairs)
+            index = [m for m, _ in pairs]
+            if len(set(index)) < len(index) or index and not 0 <= index[0] <= index[-1] < dim:
+                raise ValueError(f"value for {key} repeats an index or leaves range({dim})")
+            value = tuple([(m, y) for m, c in pairs if (y := norm(c))])
+            if entries.setdefault(key, value) != value:
+                raise ValueError(f"conflicting entries for key {key}")
+        self.entries = {key: value for key, value in entries.items() if value}
+
+    def _key(self, key) -> tuple:
+        try:
+            key = tuple(key)
+        except TypeError:
+            raise ValueError(f"key {key!r} is not a tuple of basis indices") from None
+        if len(key) != self.arity:
+            raise ValueError(f"key {key} does not have arity {self.arity}")
+        if any(not 0 <= i < self.dim for i in key):
+            raise ValueError(f"key {key} out of range for dimension {self.dim}")
+        return key
+
+    def _vector(self, pairs) -> tuple:
+        """The dim-length vector with these (index, unreduced sum) pairs,
+        each normalised once."""
+        norm, out = self.field.from_int, [self.field.zero] * self.dim
+        for m, s in pairs:
+            out[m] = norm(s)
+        return tuple(out)
+
+    def _support(self, a: Sequence, pos: int) -> list:
+        """The nonzero (index, coefficient) pairs of argument `pos`."""
+        if len(a) != self.dim:
+            raise ValueError(f"argument {pos} has length {len(a)}, expected {self.dim}")
+        return [(i, c) for i, c in enumerate(a) if c]
+
+    @property
+    def table(self) -> dict:
+        """A dense copy of `entries`: each stored key with its value as a
+        dim-length vector."""
+        return {key: self._vector(value) for key, value in self.entries.items()}
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(other, name) == getattr(self, name)
+            for name in ("dim", "arity", "field", "entries")
+        )
+
+
+def _dense_items(table: dict | None, dim: int):
+    """The (key, pairs) items of a table of dim-length vectors."""
+    for key, value in (table or {}).items():
+        value = tuple(value)
+        if len(value) != dim:
+            raise ValueError(f"value for {key} has length {len(value)}, expected {dim}")
+        yield key, [(m, c) for m, c in enumerate(value) if c]
+
+
+class SkewBracketTensor(_Tensor):
+    """Structure constants of an alternating n-linear bracket on F^d.
+
+    Values are stored on strictly increasing n-tuples of basis indices;
+    omitted tuples are zero.  For n > d there is no such tuple, and the
+    bracket is identically zero.
+    """
+
+    __slots__ = ("arity",)
 
     def __init__(self, dim: int, arity: int, field: Field, table: dict | None = None):
         if dim < 0 or arity < 1:
             raise ValueError("need dim >= 0 and arity >= 1")
-        self.dim = dim
         self.arity = arity
-        self.field = field
-        norm = field.from_int
-        clean: dict[tuple[int, ...], tuple] = {}
-        for key, value in (table or {}).items():
-            key = tuple(key)
-            if len(key) != arity:
-                raise ValueError(f"key {key} does not have arity {arity}")
-            if any(not 0 <= i < dim for i in key):
-                raise ValueError(f"key {key} out of range for dimension {dim}")
-            if any(a >= b for a, b in zip(key, key[1:])):
-                raise ValueError(f"key {key} is not strictly increasing")
-            value = tuple(map(norm, value))
-            if len(value) != dim:
-                raise ValueError(f"value for {key} has length {len(value)}, expected {dim}")
-            if not is_zero_vector(value):
-                clean[key] = value
-        self.table = clean
+        super().__init__(dim, field, table)
 
-    def is_zero(self) -> bool:
-        return not self.table
+    def _key(self, key) -> tuple:
+        key = super()._key(key)
+        if any(a >= b for a, b in zip(key, key[1:])):
+            raise ValueError(f"key {key} is not strictly increasing")
+        return key
 
     def entry(self, key: Sequence[int]) -> tuple:
         """Value on a strictly increasing tuple."""
-        return self.table.get(tuple(key), zero_vector(self.field, self.dim))
+        return self._vector(self.entries.get(tuple(key), ()))
 
     def component(self, raw: Sequence[int]) -> tuple:
         """Signed value on an arbitrary basis-index tuple."""
         canon, sign = canonicalize_index(raw, self.dim)
-        if sign == 0 or canon not in self.table:
-            return zero_vector(self.field, self.dim)
-        value = self.table[canon]
-        if sign < 0:
-            value = normalized(self.field, [-x for x in value])
-        return value
+        value = self.entries.get(canon, ())  # canon is None when an index repeats
+        return self._vector([(m, -c) for m, c in value] if sign < 0 else value)
 
     def eval(self, args: Sequence[Sequence]) -> tuple:
         """Multilinear evaluation on coefficient vectors."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        d = self.dim
-        out = [0] * d
-        supports = []
-        for a in args:
-            if len(a) != d:
-                raise ValueError("argument length does not match the dimension")
-            sup = [(i, c) for i, c in enumerate(a) if c]
-            if not sup:
-                return zero_vector(self.field, d)
-            supports.append(sup)
-        for combo in itertools.product(*supports):
+        d, entries = self.dim, self.entries
+        acc: dict = {}
+        for combo in itertools.product(*(self._support(a, s) for s, a in enumerate(args))):
             canon, sign = canonicalize_index([i for i, _ in combo], d)
-            value = self.table.get(canon)  # None also when an index repeats
+            value = entries.get(canon)  # None also when an index repeats
             if value is None:
                 continue
             coeff = sign
             for _, c in combo:
                 coeff *= c
-            for m, t in enumerate(value):
-                if t:
-                    out[m] += coeff * t
-        return normalized(self.field, out)
-
-    def sorted_items(self):
-        return sorted(self.table.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewBracketTensor)
-            and (other.dim, other.arity, other.field) == (self.dim, self.arity, self.field)
-            and other.table == self.table
-        )
+            for m, t in value:
+                acc[m] = acc.get(m, 0) + coeff * t
+        return self._vector(acc.items())
 
     def __repr__(self):
         return f"SkewBracketTensor(dim={self.dim}, arity={self.arity}, {self.field})"
 
 
-class SymProductTensor:
-    """Structure constants of a commutative bilinear product on F^d;
-    entries are normalised through the field as in SkewBracketTensor."""
+class SymProductTensor(_Tensor):
+    """Structure constants of a commutative bilinear product on F^d, on
+    index pairs (i, j) with i <= j; a pair given as (j, i) is stored as
+    (i, j).  Entries are normalised through the field as in
+    SkewBracketTensor."""
 
-    __slots__ = ("dim", "field", "table")
+    __slots__ = ()
+    arity = 2
 
-    def __init__(self, dim: int, field: Field, table: dict | None = None):
-        self.dim = dim
-        self.field = field
-        norm = field.from_int
-        clean: dict[tuple[int, int], tuple] = {}
-        for key, value in (table or {}).items():
-            i, j = key
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"product key {key} out of range")
-            if i > j:
-                i, j = j, i
-            value = tuple(map(norm, value))
-            if len(value) != dim:
-                raise ValueError(f"product value for {key} has wrong length")
-            if clean.setdefault((i, j), value) != value:
-                raise ValueError(f"conflicting entries for product pair {(i, j)}")
-        self.table = {key: value for key, value in clean.items() if not is_zero_vector(value)}
+    def _key(self, key) -> tuple:
+        i, j = super()._key(key)
+        return (i, j) if i <= j else (j, i)
 
     def entry(self, i: int, j: int) -> tuple:
-        if i > j:
-            i, j = j, i
-        return self.table.get((i, j), zero_vector(self.field, self.dim))
+        return self._vector(self.entries.get((i, j) if i <= j else (j, i), ()))
 
     def eval(self, a: Sequence, b: Sequence) -> tuple:
-        out = [0] * self.dim
-        sup_b = [(j, c) for j, c in enumerate(b) if c]
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
+        sup_a, sup_b, entries = self._support(a, 0), self._support(b, 1), self.entries
+        acc: dict = {}
+        for i, ca in sup_a:
             for j, cb in sup_b:
-                value = self.table.get((i, j) if i <= j else (j, i))
-                if value is None:
-                    continue
                 coeff = ca * cb
-                for m, t in enumerate(value):
-                    if t:
-                        out[m] += coeff * t
-        return normalized(self.field, out)
-
-    def is_zero(self) -> bool:
-        return not self.table
-
-    def sorted_items(self):
-        return sorted(self.table.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymProductTensor)
-            and (other.dim, other.field) == (self.dim, self.field)
-            and other.table == self.table
-        )
+                for m, t in entries.get((i, j) if i <= j else (j, i), ()):
+                    acc[m] = acc.get(m, 0) + coeff * t
+        return self._vector(acc.items())
 
     def __repr__(self):
         return f"SymProductTensor(dim={self.dim}, {self.field})"
@@ -388,7 +420,7 @@ class Verdict(Record):
 #
 # One sparse engine serves all four checkers.  Every instance of an identity
 # is a sum of contractions of sparse vectors against sparse columns read
-# off the `table` dicts: adjoint columns [e_k, z] of the bracket (Filippov:
+# off the tensors' `entries`: adjoint columns [e_k, z] of the bracket (Filippov:
 # Jacobi says each ad_z is a derivation of the bracket, Leibniz that it is
 # one of the product) and multiplication columns e_i * e_k.  An instance key
 # is an outer key (x for Jacobi, (i, j) for Leibniz and associativity,
@@ -419,34 +451,30 @@ class Verdict(Record):
 _NO_COLUMNS: dict = {}
 
 
-def _integral(table: dict, field: Field) -> tuple[dict, int]:
-    """(table with int entries, scale): over Q every entry times the lcm of
-    the table's denominators; over F_p the residues as they are, at 1."""
+def _integral(entries: dict, field: Field) -> tuple[dict, int]:
+    """(entries with int coefficients, scale): over Q every coefficient
+    times the lcm of the entries' denominators; over F_p the residues as
+    they are, at 1."""
     if field.p is not None:
-        return table, 1
-    scale = math.lcm(*{c.denominator for value in table.values() for c in value})
+        return entries, 1
+    scale = math.lcm(*{c.denominator for value in entries.values() for _, c in value})
     return {
-        key: tuple(c.numerator * (scale // c.denominator) for c in value)
-        for key, value in table.items()
+        key: tuple([(m, c.numerator * (scale // c.denominator)) for m, c in value])
+        for key, value in entries.items()
     }, scale
 
 
-def _sparse(value) -> list:
-    return [(m, c) for m, c in enumerate(value) if c != 0] if value else []
-
-
-def _ad_columns(dim: int, table: dict) -> tuple[dict, list[dict], list[dict]]:
+def _ad_columns(dim: int, entries: dict) -> tuple[dict, list[dict], list[dict]]:
     """ad[z][k] = bracket(e_k, e_z1, .., e_z(n-1)) for sorted z, its
     transpose by_col[k][z], and hits[k][m] = the (z, c) with c != 0 the
-    e_m-coefficient of ad[z][k], from a bracket `table`; only nonzero
+    e_m-coefficient of ad[z][k], from a bracket's `entries`; only nonzero
     columns are stored.  The structure operators are built from `ad` too.
     A column from an odd slot holds negated values, not normalised through
     the field."""
     ad: dict = {}
     by_col: list[dict] = [{} for _ in range(dim)]
     hits: list[dict] = [{} for _ in range(dim)]
-    for key, value in table.items():
-        col = _sparse(value)
+    for key, col in entries.items():
         neg = [(m, -c) for m, c in col]
         for s, k in enumerate(key):
             z = key[:s] + key[s + 1 :]
@@ -456,12 +484,12 @@ def _ad_columns(dim: int, table: dict) -> tuple[dict, list[dict], list[dict]]:
     return ad, by_col, hits
 
 
-def _mult_columns(dim: int, table: dict) -> list[dict[int, list]]:
-    """mult[i][k] = e_i * e_k from a product `table`; only nonzero columns
-    are stored."""
+def _mult_columns(dim: int, entries: dict) -> list[dict[int, tuple]]:
+    """mult[i][k] = e_i * e_k from a product's `entries`; only nonzero
+    columns are stored."""
     mult: list[dict] = [{} for _ in range(dim)]
-    for (i, j), value in table.items():
-        mult[i][j] = mult[j][i] = _sparse(value)
+    for (i, j), value in entries.items():
+        mult[i][j] = mult[j][i] = value
     return mult
 
 
@@ -509,8 +537,8 @@ def check_generalized_jacobi(t: SkewBracketTensor, max_instances: int | None = N
     d, n, f = t.dim, t.arity, t.field
     total = math.comb(d, n) * math.comb(d, n - 1)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "generalized Jacobi check")
-    table, scale = _integral(t.table, f)
-    ad, by_col, hits = _ad_columns(d, table)
+    entries, scale = _integral(t.entries, f)
+    ad, by_col, hits = _ad_columns(d, entries)
 
     def sides(x, vx, faces, low):
         # ad_y(bracket(x)), and sum_s (-1)^s ad_{x without x_s}(ad_y(e_{x_s})), for y >= low
@@ -522,7 +550,7 @@ def check_generalized_jacobi(t: SkewBracketTensor, max_instances: int | None = N
     for x in itertools.combinations(range(d), n):
         faces = [ad.get(x[:s] + x[s + 1 :], _NO_COLUMNS) for s in range(n)]
         low = (x[1] + 1,) if n == 2 else ()  # binary: sorted triples only
-        if hit := _first_failure(f, scale * scale, d, sides, x, _sparse(table.get(x)), faces, low):
+        if hit := _first_failure(f, scale * scale, d, sides, x, entries.get(x, ()), faces, low):
             data = dict(zip(("x", "y", "lhs", "rhs"), (x, *hit)))
             return Verdict(False, Witness("generalized_jacobi", data), total)
     return Verdict(True, None, total)
@@ -538,8 +566,8 @@ def check_assoc_comm_unital(
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "associativity check")
     if unit is not None and (failure := unit_failure(product, unit)) is not None:
         return Verdict(False, Witness("unit", failure), total)
-    table, scale = _integral(product.table, f)
-    mult = _mult_columns(d, table)
+    entries, scale = _integral(product.entries, f)
+    mult = _mult_columns(d, entries)
 
     def sides(i, j):
         # (e_i e_j) e_k, and e_i (e_j e_k), for k >= i
@@ -566,8 +594,8 @@ def _leibniz(prod: SymProductTensor, t: SkewBracketTensor, max_instances: int | 
     d, n, f = t.dim, t.arity, t.field
     total = d * d * math.comb(d, n - 1)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "Leibniz check")
-    bracket, lb = _integral(t.table, f)
-    product, lp = _integral(prod.table, f)
+    bracket, lb = _integral(t.entries, f)
+    product, lp = _integral(prod.entries, f)
     _, by_col, hits = _ad_columns(d, bracket)
     mult = _mult_columns(d, product)
 
@@ -598,8 +626,8 @@ def check_poisson_identity(alg: NLiePoissonAlgebra, max_instances: int | None = 
         raise ValueError("the compatibility identity needs arity >= 2")
     total = d * d * d * math.comb(d, n - 2)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "compatibility check")
-    bracket, lb = _integral(t.table, f)
-    product, lp = _integral(alg.product.table, f)
+    bracket, lb = _integral(t.entries, f)
+    product, lp = _integral(alg.product.entries, f)
     mult = _mult_columns(d, product)
     # by_m[m][k] = the (u, column, sign) with bracket(e_m, e_k, e_u..) = sign * column
     by_m: list[dict] = [{} for _ in range(d)]

@@ -8,6 +8,9 @@ Unknown fields, duplicate JSON keys, malformed coefficients, digits outside
 ASCII, out-of-range, repeated or unsorted indices, duplicate entries, a
 dimension above the enumeration limit and an arity above dimension + 1 are
 all rejected with a message naming the offender; omitted entries mean zero.
+Each value is parsed straight into the tensors' sparse (index, coefficient)
+pairs, so loading takes memory in proportion to the file, not to its
+dimension; only the unit is a dense vector.
 """
 
 from __future__ import annotations
@@ -70,22 +73,21 @@ def parse_coefficient(field: Field, text, where: str):
     return field.parse(text)
 
 
-def _parse_value(field: Field, dim: int, value, where: str) -> tuple:
+def _parse_value(field: Field, dim: int, value, where: str):
+    """The (index, coefficient) pairs of one entry's value."""
     if not isinstance(value, dict):
         _fail(f"{where}: value must be an object mapping index to coefficient")
-    out = [field.zero] * dim
-    seen: set[int] = set()
+    out: dict[int, object] = {}
     for key, text in value.items():
         if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
             _fail(f"{where}: value index {key!r} is not a decimal string")
         idx = int(key)
         if not 0 <= idx < dim:
             _fail(f"{where}: value index {idx} out of range for dimension {dim}")
-        if idx in seen:
+        if idx in out:
             _fail(f"{where}: value index {key!r} repeats index {idx}")
-        seen.add(idx)
         out[idx] = parse_coefficient(field, text, where)
-    return tuple(out)
+    return out.items()
 
 
 def _require_int(doc: dict, key: str, minimum: int) -> int:
@@ -98,9 +100,11 @@ def _require_int(doc: dict, key: str, minimum: int) -> int:
 
 
 def check_shape(dim: int, arity: int) -> None:
-    """Refuse a dimension above the enumeration limit, since commands build
-    vectors of that length, and an arity above dimension + 1: such a
-    bracket is zero, and the checkers' tuple counts overflow on it."""
+    """Refuse a dimension above the enumeration limit, and an arity above
+    dimension + 1: such a bracket is zero, and the checkers' tuple counts
+    overflow on it.  The dimension counts the nominal dense size of a
+    value, which commands build at the API edge, until the guards count
+    stored nonzeros (ROADMAP item 8)."""
     check_instances(dim, None, DEFAULT_MAX_ENUM, '"dimension"')
     if arity > dim + 1:
         _fail(f'"arity" {arity} exceeds dimension + 1 = {dim + 1}')
@@ -162,7 +166,7 @@ def from_document(doc) -> LoadedAlgebra:
     raw_bracket = doc["bracket"]
     if not isinstance(raw_bracket, list):
         _fail('"bracket" must be a list of entries')
-    table: dict[tuple[int, ...], tuple] = {}
+    table: dict = {}
     for pos, entry in enumerate(raw_bracket):
         where = f"bracket entry {pos}"
         if not isinstance(entry, dict) or set(entry) != {"args", "value"}:
@@ -181,9 +185,8 @@ def from_document(doc) -> LoadedAlgebra:
         key = tuple(args)
         if key in table:
             _fail(f"{where}: duplicate args {args}")
-        value = _parse_value(field, dim, entry["value"], where)
-        table[key] = value
-    bracket = SkewBracketTensor(dim, arity, field, table)
+        table[key] = _parse_value(field, dim, entry["value"], where)
+    bracket = SkewBracketTensor.from_entries(dim, arity, field, table)
 
     product = None
     unit = None
@@ -191,7 +194,7 @@ def from_document(doc) -> LoadedAlgebra:
         raw_product = doc["product"]
         if not isinstance(raw_product, list):
             _fail('"product" must be a list of entries')
-        ptable: dict[tuple[int, int], tuple] = {}
+        ptable: dict = {}
         for pos, entry in enumerate(raw_product):
             where = f"product entry {pos}"
             if not isinstance(entry, dict) or set(entry) != {"i", "j", "value"}:
@@ -204,7 +207,7 @@ def from_document(doc) -> LoadedAlgebra:
             if key in ptable:
                 _fail(f"{where}: duplicate pair ({i}, {j})")
             ptable[key] = _parse_value(field, dim, entry["value"], where)
-        product = SymProductTensor(dim, field, ptable)
+        product = SymProductTensor.from_entries(dim, field, ptable)
 
         raw_unit = doc["unit"]
         if not isinstance(raw_unit, list) or len(raw_unit) != dim:
@@ -248,8 +251,9 @@ def _field_descriptor(field: Field):
 
 
 def to_document(alg: NLieAlgebra | NLiePoissonAlgebra) -> dict:
-    """Canonical document for an algebra; entries appear in sorted index
-    order so equal algebras serialize identically."""
+    """Canonical document for an algebra, written from the tensors' sparse
+    entries; entries appear in sorted index order so equal algebras
+    serialize identically."""
     bracket = alg.bracket
     doc: dict = {
         "field": _field_descriptor(bracket.field),
@@ -260,20 +264,13 @@ def to_document(alg: NLieAlgebra | NLiePoissonAlgebra) -> dict:
         doc["basis_names"] = list(alg.basis_names)
     if isinstance(alg, NLiePoissonAlgebra):
         doc["product"] = [
-            {
-                "i": key[0],
-                "j": key[1],
-                "value": {str(k): str(c) for k, c in enumerate(vec) if c},
-            }
-            for key, vec in alg.product.sorted_items()
+            {"i": i, "j": j, "value": {str(k): str(c) for k, c in value}}
+            for (i, j), value in sorted(alg.product.entries.items())
         ]
         doc["unit"] = [str(c) for c in alg.unit]
     doc["bracket"] = [
-        {
-            "args": list(key),
-            "value": {str(k): str(c) for k, c in enumerate(vec) if c},
-        }
-        for key, vec in bracket.sorted_items()
+        {"args": list(key), "value": {str(k): str(c) for k, c in value}}
+        for key, value in sorted(bracket.entries.items())
     ]
     return doc
 

@@ -164,7 +164,7 @@ def _cmd_generate(args):
         results = {"written": args.output, "algebra": doc}
         lines = [
             f"wrote {args.output}: dimension {alg.dim}, arity {alg.arity}, "
-            f"{len(alg.bracket.table)} bracket entries"
+            f"{len(alg.bracket.entries)} bracket entries"
         ]
     else:
         results = {"algebra": doc}

@@ -41,22 +41,14 @@ def check_derivation(product: SymProductTensor, d_matrix: Matrix) -> Verdict:
         raise ValueError("derivation matrix field does not match the product")
     if d_matrix.nrows != product.dim or d_matrix.ncols != product.dim:
         raise ValueError("derivation matrix shape does not match the dimension")
-    dim = product.dim
-    table = {(k,): _dense(dim, col) for k, col in enumerate(d_matrix.columns) if col}
-    verdict = _leibniz(product, SkewBracketTensor(dim, 1, product.field, table), None)
+    entries = {(k,): col for k, col in enumerate(d_matrix.columns)}
+    bracket = SkewBracketTensor.from_entries(product.dim, 1, product.field, entries)
+    verdict = _leibniz(product, bracket, None)
     if verdict.ok:
         return verdict
     w = verdict.witness.data
     data = {"pair": (w["i"], w["j"]), "lhs": w["lhs"], "rhs": w["rhs"]}
     return Verdict(False, Witness("derivation", data), verdict.instances)
-
-
-def _dense(dim: int, pairs) -> list:
-    """The dim-length vector with the (index, coefficient) `pairs`."""
-    value = [0] * dim
-    for m, c in pairs:
-        value[m] = c
-    return value
 
 
 def check_commuting(maps: Sequence[Matrix]) -> Verdict:
@@ -114,21 +106,19 @@ def vector_product_algebra(n: int, field: Field = QQ) -> NLieAlgebra:
     On the increasing basis tuple omitting index m the value is
     (-1)^(n+m) * e_m (0-based).  The sign convention follows from placing
     the basis row last; the generalized Jacobi checker certifies the axioms
-    independently of that choice.  The (n+1)^2 stored coefficients are
-    guarded by the enumeration limit.
+    independently of that choice.  The guard counts (n+1)^2 coefficients,
+    the nominal dense size of the table, until the guards count stored
+    nonzeros (ROADMAP item 8).
     """
     if n < 2:
         raise ValueError("the vector product bracket needs arity >= 2")
     d = n + 1
     check_instances(d * d, None, DEFAULT_MAX_ENUM, "vector product coefficients")
-    table = {}
-    for m in range(d):
-        key = tuple(i for i in range(d) if i != m)
-        value = [0] * d
-        value[m] = -1 if (n + m) % 2 else 1
-        table[key] = value
+    entries = {
+        tuple(i for i in range(d) if i != m): ((m, -1 if (n + m) % 2 else 1),) for m in range(d)
+    }
     names = tuple(f"e{i + 1}" for i in range(d))
-    return NLieAlgebra(SkewBracketTensor(d, n, field, table), names)
+    return NLieAlgebra(SkewBracketTensor.from_entries(d, n, field, entries), names)
 
 
 def _det_bracket_table(
@@ -140,12 +130,12 @@ def _det_bracket_table(
 ) -> dict:
     """Expand det[rows[r][i_s]] in the carrier algebra for every increasing
     tuple (i_1, .., i_n): rows[r][i] holds the (index, coefficient) pairs of
-    the determinant entry in row r for basis index i.  Products read the
-    carrier's column index, and sums stay unreduced until the bracket
-    tensor normalises each value.  The tuple count is guarded by the
-    enumeration limit."""
+    the determinant entry in row r for basis index i.  Returns each tuple's
+    (index, unreduced sum) pairs, for `SkewBracketTensor.from_entries`.
+    Products read the carrier's column index.  The tuple count is guarded
+    by the enumeration limit."""
     check_instances(math.comb(dim, arity), None, DEFAULT_MAX_ENUM, "determinant bracket tuples")
-    mult = _mult_columns(dim, product.table)
+    mult = _mult_columns(dim, product.entries)
 
     def add(acc, term):
         for m, c in term:
@@ -169,7 +159,7 @@ def _det_bracket_table(
         grid = [[row[i] for i in key] for row in rows]
         acc = det_expand(grid, {}, add, neg, mul, operator.not_)
         if any(map(field.from_int, acc.values())):  # sums that vanish in the field store nothing
-            table[key] = _dense(dim, acc.items())
+            table[key] = acc.items()
     return table
 
 
@@ -184,7 +174,7 @@ def jacobian_from_derivations(ds: DerivationSet) -> NLiePoissonAlgebra:
     check_det_arity(n)
     dim, f = ds.dim, ds.field
     table = _det_bracket_table(dim, n, f, ds.product, [m.columns for m in ds.maps])
-    bracket = SkewBracketTensor(dim, n, f, table)
+    bracket = SkewBracketTensor.from_entries(dim, n, f, table)
     return NLiePoissonAlgebra(ds.product, ds.unit, bracket)
 
 
@@ -203,7 +193,7 @@ def w_from_derivations(ds: DerivationSet, arity: int) -> NLieAlgebra:
     dim, f = ds.dim, ds.field
     rows = [[((i, f.one),) for i in range(dim)], *(m.columns for m in ds.maps)]
     table = _det_bracket_table(dim, arity, f, ds.product, rows)
-    return NLieAlgebra(SkewBracketTensor(dim, arity, f, table))
+    return NLieAlgebra(SkewBracketTensor.from_entries(dim, arity, f, table))
 
 
 class TruncatedCarrier(Record):
@@ -228,16 +218,16 @@ def truncated_polynomial_algebra(nvars: int, p: int) -> TruncatedCarrier:
     p^k, monomial basis in graded lexicographic order (constant first).
 
     This carrier makes the formal partials honest derivations: the boundary
-    term p*x^(p-1) vanishes in characteristic p.  The product table's
-    stored coefficients are guarded by the enumeration limit.
+    term p*x^(p-1) vanishes in characteristic p.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
     field = PrimeField(p)
     dim = p**nvars
-    # a dim-length vector for each monomial pair (i <= j) whose product
-    # survives the truncation: per variable, p(p+1)/2 ordered exponent
-    # pairs and (p+1)//2 diagonal ones
+    # the guard counts a dim-length vector for each monomial pair (i <= j)
+    # whose product survives the truncation, the nominal dense size of the
+    # table, until the guards count stored nonzeros (ROADMAP item 8): per
+    # variable, p(p+1)/2 ordered exponent pairs and (p+1)//2 diagonal ones
     pairs = ((p * (p + 1) // 2) ** nvars + ((p + 1) // 2) ** nvars) // 2
     check_instances(
         pairs * dim, None, DEFAULT_MAX_ENUM, "truncated polynomial product coefficients"
@@ -252,10 +242,8 @@ def truncated_polynomial_algebra(nvars: int, p: int) -> TruncatedCarrier:
             b = exps[j]
             s = tuple(x + y for x, y in zip(a, b))
             if all(c < p for c in s):
-                vec = [field.zero] * dim
-                vec[index[s]] = field.one
-                table[(i, j)] = tuple(vec)
-    product = SymProductTensor(dim, field, table)
+                table[(i, j)] = ((index[s], field.one),)
+    product = SymProductTensor.from_entries(dim, field, table)
     unit = unit_vector(field, dim, index[(0,) * nvars])
 
     maps = []

@@ -18,10 +18,6 @@ from collections.abc import Iterable, Sequence
 from .fields import Field
 
 
-def zero_vector(field: Field, dim: int) -> tuple:
-    return (field.zero,) * dim
-
-
 def unit_vector(field: Field, dim: int, i: int) -> tuple:
     if not 0 <= i < dim:
         raise ValueError(f"unit vector index {i} out of range for dimension {dim}")
@@ -248,10 +244,6 @@ class SubspaceBasis:
         if not self.contains(vec):
             return None
         return tuple(vec[p] for p in self.pivots)
-
-    def sum(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        self._check_compatible(other)
-        return SubspaceBasis(self.field, self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
         """Intersection by Zassenhaus: echelonize the rows (u, u) and (w, 0)

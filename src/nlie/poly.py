@@ -108,10 +108,6 @@ class Poly:
             return Poly(self.nvars, {e: Fraction(s) for e, s in out.items() if s})
         return Poly(self.nvars, {e: Fraction(s, scale) for e, s in out.items() if s})
 
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")

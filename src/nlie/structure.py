@@ -97,7 +97,7 @@ def _ad_operators(t: SkewBracketTensor) -> list[tuple[tuple[int, ...], Matrix]]:
     """The nonzero adjoint operators (z, ad_z), column k = bracket(e_k, e_z),
     from strictly increasing basis tuples z in lexicographic order, built
     from the checkers' sparse column index."""
-    ad = _ad_columns(t.dim, t.table)[0]
+    ad = _ad_columns(t.dim, t.entries)[0]
     return [(z, Matrix.from_columns(t.field, t.dim, ad[z])) for z in sorted(ad)]
 
 
@@ -105,7 +105,7 @@ def _mult_operators(product: SymProductTensor) -> list[Matrix]:
     """The nonzero left-multiplication matrices of the basis elements in
     index order (commutative, so one side covers both)."""
     f, d = product.field, product.dim
-    return [Matrix.from_columns(f, d, m) for m in _mult_columns(d, product.table) if m]
+    return [Matrix.from_columns(f, d, m) for m in _mult_columns(d, product.entries) if m]
 
 
 def _ops_for_kind(
@@ -135,7 +135,7 @@ def derived_subspace(alg: AlgebraLike, S: SubspaceBasis | None = None) -> Subspa
     if S is not None:
         _check_space(S, t.field, t.dim)
     if S is None or S.is_full():
-        return span(t.field, t.dim, [vec for _, vec in t.sorted_items()])
+        return span(t.field, t.dim, map(t.entry, t.entries))
     acc = EchelonAccumulator(t.field, t.dim)
     for combo in itertools.combinations(S.rows, t.arity):
         acc.add(t.eval(list(combo)))
@@ -168,7 +168,7 @@ def center(alg: AlgebraLike) -> SubspaceBasis:
     if t.is_zero():
         return SubspaceBasis.full(f, d)
     rows: dict = defaultdict(lambda: [f.zero] * d)
-    for z, cols in _ad_columns(t.dim, t.table)[0].items():
+    for z, cols in _ad_columns(t.dim, t.entries)[0].items():
         for k, col in cols.items():
             for m, c in col:
                 rows[z, m][k] = f.from_int(c)
@@ -262,14 +262,12 @@ def nilradical(product: SymProductTensor, unit: Sequence) -> SubspaceBasis:
     d = product.dim
     unit = _require_unit(product, unit)
     if isinstance(field, RationalField):
-        taus = [sum((product.entry(k, j)[j] for j in range(d)), field.zero) for k in range(d)]
-        gram = [
-            [
-                sum((product.entry(i, j)[k] * taus[k] for k in range(d)), field.zero)
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
+        # tau_k = trace(L_{e_k}), and the Gram entry (i, j) = trace(L_{e_i e_j})
+        mult = _mult_columns(d, product.entries)
+        taus = [sum((c for j, col in mult[k].items() for m, c in col if m == j), field.zero)
+                for k in range(d)]
+        gram = [[sum((c * taus[m] for m, c in mult[i].get(j, ())), field.zero) for j in range(d)]
+                for i in range(d)]
         nil = kernel(field, d, gram)
     else:
         # the s-th power of the p-th-power map sends e_k to e_k^(p^s)
@@ -541,23 +539,23 @@ def _reduce_mod_p(
     """Clear bracket denominators by their lcm (a nonzero scale does not
     change the invariant-subspace lattice) and reduce mod p; the product
     must be p-integral as it stands.  None when p is inadmissible."""
-    table, scale = _integral(dict(t.sorted_items()), t.field)
+    entries, scale = _integral(t.entries, t.field)
     if scale % p == 0:
         return None
     field = PrimeField(p)
-    reduced_t = SkewBracketTensor(t.dim, t.arity, field, table)
+    reduced_t = SkewBracketTensor.from_entries(t.dim, t.arity, field, entries)
     if reduced_t.is_zero():
         return None
     if product is None:
         return reduced_t, None, scale
     try:
-        table = {
-            key: [c.numerator * pow(c.denominator, -1, p) for c in vec]
-            for key, vec in product.sorted_items()
+        entries = {
+            key: [(m, c.numerator * pow(c.denominator, -1, p)) for m, c in value]
+            for key, value in product.entries.items()
         }
     except ValueError:  # a denominator divisible by p
         return None
-    return reduced_t, SymProductTensor(product.dim, field, table), scale
+    return reduced_t, SymProductTensor.from_entries(product.dim, field, entries), scale
 
 
 def _mod_p_certificate(p: int, scale: int, inner: dict) -> dict:

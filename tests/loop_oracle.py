@@ -31,9 +31,12 @@ from nlie.linalg import (
     normalized,
     span,
     unit_vector,
-    zero_vector,
 )
 from nlie.poly import Poly, TruncatedSubspace, _bracket_fn, monomials_up_to
+
+
+def zero_vector(field, dim: int) -> tuple:
+    return (field.zero,) * dim
 
 
 def vec_add(field, a, b) -> tuple:

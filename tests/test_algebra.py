@@ -6,6 +6,7 @@ tensor by construction.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from nlie.constructions import (
 )
 from nlie.fields import PrimeField, QQ
 from nlie.linalg import kernel, span
-from nlie.structure import is_simple
+from nlie.structure import element_power, is_simple, nilradical
 
 from loop_oracle import assoc_oracle, jacobi_oracle, leibniz_oracle, shift_oracle
 
@@ -63,6 +64,36 @@ def test_bracket_entries_normalised_through_the_field():
     assert zero.is_zero() and zero == SkewBracketTensor(2, 2, F3)
     assert is_simple(NLieAlgebra(zero)).reason.startswith("the bracket is zero")
     assert SkewBracketTensor(2, 2, F3, {(0, 1): (4, -1)}).table == {(0, 1): (1, 2)}
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: SymProductTensor(-1, QQ, {}), "dim >= 0"),
+    (lambda: SymProductTensor(3, QQ, {(0, 1, 2): (ONE, Z, Z)}), "key (0, 1, 2)"),
+    (lambda: SymProductTensor(3, QQ, {(0,): (ONE, Z, Z)}), "key (0,)"),
+    (lambda: SymProductTensor(3, QQ, {5: (ONE, Z, Z)}), "key 5"),
+    (lambda: SymProductTensor(3, QQ, {(0, 3): (ONE, Z, Z)}), "key (0, 3)"),
+    (lambda: SkewBracketTensor(3, 1, QQ, {5: (ONE, Z, Z)}), "key 5"),
+    (lambda: SkewBracketTensor.from_entries(3, 2, QQ, {(0, 1): [(3, ONE)]}), "(0, 1)"),
+    (lambda: SkewBracketTensor.from_entries(3, 2, QQ, {(0, 1): [(-1, ONE)]}), "(0, 1)"),
+    (lambda: SymProductTensor.from_entries(3, QQ, {(1, 0): [(2, ONE), (2, Z)]}), "(0, 1)"),
+])
+def test_tensors_reject_bad_shapes_naming_them(make, named):
+    # each shape problem is a ValueError that names the key it found it in
+    with pytest.raises(ValueError, match=re.escape(named)):
+        make()
+
+
+def test_product_eval_checks_argument_lengths():
+    carrier = truncated_polynomial_algebra(1, 3)
+    product, unit = carrier.product, carrier.unit
+    with pytest.raises(ValueError, match="argument 1 has length 4, expected 3"):
+        product.eval(unit, (0, 1, 0, 9))
+    with pytest.raises(ValueError, match="argument 0 has length 4"):
+        element_power(product, unit, (0, 1, 0, 9), 2)
+    # a unit of the wrong length is refused, not truncated to the dimension
+    for call in (check_assoc_comm_unital, nilradical):
+        with pytest.raises(ValueError, match="has length 4"):
+            call(product, (*unit, 0))
 
 
 def test_product_entries_normalised_before_the_conflict_check():
@@ -157,7 +188,19 @@ def _field_case(draw):
     args = draw(st.lists(vec, min_size=n, max_size=n))
     raw = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
     rows = draw(st.lists(vec, max_size=4))
-    return f, d, n, bracket, product, args, raw, rows
+    rng = draw(st.randoms(use_true_random=False))
+    return f, d, n, bracket, product, args, raw, rows, rng
+
+
+def _shuffled_pairs(table: dict, rng, flip: bool) -> dict:
+    """Each value as its (index, coefficient) pairs, zeros included, in a
+    seeded order; with `flip`, some keys reversed."""
+    out = {}
+    for key, value in table.items():
+        pairs = list(enumerate(value))
+        rng.shuffle(pairs)
+        out[key[::-1] if flip and rng.random() < 0.5 else key] = pairs
+    return out
 
 
 @given(_field_case())
@@ -166,11 +209,29 @@ def test_unreduced_sums_match_expansion(case):
     # both tensors' eval and component, kernel and span on raw
     # entries return normalised values equal to the test's own expansion:
     # over index tuples with permutation signs for the bracket, over index
-    # pairs for the product, and rank-nullity against sympy for the echelon
-    f, d, n, bracket, product, args, raw, rows = case
+    # pairs for the product, and rank-nullity against sympy for the echelon.
+    # Each tensor built from shuffled pairs equals the one built from vectors.
+    f, d, n, bracket, product, args, raw, rows, rng = case
     t = SkewBracketTensor(d, n, f, bracket)
     prod = SymProductTensor(d, f, product)
     zero = [0] * d
+
+    t2 = SkewBracketTensor.from_entries(d, n, f, _shuffled_pairs(bracket, rng, False))
+    prod2 = SymProductTensor.from_entries(d, f, _shuffled_pairs(product, rng, True))
+    for dense, sparse in ((t, t2), (prod, prod2)):
+        assert sparse == dense and sparse.entries == dense.entries
+        assert repr(sparse.table) == repr(dense.table)
+        for value in sparse.entries.values():
+            assert value and [m for m, _ in value] == sorted({m for m, _ in value})
+            _assert_normalised(f, [c for _, c in value])
+            assert all(c for _, c in value)
+    assert repr(t2.eval(args)) == repr(t.eval(args))
+    assert repr(t2.component(raw)) == repr(t.component(raw))
+    for key in itertools.combinations(range(d), n):
+        assert repr(t2.entry(key)) == repr(t.entry(key))
+    assert repr(prod2.eval(args[0], args[-1])) == repr(prod.eval(args[0], args[-1]))
+    for i, j in itertools.product(range(d), repeat=2):
+        assert repr(prod2.entry(i, j)) == repr(prod.entry(i, j))
 
     expected = list(zero)
     for idx in itertools.product(range(d), repeat=n):

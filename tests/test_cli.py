@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,23 @@ class TestMalformedInput:
         code, _, err = run(capsys, ["simple", cross_path, "--max-enum", value])
         assert code == 2
         assert err == f"error: max_enum must be an integer >= 1, got {value}\n"
+
+
+def test_wide_file_loads_in_memory_of_its_size():
+    # a 2 KB file declaring dimension 10^5: the loader parses values into
+    # sparse pairs, so no allocation follows the dimension
+    doc = {"field": "Q", "dimension": 10**5, "arity": 2,
+           "bracket": [{"args": [k, k + 1], "value": {str(k + 2): "1"}} for k in range(50)]}
+    text = json.dumps(doc)
+    assert len(text) < 2500
+    tracemalloc.start()
+    try:
+        loaded = algfile.loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.bracket.entries) == 50 and loaded.bracket.dim == 10**5
+    assert peak < 2**20, f"loading allocated {peak} bytes"
 
 
 class TestGenerate:

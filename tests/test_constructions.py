@@ -267,10 +267,12 @@ def _det_case(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_det_bracket_table_matches_dense_expansion(case):
     # the sparse expansion on the column index, normalised by the bracket
-    # tensor, against the dense expansion through the product's eval
+    # tensor's from_entries, against the dense expansion through the product's eval
     product, arity, rows = case
     f, d = product.field, product.dim
     pairs = [[tuple((i, c) for i, c in enumerate(v) if c) for v in row] for row in rows]
-    got = SkewBracketTensor(d, arity, f, _det_bracket_table(d, arity, f, product, pairs))
+    table = _det_bracket_table(d, arity, f, product, pairs)
+    got = SkewBracketTensor.from_entries(d, arity, f, table)
     want = SkewBracketTensor(d, arity, f, det_bracket_table_oracle(d, arity, f, product, rows))
+    assert repr(got.entries) == repr(want.entries)
     assert repr(got.table) == repr(want.table)
