@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .fields import QQ, Field, PrimeField
 from .guards import DEFAULT_MAX_ENUM, check_instances
-from .linalg import Matrix, check_det_arity, det_expand, unit_vector
+from .linalg import Matrix, check_det_arity, det_expand, sparse_add, sparse_neg, unit_vector
 
 
 def check_derivation(product: SymProductTensor, d_matrix: Matrix) -> Verdict:
@@ -137,14 +137,6 @@ def _det_bracket_table(
     check_instances(math.comb(dim, arity), None, DEFAULT_MAX_ENUM, "determinant bracket tuples")
     mult = _mult_columns(dim, product.entries)
 
-    def add(acc, term):
-        for m, c in term:
-            acc[m] = acc.get(m, 0) + c
-        return acc
-
-    def neg(term):
-        return [(m, -c) for m, c in term]
-
     def mul(a, b):
         out: dict = {}
         for i, x in a:
@@ -157,7 +149,7 @@ def _det_bracket_table(
     table = {}
     for key in itertools.combinations(range(dim), arity):
         grid = [[row[i] for i in key] for row in rows]
-        acc = det_expand(grid, {}, add, neg, mul, operator.not_)
+        acc = det_expand(grid, {}, sparse_add, sparse_neg, mul, operator.not_)
         if any(map(field.from_int, acc.values())):  # sums that vanish in the field store nothing
             table[key] = acc.items()
     return table

@@ -325,6 +325,17 @@ def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
     )
 
 
+def sparse_add(acc: dict, term) -> dict:
+    """acc += term in place, over (key, coefficient) pairs; zero sums stay."""
+    for m, c in term:
+        acc[m] = acc.get(m, 0) + c
+    return acc
+
+
+def sparse_neg(term) -> list:
+    return [(m, -c) for m, c in term]
+
+
 def det_expand(grid: Sequence[Sequence], zero, add, neg, mul, is_zero):
     """Determinant of a square grid over a commutative ring given by its
     operations: the sum over permutations of signed products of

@@ -14,7 +14,8 @@ kernel of one coefficient row per (co-argument tuple, output monomial), and
 the truncated derived span is the span of every bracket value in the degree
 budget, swept to the end.  Polynomial products multiply and sum one
 Fraction at a time, and the determinant brackets expand over every
-permutation on those products.
+permutation on those products; `poly_det_oracle` expands them through
+`det_expand` on whole `Poly` values, one sum and product at a time.
 """
 
 import itertools
@@ -298,3 +299,16 @@ def bracket_oracle(bracket: str, args) -> Poly:
         odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
         total = total - term if odd else total + term
     return total
+
+
+def poly_det_oracle(bracket: str, args) -> Poly:
+    """The determinant bracket expanded by `det_expand` over `Poly` addition,
+    negation and product, on the grid whose row r is partial_r of every
+    argument ('jac'), or the arguments themselves above those rows ('w')."""
+    n = len(args)
+    if bracket == "jac":
+        grid = [[u.partial(r) for u in args] for r in range(n)]
+    else:
+        grid = [list(args), *([u.partial(r) for u in args] for r in range(n - 1))]
+    zero = Poly.zero(args[0].nvars)
+    return det_expand(grid, zero, Poly.__add__, Poly.__neg__, Poly.__mul__, Poly.is_zero)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from loop_oracle import (
     bracket_oracle,
+    poly_det_oracle,
     poly_power_oracle,
     poly_product_oracle,
     truncated_center_oracle,
@@ -149,6 +150,52 @@ class TestScaledProducts:
         polys = [P(text) for text in args.split(";")]
         fn = jac_bracket if bracket == "jac" else w_bracket
         assert fn(polys).is_zero() and bracket_oracle(bracket, polys).is_zero()
+
+
+def rich_bracket_args(data, nvars: int, count: int) -> list[Poly]:
+    """count arguments of 6 to 16 rational terms; argument k draws its
+    denominators from the divisors of its own b_k^2, the b_k distinct primes.
+    Sometimes one argument is zero, or a rational multiple of another plus
+    a constant, so the bracket cancels to a lower-order value or to zero."""
+    top = {1: 15, 2: 3, 3: 2}[nvars]
+    exponents = st.tuples(*[st.integers(0, top)] * nvars)
+    primes = data.draw(st.permutations([2, 3, 5, 7, 11]))
+    args = []
+    for b in primes[:count]:
+        coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, b, b * b]))
+        terms = data.draw(st.dictionaries(exponents, coeffs, min_size=6, max_size=16))
+        args.append(Poly(nvars, terms))
+    shape = data.draw(st.sampled_from(["plain", "zero", "multiple"]))
+    i, j = data.draw(st.permutations(range(count)))[:2] if count > 1 else (0, 0)
+    if shape == "zero":
+        args[i] = Poly.zero(nvars)
+    elif shape == "multiple" and count > 1:
+        c = data.draw(st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4)))
+        args[j] = Poly.const(nvars, c) * args[i] + Poly.const(nvars, data.draw(st.integers(0, 2)))
+    return args
+
+
+class TestScaledDeterminant:
+    """The determinant brackets on scaled rows against the expansion over
+    whole Poly values and the one-Fraction-at-a-time permutation oracle."""
+
+    @pytest.mark.parametrize("bracket, arity, examples", [
+        ("jac", 1, 40), ("jac", 2, 40), ("jac", 3, 20),
+        ("w", 2, 40), ("w", 3, 20), ("w", 4, 6),
+    ])
+    def test_brackets_match_both_oracles(self, bracket, arity, examples):
+        fn, nvars = (jac_bracket, arity) if bracket == "jac" else (w_bracket, arity - 1)
+
+        @given(st.data())
+        @settings(max_examples=examples, deadline=None, derandomize=True)
+        def check(data):
+            args = rich_bracket_args(data, nvars, arity)
+            got = fn(args)
+            assert_normalised(got)
+            assert got == poly_det_oracle(bracket, args)
+            assert got == bracket_oracle(bracket, args)
+
+        check()
 
 
 class TestParser:
