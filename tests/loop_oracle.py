@@ -282,15 +282,19 @@ def poly_power_oracle(a: Poly, k: int) -> Poly:
     return out
 
 
-def bracket_oracle(bracket: str, args) -> Poly:
-    """The determinant bracket over every permutation, on oracle products:
-    'jac' is det[partial_r(u_s)], 'w' has the arguments as its first row
-    and partial_r(u_s) below."""
+def bracket_grid(bracket: str, args) -> list:
+    """The bracket's determinant grid as defined: 'jac' is [partial_r(u_s)],
+    'w' has the arguments as its first row and partial_r(u_s) below."""
     n = len(args)
     if bracket == "jac":
-        grid = [[u.partial(r) for u in args] for r in range(n)]
-    else:
-        grid = [list(args), *([u.partial(r) for u in args] for r in range(n - 1))]
+        return [[u.partial(r) for u in args] for r in range(n)]
+    return [list(args), *([u.partial(r) for u in args] for r in range(n - 1))]
+
+
+def bracket_oracle(bracket: str, args) -> Poly:
+    """The determinant bracket over every permutation, on oracle products."""
+    n = len(args)
+    grid = bracket_grid(bracket, args)
     total = Poly.zero(args[0].nvars)
     for perm in itertools.permutations(range(n)):
         term = Poly.const(total.nvars, 1)
@@ -303,12 +307,7 @@ def bracket_oracle(bracket: str, args) -> Poly:
 
 def poly_det_oracle(bracket: str, args) -> Poly:
     """The determinant bracket expanded by `det_expand` over `Poly` addition,
-    negation and product, on the grid whose row r is partial_r of every
-    argument ('jac'), or the arguments themselves above those rows ('w')."""
-    n = len(args)
-    if bracket == "jac":
-        grid = [[u.partial(r) for u in args] for r in range(n)]
-    else:
-        grid = [list(args), *([u.partial(r) for u in args] for r in range(n - 1))]
+    negation and product on the grid as defined."""
     zero = Poly.zero(args[0].nvars)
-    return det_expand(grid, zero, Poly.__add__, Poly.__neg__, Poly.__mul__, Poly.is_zero)
+    return det_expand(bracket_grid(bracket, args), zero, Poly.__add__, Poly.__neg__,
+                      Poly.__mul__, Poly.is_zero)

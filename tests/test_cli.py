@@ -605,23 +605,24 @@ def test_simplicity_reports_match_golden(capsys, tmp_path, golden, command, name
     assert _golden_text(out, path) == (GOLDEN / f"{golden}.json").read_text()
 
 
-# golden report, exit code and the poly command line; the reports were
-# written by the one-Fraction-at-a-time product, and hold no input path
+# golden report, exit code and the poly command line; the first six reports
+# were written by the one-Fraction-at-a-time product, the last two by the
+# determinant expansion over whole polynomials, and none holds an input path
 _POLY_GOLDEN = [
     ("poly_eval_w3", 0, ["eval", "--bracket", "w", "--n", "3",
                          "--args", "1/2*x^2*y-3*y;x*y^2+2/3*x;(x-2*y+1)^2"]),
     ("poly_eval_jac2", 0, ["eval", "--bracket", "jac", "--n", "2",
                            "--args", "1/2*x^3*y-2/3*y^2+x;3/4*x*y^2-5*x+1/3*y"]),
-    ("poly_eval_jac3", 0, ["eval", "--bracket", "jac", "--n", "3", "--args",
-                           "1/2*x^2*y-3*y*z+2/5*z^2;x*y*z+2/3*x^2-7/4*z;(x-2*y+1/3*z)^2"]),
-    ("poly_eval_w4", 0, ["eval", "--bracket", "w", "--n", "4", "--args",
-                         "1/2*x*y-3/7*z^2+x;y^2*z+2/3*x;(x+y-1/2)^2;5/6*x*z-y+1/4"]),
     ("poly_verify_jac2_leibniz", 0, ["verify", "--bracket", "jac", "--n", "2",
                                      "--identity", "leibniz", "--degree", "3"]),
     ("poly_verify_w2_leibniz", 1, ["verify", "--bracket", "w", "--n", "2",
                                    "--identity", "leibniz", "--degree", "2"]),
     ("poly_center_w3", 0, ["center", "--bracket", "w", "--n", "3", "--degree", "2"]),
     ("poly_derived_jac2", 0, ["derived", "--bracket", "jac", "--n", "2", "--degree", "4"]),
+    ("poly_eval_jac3", 0, ["eval", "--bracket", "jac", "--n", "3", "--args",
+                           "1/2*x^2*y-3*y*z+2/5*z^2;x*y*z+2/3*x^2-7/4*z;(x-2*y+1/3*z)^2"]),
+    ("poly_eval_w4", 0, ["eval", "--bracket", "w", "--n", "4", "--args",
+                         "1/2*x*y-3/7*z^2+x;y^2*z+2/3*x;(x+y-1/2)^2;5/6*x*z-y+1/4"]),
 ]
 
 
