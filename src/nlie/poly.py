@@ -14,7 +14,10 @@ lcm of their denominators, and a determinant bracket scales each row of its
 grid once, by the lcm of that row's denominators; either sums the term
 products as ints and makes one Fraction per result term (w_bracket on three
 10-term arguments: 3.2 -> 1.3 ms in process).  A power refuses, through the
-instance guard, a result that could hold too many terms.
+instance guard, a result that could hold too many terms, and squares only up
+to the top bit of its exponent.  The parser folds each term's literals and
+variables into one coefficient and exponent tuple, so only a parenthesized
+factor is powered or multiplied as a Poly.
 """
 
 from __future__ import annotations
@@ -111,14 +114,14 @@ class Poly:
         bound = min(math.comb(k + t - 1, t - 1),
                     math.comb(self.nvars + k * max(self.degree(), 0), self.nvars))
         check_instances(bound**2, None, DEFAULT_MAX_INSTANCES, "polynomial power")
-        result = Poly.const(self.nvars, 1)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:  # no square past the top bit
+                base = base * base
+        return Poly.const(self.nvars, 1) if result is None else result
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative in variable i."""
@@ -206,17 +209,21 @@ class PolyParseError(ValueError):
 
 # str.isdigit would also take other scripts' digits and superscripts
 _DIGITS = frozenset("0123456789")
+# each nesting level costs the parser's recursion a few frames
+_MAX_DEPTH = 100
 
 
 class _Parser:
     """Recursive descent over: sums of '*'-joined factors, each a rational
     literal, a declared variable, an optionally '^'-powered atom, or a
     parenthesized subexpression.  '/' occurs only inside rational literals.
+    An expression sums its terms' (exponent, coefficient) pairs into one Poly.
     """
 
     def __init__(self, src: str, var_names: Sequence[str]):
         self.src = src
         self.pos = 0
+        self.depth = 0
         self.vars = {name: i for i, name in enumerate(var_names)}
         self.nvars = len(var_names)
 
@@ -243,43 +250,57 @@ class _Parser:
         return value
 
     def expr(self) -> Poly:
+        out: dict[Exponents, Fraction | int] = {}
         ch = self.peek()
-        negate = False
+        sign = -1 if ch == "-" else 1
         if ch in ("+", "-"):
             self.take()
-            negate = ch == "-"
-        value = self.term()
-        if negate:
-            value = -value
         while True:
+            for e, c in self.term():
+                out[e] = out.get(e, 0) + sign * c
             ch = self.peek()
             if ch not in ("+", "-"):
-                return value
+                return Poly(self.nvars, out)
             self.take()
-            rhs = self.term()
-            value = value + rhs if ch == "+" else value - rhs
+            sign = -1 if ch == "-" else 1
 
-    def term(self) -> Poly:
-        value = self.factor()
-        while self.peek() == "*":
+    def term(self) -> list[tuple[Exponents, Fraction | int]]:
+        coef, exps, poly = 1, [0] * self.nvars, None
+        while True:
+            base, k = self.atom(), self.exponent()
+            if isinstance(base, Poly):
+                base = base if k is None else base**k
+                poly = base if poly is None else poly * base
+            elif isinstance(base, str):
+                exps[self.vars[base]] += 1 if k is None else k
+            else:
+                coef *= base if k is None else base**k
+            if self.peek() != "*":
+                break
             self.take()
-            value = value * self.factor()
-        return value
+        if poly is None:
+            return [(tuple(exps), coef)]
+        return [(tuple(map(operator.add, e, exps)), c * coef) for e, c in poly.terms.items()]
 
-    def factor(self) -> Poly:
-        base = self.atom()
+    def exponent(self) -> int | None:
+        """The k of a following '^k', or None when no '^' follows."""
         if self.peek() != "^":
-            return base
+            return None
         self.take()
         if self.peek() == "-":
             raise self.error("negative exponent")
-        return base ** self.integer("expected a non-negative integer exponent")
+        return self.integer("expected a non-negative integer exponent")
 
-    def atom(self) -> Poly:
+    def atom(self) -> Poly | str | Fraction | int:
+        """A parenthesized Poly, a declared variable's name, or a literal."""
         ch = self.peek()
         if ch == "(":
+            if self.depth == _MAX_DEPTH:
+                raise self.error(f"parentheses nested deeper than {_MAX_DEPTH}")
             self.take()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.take()
@@ -291,13 +312,13 @@ class _Parser:
                 den = self.integer("expected an integer after '/'")
                 if den == 0:
                     raise self.error("zero denominator")
-                return Poly.const(self.nvars, Fraction(num, den))
-            return Poly.const(self.nvars, num)
+                return Fraction(num, den)
+            return num
         if ch.isalpha() or ch == "_":
             name = self.identifier()
             if name not in self.vars:
                 raise self.error(f"unknown variable {name!r}")
-            return Poly.variable(self.nvars, self.vars[name])
+            return name
         if ch == "":
             raise self.error("unexpected end of input")
         raise self.error(f"unexpected {ch!r}")

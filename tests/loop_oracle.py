@@ -15,10 +15,13 @@ the truncated derived span is the span of every bracket value in the degree
 budget, swept to the end.  Polynomial products multiply and sum one
 Fraction at a time, and the determinant brackets expand over every
 permutation on those products; `poly_det_oracle` expands them through
-`det_expand` on whole `Poly` values, one sum and product at a time.
+`det_expand` on whole `Poly` values, one sum and product at a time.  The
+polynomial parser builds a whole `Poly` for every literal and variable and
+combines them one `+`, `-`, `*` and `^` at a time.
 """
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
 
 from nlie.algebra import Verdict, Witness
@@ -33,7 +36,13 @@ from nlie.linalg import (
     span,
     unit_vector,
 )
-from nlie.poly import Poly, TruncatedSubspace, _bracket_fn, monomials_up_to
+from nlie.poly import (
+    Poly,
+    PolyParseError,
+    TruncatedSubspace,
+    _bracket_fn,
+    monomials_up_to,
+)
 
 
 def zero_vector(field, dim: int) -> tuple:
@@ -311,3 +320,124 @@ def poly_det_oracle(bracket: str, args) -> Poly:
     zero = Poly.zero(args[0].nvars)
     return det_expand(bracket_grid(bracket, args), zero, Poly.__add__, Poly.__neg__,
                       Poly.__mul__, Poly.is_zero)
+
+
+_DIGITS = frozenset("0123456789")
+
+
+class _Parser:
+    """Recursive descent over: sums of '*'-joined factors, each a rational
+    literal, a declared variable, an optionally '^'-powered atom, or a
+    parenthesized subexpression.  '/' occurs only inside rational literals.
+    """
+
+    def __init__(self, src: str, var_names: Sequence[str]):
+        self.src = src
+        self.pos = 0
+        self.vars = {name: i for i, name in enumerate(var_names)}
+        self.nvars = len(var_names)
+
+    def error(self, message: str) -> PolyParseError:
+        return PolyParseError(message, self.pos)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.src) and self.src[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.src[self.pos] if self.pos < len(self.src) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def parse(self) -> Poly:
+        value = self.expr()
+        if self.peek():
+            raise self.error(f"unexpected {self.peek()!r}")
+        return value
+
+    def expr(self) -> Poly:
+        ch = self.peek()
+        negate = False
+        if ch in ("+", "-"):
+            self.take()
+            negate = ch == "-"
+        value = self.term()
+        if negate:
+            value = -value
+        while True:
+            ch = self.peek()
+            if ch not in ("+", "-"):
+                return value
+            self.take()
+            rhs = self.term()
+            value = value + rhs if ch == "+" else value - rhs
+
+    def term(self) -> Poly:
+        value = self.factor()
+        while self.peek() == "*":
+            self.take()
+            value = value * self.factor()
+        return value
+
+    def factor(self) -> Poly:
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        self.take()
+        if self.peek() == "-":
+            raise self.error("negative exponent")
+        return base ** self.integer("expected a non-negative integer exponent")
+
+    def atom(self) -> Poly:
+        ch = self.peek()
+        if ch == "(":
+            self.take()
+            value = self.expr()
+            if self.peek() != ")":
+                raise self.error("expected ')'")
+            self.take()
+            return value
+        if ch in _DIGITS:
+            num = self.integer("expected an integer")
+            if self.peek() == "/":
+                self.take()
+                den = self.integer("expected an integer after '/'")
+                if den == 0:
+                    raise self.error("zero denominator")
+                return Poly.const(self.nvars, Fraction(num, den))
+            return Poly.const(self.nvars, num)
+        if ch.isalpha() or ch == "_":
+            name = self.identifier()
+            if name not in self.vars:
+                raise self.error(f"unknown variable {name!r}")
+            return Poly.variable(self.nvars, self.vars[name])
+        if ch == "":
+            raise self.error("unexpected end of input")
+        raise self.error(f"unexpected {ch!r}")
+
+    def integer(self, missing: str) -> int:
+        """A run of ASCII digits; `missing` is the error when there is none."""
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
+            self.pos += 1
+        if self.pos == start:
+            raise self.error(missing)
+        return int(self.src[start : self.pos])
+
+    def identifier(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.src) and (
+            self.src[self.pos].isalnum() or self.src[self.pos] == "_"
+        ):
+            self.pos += 1
+        return self.src[start : self.pos]
+
+
+def parse_poly_oracle(src: str, var_names: Sequence[str]) -> Poly:
+    return _Parser(src, var_names).parse()

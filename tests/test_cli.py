@@ -479,6 +479,12 @@ class TestPoly:
                                     "--args", "x^2; z"])
         assert code == 2 and "z" in err
 
+    def test_deep_nesting_exit_two(self, capsys):
+        code, out, err = run(capsys, ["poly", "eval", "--bracket", "jac", "--n", "2",
+                                      "--args", "(" * 400 + "x" + ")" * 400 + "; y"])
+        assert code == 2 and not out
+        assert err == "error: parentheses nested deeper than 100 at position 100\n"
+
     @pytest.mark.parametrize("args", ["x^\u0662; y", "\u0663*x; y", "x^\u00b2; y"])
     def test_non_ascii_digit_exit_two(self, capsys, args):
         code, out, err = run(capsys, ["poly", "eval", "--bracket", "jac", "--n", "2",
@@ -623,6 +629,9 @@ _POLY_GOLDEN = [
                            "1/2*x^2*y-3*y*z+2/5*z^2;x*y*z+2/3*x^2-7/4*z;(x-2*y+1/3*z)^2"]),
     ("poly_eval_w4", 0, ["eval", "--bracket", "w", "--n", "4", "--args",
                          "1/2*x*y-3/7*z^2+x;y^2*z+2/3*x;(x+y-1/2)^2;5/6*x*z-y+1/4"]),
+    # powered literals, variables and parentheses folded into one term
+    ("poly_eval_folded", 0, ["eval", "--bracket", "jac", "--n", "2", "--args",
+                             "2^3*x^2*(1/2)^2*y - 3/4*x*y^3; (x - 2*y + 1/3)^3 - 5*x^2"]),
 ]
 
 

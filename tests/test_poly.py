@@ -6,6 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from loop_oracle import (
     bracket_oracle,
+    parse_poly_oracle,
     poly_det_oracle,
     poly_power_oracle,
     poly_product_oracle,
@@ -73,6 +74,22 @@ class TestPolyArithmetic:
         refusal = "^polynomial power: 441 instances exceed the bound 100$"
         with pytest.raises(GuardExceeded, match=refusal):
             P("(x+y+1)^5")
+
+    def test_pow_squares_only_to_the_top_bit(self, monkeypatch):
+        a = P("x - 2/3*y")
+        products = []
+        mul = Poly.__mul__
+
+        def counted(p, q):
+            products.append(1)
+            return mul(p, q)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        for k in range(71):
+            products.clear()
+            got = a**k
+            assert len(products) <= max(k.bit_length() - 1 + k.bit_count() - 1, 0)
+            assert got == poly_power_oracle(a, k)
 
     @given(
         st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)
@@ -235,6 +252,88 @@ class TestParser:
         with pytest.raises(PolyParseError, match=f"{message} at position {position}") as info:
             P(src)
         assert info.value.position == position
+
+    def test_nesting_depth_refused(self):
+        assert P("(" * 100 + "x" + ")" * 100) == P("x")
+        # the refusal names the first '(' past the limit, whitespace counted
+        for opener, position in (("(", 100), (" ( ", 301)):
+            for depth in (101, 400):
+                with pytest.raises(PolyParseError) as info:
+                    P(opener * depth + "x" + ")" * depth)
+                assert str(info.value) == f"parentheses nested deeper than 100 at position {position}"
+                assert info.value.position == position
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_oracle_parser(self, data):
+        text = data.draw(poly_texts())
+        if data.draw(st.booleans()):
+            text = data.draw(mutated(text))
+        with pytest.MonkeyPatch.context() as mp:
+            # keeps the nested powers small; refusals must agree too
+            mp.setenv("NLIE_MAX_INSTANCES", str(10**5))
+            got, want = parse_outcome(parse_poly, text), parse_outcome(parse_poly_oracle, text)
+        assert got == want
+        if isinstance(got, Poly):
+            assert got.nvars == 2 and all(type(c) is Fraction for c in got.terms.values())
+
+
+# the non-ASCII digits of test_only_ascii_digits, and spaces str.isspace takes
+_ODD_DIGITS = "\u0662\u00b2\u0663\uff13"
+_SPACES = ("", "", " ", "  ", "\t", "\n", "\u00a0", "\u3000")
+
+
+@st.composite
+def poly_texts(draw, depth: int = 3) -> str:
+    """Texts of the parser's grammar in x and y: rational and integer
+    literals, '^k' with k <= 5, unary signs, parentheses up to `depth` deep
+    and whitespace between any two tokens."""
+    def ws() -> str:
+        return draw(st.sampled_from(_SPACES))
+
+    def atom(depth: int) -> str:
+        kind = draw(st.integers(0, 2 if depth else 1))
+        if kind == 0:
+            num = draw(st.integers(0, 12))
+            den = draw(st.none() | st.integers(1, 6))
+            return str(num) if den is None else f"{num}{ws()}/{ws()}{den}"
+        if kind == 1:
+            return draw(st.sampled_from(XY))
+        return f"({expr(depth - 1)}{ws()})"
+
+    def expr(depth: int) -> str:
+        out = [ws(), draw(st.sampled_from(("", "+", "-")))]
+        for i in range(draw(st.integers(1, 3))):
+            if i:
+                out.append(ws() + draw(st.sampled_from("+-")))
+            for j in range(draw(st.integers(1, 2))):
+                if j:
+                    out.append(ws() + "*")
+                out.append(ws() + atom(depth))
+                if draw(st.booleans()):
+                    out.append(f"{ws()}^{ws()}{draw(st.integers(0, 5))}")
+        return "".join(out)
+
+    return expr(depth) + ws()
+
+
+def mutated(text: str):
+    """`text` with one character deleted, inserted or replaced."""
+    chars = st.sampled_from("0123456789xyz_+-*/^() " + _ODD_DIGITS + "".join(_SPACES))
+    at = st.integers(0, len(text))
+    return st.one_of(
+        at.map(lambda i: text[:i] + text[i + 1:]),
+        st.tuples(at, chars).map(lambda t: text[:t[0]] + t[1] + text[t[0]:]),
+        st.tuples(at, chars).map(lambda t: text[:t[0]] + t[1] + text[t[0] + 1:]),
+    )
+
+
+def parse_outcome(parse, text: str):
+    """The parsed Poly, or the refusal's class, message and position."""
+    try:
+        return parse(text, XY)
+    except (PolyParseError, GuardExceeded) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
 
 
 class TestBrackets:
