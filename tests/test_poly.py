@@ -260,8 +260,8 @@ class TestParser:
             for depth in (101, 400):
                 with pytest.raises(PolyParseError) as info:
                     P(opener * depth + "x" + ")" * depth)
-                assert str(info.value) == f"parentheses nested deeper than 100 at position {position}"
-                assert info.value.position == position
+                message = f"parentheses nested deeper than 100 at position {position}"
+                assert (str(info.value), info.value.position) == (message, position)
 
     @given(st.data())
     @settings(max_examples=400, deadline=None, derandomize=True)
