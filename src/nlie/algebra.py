@@ -81,14 +81,18 @@ class _Tensor:
     constructor takes dim-length vectors and `from_entries` takes pairs;
     both go through `_fill`.  Dense vectors are built only at the API
     edge: `table`, `entry`, `component` and `eval`.
+
+    A tensor is immutable after construction, as a Poly is, so the
+    structure operators that `structure` builds from its `entries` on
+    first use are kept in `_ops` and shared by every later call.
     """
 
-    __slots__ = ("dim", "field", "entries")
+    __slots__ = ("dim", "field", "entries", "_ops")
 
     def __init__(self, dim: int, field: Field, table: dict | None = None):
         if dim < 0:
             raise ValueError("need dim >= 0")
-        self.dim, self.field = dim, field
+        self.dim, self.field, self._ops = dim, field, None
         self._fill(_dense_items(table, dim))
 
     @classmethod
@@ -468,9 +472,8 @@ def _ad_columns(dim: int, entries: dict) -> tuple[dict, list[dict], list[dict]]:
     """ad[z][k] = bracket(e_k, e_z1, .., e_z(n-1)) for sorted z, its
     transpose by_col[k][z], and hits[k][m] = the (z, c) with c != 0 the
     e_m-coefficient of ad[z][k], from a bracket's `entries`; only nonzero
-    columns are stored.  The structure operators are built from `ad` too.
-    A column from an odd slot holds negated values, not normalised through
-    the field."""
+    columns are stored.  A column from an odd slot holds negated values,
+    not normalised through the field."""
     ad: dict = {}
     by_col: list[dict] = [{} for _ in range(dim)]
     hits: list[dict] = [{} for _ in range(dim)]

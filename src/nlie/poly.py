@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -222,25 +223,29 @@ class _Parser:
 
     def __init__(self, src: str, var_names: Sequence[str]):
         self.src = src
-        self.pos = 0
         self.depth = 0
         self.vars = {name: i for i, name in enumerate(var_names)}
         self.nvars = len(var_names)
+        self.skip_to(0)
 
-    def error(self, message: str) -> PolyParseError:
-        return PolyParseError(message, self.pos)
+    def error(self, message: str, position: int | None = None) -> PolyParseError:
+        return PolyParseError(message, self.pos if position is None else position)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
+    def skip_to(self, end: int) -> None:
+        """Move past a token that ends at `end` and the whitespace after it,
+        so `pos` is always at the next token; `end` stays for the errors
+        that name the token's end."""
+        src, pos = self.src, end
+        while pos < len(src) and src[pos].isspace():
+            pos += 1
+        self.end, self.pos = end, pos
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
+        return self.src[self.pos : self.pos + 1]
 
     def take(self) -> str:
         ch = self.peek()
-        self.pos += 1
+        self.skip_to(self.pos + 1)
         return ch
 
     def parse(self) -> Poly:
@@ -267,6 +272,7 @@ class _Parser:
     def term(self) -> list[tuple[Exponents, Fraction | int]]:
         coef, exps, poly = 1, [0] * self.nvars, None
         while True:
+            at = self.pos
             base, k = self.atom(), self.exponent()
             if isinstance(base, Poly):
                 base = base if k is None else base**k
@@ -274,6 +280,9 @@ class _Parser:
             elif isinstance(base, str):
                 exps[self.vars[base]] += 1 if k is None else k
             else:
+                if k is not None and _too_long(base, k):
+                    limit = sys.get_int_max_str_digits()
+                    raise self.error(f"literal power has more than {limit} digits", at)
                 coef *= base if k is None else base**k
             if self.peek() != "*":
                 break
@@ -311,36 +320,53 @@ class _Parser:
                 self.take()
                 den = self.integer("expected an integer after '/'")
                 if den == 0:
-                    raise self.error("zero denominator")
+                    raise self.error("zero denominator", self.end)
                 return Fraction(num, den)
             return num
         if ch.isalpha() or ch == "_":
             name = self.identifier()
             if name not in self.vars:
-                raise self.error(f"unknown variable {name!r}")
+                raise self.error(f"unknown variable {name!r}", self.end)
             return name
         if ch == "":
             raise self.error("unexpected end of input")
         raise self.error(f"unexpected {ch!r}")
 
     def integer(self, missing: str) -> int:
-        """A run of ASCII digits; `missing` is the error when there is none."""
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
+        """A run of ASCII digits; `missing` is the error when there is none,
+        and a run too long to print again is refused at its start."""
+        src, start = self.src, self.pos
+        end = start
+        while end < len(src) and src[end] in _DIGITS:
+            end += 1
+        if end == start:
             raise self.error(missing)
-        return int(self.src[start : self.pos])
+        if end - start > (limit := sys.get_int_max_str_digits()) > 0:
+            raise self.error(f"integer literal has more than {limit} digits")
+        self.skip_to(end)
+        return int(src[start:end])
 
     def identifier(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.src) and (
-            self.src[self.pos].isalnum() or self.src[self.pos] == "_"
+        src, start = self.src, self.pos
+        end = start
+        while end < len(src) and (src[end].isalnum() or src[end] == "_"):
+            end += 1
+        self.skip_to(end)
+        return src[start:end]
+
+
+def _too_long(base: Fraction | int, k: int) -> bool:
+    """Whether the numerator or denominator of base**k has more digits than
+    str() prints; the power is computed only near the limit."""
+    limit = sys.get_int_max_str_digits()
+    for n in (base.numerator, base.denominator):
+        # for n > 1, 2**bits > n**k >= 2**(bits / 2), and 2**(3.321 * limit) < 10**limit
+        bits = k * n.bit_length()
+        if limit and n > 1 and bits * 1000 > 3321 * limit and (
+            bits > 7 * limit or n**k >= 10**limit
         ):
-            self.pos += 1
-        return self.src[start : self.pos]
+            return True
+    return False
 
 
 def parse_poly(src: str, var_names: Sequence[str]) -> Poly:

@@ -31,7 +31,6 @@ from .algebra import (
     SymProductTensor,
     Verdict,
     Witness,
-    _ad_columns,
     _integral,
     _mult_columns,
     check_assoc_comm_unital,
@@ -93,19 +92,31 @@ def _char_flags(field: Field) -> tuple[str, ...]:
 # adjoint and multiplication operators
 
 
-def _ad_operators(t: SkewBracketTensor) -> list[tuple[tuple[int, ...], Matrix]]:
+def _ad_operators(t: SkewBracketTensor) -> tuple[tuple[tuple[int, ...], Matrix], ...]:
     """The nonzero adjoint operators (z, ad_z), column k = bracket(e_k, e_z),
-    from strictly increasing basis tuples z in lexicographic order, built
-    from the checkers' sparse column index."""
-    ad = _ad_columns(t.dim, t.entries)[0]
-    return [(z, Matrix.from_columns(t.field, t.dim, ad[z])) for z in sorted(ad)]
+    from strictly increasing basis tuples z in lexicographic order.  Built
+    on first use from the stored pairs (a column from an odd slot negated)
+    and kept on the tensor."""
+    if t._ops is None:
+        f, d = t.field, t.dim
+        ad: dict = defaultdict(lambda: [()] * d)
+        for key, col in t.entries.items():
+            neg = tuple([(m, f.from_int(-c)) for m, c in col])
+            for s, k in enumerate(key):
+                ad[key[:s] + key[s + 1 :]][k] = neg if s % 2 else col
+        t._ops = tuple((z, Matrix._trusted(f, d, tuple(ad[z]))) for z in sorted(ad))
+    return t._ops
 
 
-def _mult_operators(product: SymProductTensor) -> list[Matrix]:
+def _mult_operators(product: SymProductTensor) -> tuple[Matrix, ...]:
     """The nonzero left-multiplication matrices of the basis elements in
-    index order (commutative, so one side covers both)."""
-    f, d = product.field, product.dim
-    return [Matrix.from_columns(f, d, m) for m in _mult_columns(d, product.entries) if m]
+    index order (commutative, so one side covers both); built on first use
+    and kept on the tensor."""
+    if product._ops is None:
+        f, d = product.field, product.dim
+        product._ops = tuple(Matrix._trusted(f, d, tuple(m.get(k, ()) for k in range(d)))
+                             for m in _mult_columns(d, product.entries) if m)
+    return product._ops
 
 
 def _ops_for_kind(
@@ -168,10 +179,10 @@ def center(alg: AlgebraLike) -> SubspaceBasis:
     if t.is_zero():
         return SubspaceBasis.full(f, d)
     rows: dict = defaultdict(lambda: [f.zero] * d)
-    for z, cols in _ad_columns(t.dim, t.entries)[0].items():
-        for k, col in cols.items():
-            for m, c in col:
-                rows[z, m][k] = f.from_int(c)
+    for z, m in _ad_operators(t):
+        for k, col in enumerate(m.columns):
+            for r, c in col:
+                rows[z, r][k] = c
     return kernel(f, d, rows.values())
 
 

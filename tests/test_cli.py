@@ -485,6 +485,19 @@ class TestPoly:
         assert code == 2 and not out
         assert err == "error: parentheses nested deeper than 100 at position 100\n"
 
+    @pytest.mark.parametrize("args, position", [
+        ("3^10000*x; y", 0), ("x + 3^20000000; y", 4), ("x*" + "7" * 5000 + "; y", 2),
+    ])
+    def test_oversized_literal_exit_two(self, capsys, args, position):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["poly", "eval", "--bracket", "jac", "--n", "2",
+                                      "--args", args])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        limit = sys.get_int_max_str_digits()
+        assert err.startswith("error: ") and err.endswith(
+            f" has more than {limit} digits at position {position}\n")
+
     @pytest.mark.parametrize("args", ["x^\u0662; y", "\u0663*x; y", "x^\u00b2; y"])
     def test_non_ascii_digit_exit_two(self, capsys, args):
         code, out, err = run(capsys, ["poly", "eval", "--bracket", "jac", "--n", "2",

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic and the symbolic bracket layer."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,43 @@ class TestParser:
                     P(opener * depth + "x" + ")" * depth)
                 message = f"parentheses nested deeper than 100 at position {position}"
                 assert (str(info.value), info.value.position) == (message, position)
+
+    def test_oversized_literals_refused(self):
+        # str() refuses ints longer than the interpreter's limit, so the
+        # parser refuses a digit run or a literal power past it, at the
+        # literal, before the power is computed (3^20000000 took 8 s)
+        limit = sys.get_int_max_str_digits()
+        long_run = "1" * (limit + 1)
+        for src, message, position in (
+            ("x + " + long_run, "integer literal", 4),
+            ("1/" + long_run + "*x", "integer literal", 2),
+            ("3^10000*x", "literal power", 0),
+            ("x*3^20000000", "literal power", 2),
+            ("2*x - 10^" + str(limit), "literal power", 6),
+            ("1/3^9013", "literal power", 0),  # the denominator has 4301 digits
+        ):
+            with pytest.raises(PolyParseError) as info:
+                P(src)
+            want = f"{message} has more than {limit} digits at position {position}"
+            assert (str(info.value), info.value.position) == (want, position)
+
+    def test_literals_up_to_the_limit_accepted(self):
+        limit = sys.get_int_max_str_digits()
+        assert P("1" * limit) == Poly.const(2, int("1" * limit))
+        assert P("10^" + str(limit - 1)) == Poly.const(2, 10 ** (limit - 1))
+        assert P("3^9012*x") == Poly.const(2, 3**9012) * P("x")
+        assert P("1/3^9012") == Poly.const(2, Fraction(1, 3**9012))
+        for src in ("0^100000000 + x", "1^100000000 + x - 1", "(1/1)^100000000 + x - 1"):
+            assert P(src) == P("x")
+
+    def test_literal_limit_follows_the_interpreter(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)  # no limit
+            assert P("1" * (limit + 1)) == Poly.const(2, int("1" * (limit + 1)))
+            assert P("3^10000") == Poly.const(2, 3**10000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @given(st.data())
     @settings(max_examples=400, deadline=None, derandomize=True)

@@ -23,6 +23,7 @@ from nlie.constructions import (
     jacobian_from_derivations,
     truncated_polynomial_algebra,
     vector_product_algebra,
+    w_from_derivations,
 )
 from nlie.fields import PrimeField, QQ
 from nlie.guards import DEFAULT_MAX_ENUM, GuardExceeded
@@ -205,7 +206,7 @@ def test_operators_match_evaluation(seed):
     assert len(mults) == len(want_mults)
     for k, (m, want) in enumerate(zip(mults, want_mults)):
         assert same(m, want), k
-    assert _ops_for_kind(t, IdealKind.POISSON, product) == [m for _, m in ads] + mults
+    assert _ops_for_kind(t, IdealKind.POISSON, product) == [m for _, m in ads] + list(mults)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -227,6 +228,126 @@ def test_center_matches_per_operator_kernels_on_constructions(build):
     alg = NLieAlgebra(build().bracket)
     for alg in (alg, seeded_basis(alg, 3)[0]):
         assert center(alg) == center_oracle(alg.bracket)
+
+
+# the algebras of the golden reports: each call builds a fresh copy, on
+# which no structure operator is kept yet
+GOLDEN = Path(__file__).parent / "golden"
+_GOLDEN_ALGEBRAS = {
+    "c3": lambda: truncated_poisson(2, 3),
+    "w33": lambda: w33(),
+    "cross": lambda: vector_product_algebra(2),
+    "q_square_zero": lambda: nlie.load_path(str(GOLDEN / "q_square_zero.json")).algebra(),
+    "cross_sum_f3": lambda: nlie.load_path(str(GOLDEN / "cross_sum_f3.json")).algebra(),
+}
+
+
+def w33() -> NLiePoissonAlgebra:
+    """`generate w-trunc --n 3 --p 3`: the W bracket with its carrier's product."""
+    carrier = truncated_polynomial_algebra(2, 3)
+    bracket = w_from_derivations(carrier.derivations, 3).bracket
+    return NLiePoissonAlgebra(carrier.product, carrier.unit, bracket)
+
+
+def _kept_operators(alg) -> list:
+    """The operators kept on each of the algebra's tensors, built now if
+    they are not kept yet."""
+    kept = [_ad_operators(alg.bracket)]
+    if isinstance(alg, NLiePoissonAlgebra):
+        kept.append(_mult_operators(alg.product))
+    return kept
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the class and text of the refusal it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, GuardExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def _tampered(alg, verdict):
+    """The verdict with its certificate's dimension, or the inner one's,
+    off by one, or with its witness swapped for a basis line that is not
+    invariant."""
+    from nlie.structure import SimplicityVerdict
+
+    if verdict.certificate is not None:
+        certificate = json.loads(json.dumps(verdict.certificate))
+        target = certificate.get("inner", certificate)
+        target["dim"] += 1
+        return SimplicityVerdict("simple", verdict.kind, certificate, None, None, verdict.seed)
+    f, d = alg.field, alg.dim
+    lines = (span(f, d, [unit_vector(f, d, k)]) for k in range(d))
+    line = next(S for S in lines if not is_ideal(alg, S, verdict.kind))
+    return SimplicityVerdict("not_simple", verdict.kind, None, line, None, verdict.seed)
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_ALGEBRAS))
+class TestKeptOperators:
+    """The structure operators are built once per tensor and shared by
+    every later call, on cold copies (nothing kept) and warm ones."""
+
+    def test_second_call_returns_the_kept_tuple(self, name):
+        cold, warm = _GOLDEN_ALGEBRAS[name](), _GOLDEN_ALGEBRAS[name]()
+        kept = _kept_operators(warm)
+        assert _kept_operators(warm) == kept
+        assert all(a is b for a, b in zip(_kept_operators(warm), kept))
+        first = _kept_operators(cold)
+        assert all(type(ops) is tuple for ops in first)
+        assert all(a is b for a, b in zip(_kept_operators(cold), first))
+        assert first == kept
+
+    def test_ops_for_kind_returns_a_fresh_list(self, name):
+        alg = _GOLDEN_ALGEBRAS[name]()
+        product = alg.product if isinstance(alg, NLiePoissonAlgebra) else None
+        kind = IdealKind.POISSON if product is not None else IdealKind.NLIE
+        ops = _ops_for_kind(alg.bracket, kind, product)
+        kept = _kept_operators(alg)
+        want = [m for _, m in kept[0]] + [m for mults in kept[1:] for m in mults]
+        assert type(ops) is list and ops == want
+        ops.clear()
+        again = _ops_for_kind(alg.bracket, kind, product)
+        assert again == want and again is not ops
+        assert _kept_operators(alg) == kept
+
+    def test_equal_tensors_keep_separate_operators(self, name):
+        a, b = _GOLDEN_ALGEBRAS[name](), _GOLDEN_ALGEBRAS[name]()
+        assert a.bracket == b.bracket
+        ops_a = _kept_operators(a)
+        assert b.bracket._ops is None  # building on a keeps nothing on b
+        ops_b = _kept_operators(b)
+        assert ops_a == ops_b
+        for x, y in zip(ops_a, ops_b):
+            assert x is not y
+            assert all(m is not n for m, n in zip(x, y))
+
+    def test_results_equal_warm_and_cold(self, name):
+        def results(alg):
+            f, d = alg.field, alg.dim
+            verdict = is_simple(alg, max_enum=100)  # Norton on c3 and w33
+            return (
+                [ideal_closure(alg, [unit_vector(f, d, k)]) for k in range(d)],
+                center(alg),
+                verdict,
+                verify_simplicity_certificate(alg, verdict, max_enum=100),
+                _outcome(brute_force_ideals, alg),
+                probe_lemma(alg, "L5", max_enum=100),
+            )
+
+        cold, warm = _GOLDEN_ALGEBRAS[name](), _GOLDEN_ALGEBRAS[name]()
+        kept = _kept_operators(warm)
+        got = results(warm)
+        assert got == results(cold)
+        assert got[3] is True
+        assert _kept_operators(warm) == kept
+
+    def test_tampered_certificate_refused_warm(self, name):
+        alg = _GOLDEN_ALGEBRAS[name]()
+        verdict = is_simple(alg, max_enum=100)
+        _kept_operators(alg)
+        assert verify_simplicity_certificate(alg, verdict, max_enum=100)
+        assert not verify_simplicity_certificate(alg, _tampered(alg, verdict), max_enum=100)
 
 
 class TestAdjoints:
