@@ -264,11 +264,19 @@ class TestParser:
                 message = f"parentheses nested deeper than 100 at position {position}"
                 assert (str(info.value), info.value.position) == (message, position)
 
-    def test_oversized_literals_refused(self):
+    @pytest.fixture
+    def default_digit_limit(self):
+        # the cases below sit at the interpreter's default limit
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(saved)
+
+    def test_oversized_literals_refused(self, default_digit_limit):
         # str() refuses ints longer than the interpreter's limit, so the
         # parser refuses a digit run or a literal power past it, at the
         # literal, before the power is computed (3^20000000 took 8 s)
-        limit = sys.get_int_max_str_digits()
+        limit = default_digit_limit
         long_run = "1" * (limit + 1)
         for src, message, position in (
             ("x + " + long_run, "integer literal", 4),
@@ -283,8 +291,8 @@ class TestParser:
             want = f"{message} has more than {limit} digits at position {position}"
             assert (str(info.value), info.value.position) == (want, position)
 
-    def test_literals_up_to_the_limit_accepted(self):
-        limit = sys.get_int_max_str_digits()
+    def test_literals_up_to_the_limit_accepted(self, default_digit_limit):
+        limit = default_digit_limit
         assert P("1" * limit) == Poly.const(2, int("1" * limit))
         assert P("10^" + str(limit - 1)) == Poly.const(2, 10 ** (limit - 1))
         assert P("3^9012*x") == Poly.const(2, 3**9012) * P("x")

@@ -230,23 +230,23 @@ def test_center_matches_per_operator_kernels_on_constructions(build):
         assert center(alg) == center_oracle(alg.bracket)
 
 
-# the algebras of the golden reports: each call builds a fresh copy, on
-# which no structure operator is kept yet
-GOLDEN = Path(__file__).parent / "golden"
-_GOLDEN_ALGEBRAS = {
-    "c3": lambda: truncated_poisson(2, 3),
-    "w33": lambda: w33(),
-    "cross": lambda: vector_product_algebra(2),
-    "q_square_zero": lambda: nlie.load_path(str(GOLDEN / "q_square_zero.json")).algebra(),
-    "cross_sum_f3": lambda: nlie.load_path(str(GOLDEN / "cross_sum_f3.json")).algebra(),
-}
-
-
 def w33() -> NLiePoissonAlgebra:
     """`generate w-trunc --n 3 --p 3`: the W bracket with its carrier's product."""
     carrier = truncated_polynomial_algebra(2, 3)
     bracket = w_from_derivations(carrier.derivations, 3).bracket
     return NLiePoissonAlgebra(carrier.product, carrier.unit, bracket)
+
+
+# the algebras of the golden reports: each call builds a fresh copy, on
+# which no structure operator is kept yet
+GOLDEN = Path(__file__).parent / "golden"
+_GOLDEN_ALGEBRAS = {
+    "c3": lambda: truncated_poisson(2, 3),
+    "w33": w33,
+    "cross": lambda: vector_product_algebra(2),
+    "q_square_zero": lambda: nlie.load_path(str(GOLDEN / "q_square_zero.json")).algebra(),
+    "cross_sum_f3": lambda: nlie.load_path(str(GOLDEN / "cross_sum_f3.json")).algebra(),
+}
 
 
 def _kept_operators(alg) -> list:
