@@ -37,8 +37,8 @@ PROBE_IDS = ("L1", "L2", "L3", "L5", "L6_0", "L6", "L7", "L8")
 
 # Monomial conventions shared by poly's polynomials and the truncated
 # polynomial algebras of constructions: graded lexicographic order (constant
-# first; within a degree, earlier variables carry higher exponents first)
-# and the default variable names.
+# first; within a degree, earlier variables carry higher exponents first),
+# the default variable names, and a monomial's text.
 def grlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), tuple(-c for c in e))
 
@@ -47,6 +47,13 @@ def default_var_names(k: int) -> tuple[str, ...]:
     if k <= 3:
         return ("x", "y", "z")[:k]
     return tuple(f"x{i + 1}" for i in range(k))
+
+
+def monomial_text(e: tuple[int, ...], names: Sequence[str]) -> str:
+    """The monomial x^e as '*'-joined factors, v or v^a, and "1" for the
+    constant."""
+    parts = [v if a == 1 else f"{v}^{a}" for v, a in zip(names, e) if a]
+    return "*".join(parts) if parts else "1"
 
 
 def canonicalize_index(indices: Sequence[int], dim: int) -> tuple[tuple[int, ...] | None, int]:
@@ -80,7 +87,8 @@ class _Tensor:
     column.  Keys whose value vanishes in the field are not stored.  The
     constructor takes dim-length vectors and `from_entries` takes pairs;
     both go through `_fill`.  Dense vectors are built only at the API
-    edge: `table`, `entry`, `component` and `eval`.
+    edge: `structure` reads `entry` and `eval`, and `table` and
+    `component` serve callers outside the library.
 
     A tensor is immutable after construction, as a Poly is, so the
     structure operators that `structure` builds from its `entries` on
@@ -296,18 +304,19 @@ class NLieAlgebra:
         return self.bracket.field
 
     def __repr__(self):
-        return f"NLieAlgebra(dim={self.dim}, arity={self.arity}, {self.field})"
+        return f"{type(self).__name__}(dim={self.dim}, arity={self.arity}, {self.field})"
 
 
-class NLiePoissonAlgebra:
-    """A commutative unital product paired with an alternating bracket.
+class NLiePoissonAlgebra(NLieAlgebra):
+    """A commutative unital product paired with an alternating bracket: an
+    NLieAlgebra that also holds the product and its unit.
 
     The unit axiom is checked at construction; the Jacobi, Leibniz and
     derived compatibility identities are properties to be checked, not
     invariants of the container.
     """
 
-    __slots__ = ("product", "unit", "bracket", "basis_names")
+    __slots__ = ("product", "unit")
 
     def __init__(
         self,
@@ -326,27 +335,9 @@ class NLiePoissonAlgebra:
             raise ValueError(
                 f"unit vector is not a two-sided identity (fails on basis {failure['index']})"
             )
-        if basis_names is not None and len(basis_names) != product.dim:
-            raise ValueError("basis_names length does not match the dimension")
         self.product = product
         self.unit = unit
-        self.bracket = bracket
-        self.basis_names = tuple(basis_names) if basis_names is not None else None
-
-    @property
-    def dim(self) -> int:
-        return self.bracket.dim
-
-    @property
-    def arity(self) -> int:
-        return self.bracket.arity
-
-    @property
-    def field(self) -> Field:
-        return self.bracket.field
-
-    def __repr__(self):
-        return f"NLiePoissonAlgebra(dim={self.dim}, arity={self.arity}, {self.field})"
+        super().__init__(bracket, basis_names)
 
 
 class Record:

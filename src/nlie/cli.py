@@ -174,7 +174,7 @@ def _cmd_generate(args):
 
 def _cmd_analyze(args):
     from . import algfile
-    from .structure import center, derived_series, derived_subspace, nilradical
+    from .structure import center, derived_series, nilradical
 
     loaded = algfile.load_path(args.file)
     t = loaded.bracket
@@ -187,7 +187,7 @@ def _cmd_analyze(args):
         "arity": t.arity,
         "bracket_is_zero": t.is_zero(),
         "axioms": axioms,
-        "derived_dim": derived_subspace(t).dim,
+        "derived_dim": series[1].dim,  # a loaded algebra has dimension >= 1
         "derived_series_dims": [s.dim for s in series],
         "center": Z,
     }

@@ -28,6 +28,7 @@ from .algebra import (
     _mult_columns,
     default_var_names,
     grlex_key,
+    monomial_text,
 )
 from .fields import QQ, Field, PrimeField
 from .guards import DEFAULT_MAX_ENUM, check_instances
@@ -195,16 +196,6 @@ class TruncatedCarrier(Record):
     __slots__ = ("product", "unit", "derivations", "names", "exponents")
 
 
-def _monomial_name(e: tuple[int, ...], var_names: Sequence[str]) -> str:
-    parts = []
-    for v, a in zip(var_names, e):
-        if a == 1:
-            parts.append(v)
-        elif a > 1:
-            parts.append(f"{v}^{a}")
-    return "*".join(parts) if parts else "1"
-
-
 def truncated_polynomial_algebra(nvars: int, p: int) -> TruncatedCarrier:
     """F_p[x1..xk] with every variable's p-th power set to zero: dimension
     p^k, monomial basis in graded lexicographic order (constant first).
@@ -246,5 +237,5 @@ def truncated_polynomial_algebra(nvars: int, p: int) -> TruncatedCarrier:
         }
         maps.append(Matrix.from_columns(field, dim, cols))
     ds = DerivationSet(product, unit, maps)
-    names = tuple(_monomial_name(e, var_names) for e in exps)
+    names = tuple(monomial_text(e, var_names) for e in exps)
     return TruncatedCarrier(product, unit, ds, names, tuple(exps))

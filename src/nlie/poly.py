@@ -14,10 +14,11 @@ lcm of their denominators, and a determinant bracket scales each row of its
 grid once, by the lcm of that row's denominators; either sums the term
 products as ints and makes one Fraction per result term (w_bracket on three
 10-term arguments: 3.2 -> 1.3 ms in process).  A power refuses, through the
-instance guard, a result that could hold too many terms, and squares only up
-to the top bit of its exponent.  The parser folds each term's literals and
-variables into one coefficient and exponent tuple, so only a parenthesized
-factor is powered or multiplied as a Poly.
+instance guard, a result that could hold too many terms, refuses one whose
+base's largest numerator or denominator to the k has more digits than str()
+prints, and squares only up to the top bit of its exponent.  The parser
+folds each term's literals and variables into one coefficient and exponent
+tuple, so only a parenthesized factor is powered or multiplied as a Poly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .algebra import IDENTITIES, Record, Verdict, Witness, default_var_names, grlex_key
+from .algebra import (IDENTITIES, Record, Verdict, Witness, default_var_names, grlex_key,
+                      monomial_text)
 from .fields import QQ
 from .guards import DEFAULT_MAX_INSTANCES, check_instances
 from .linalg import SubspaceBasis, check_det_arity, det_expand, sparse_add, sparse_neg, unit_vector
@@ -115,6 +117,11 @@ class Poly:
         bound = min(math.comb(k + t - 1, t - 1),
                     math.comb(self.nvars + k * max(self.degree(), 0), self.nvars))
         check_instances(bound**2, None, DEFAULT_MAX_INSTANCES, "polynomial power")
+        # a one-term base's power has exactly these coefficients
+        coeffs = self.terms.values()
+        if _too_long(k, max((abs(c.numerator) for c in coeffs), default=0),
+                     max((c.denominator for c in coeffs), default=1)):
+            raise ValueError(f"power has more than {sys.get_int_max_str_digits()} digits")
         result, base = None, self
         while k:
             if k & 1:
@@ -146,19 +153,13 @@ class Poly:
         parts = []
         for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
             c = self.terms[e]
-            factors = []
-            for v, a in zip(names, e):
-                if a == 1:
-                    factors.append(v)
-                elif a > 1:
-                    factors.append(f"{v}^{a}")
             mag = -c if c < 0 else c
-            if not factors:
+            if not any(e):
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = monomial_text(e, names)
             else:
-                body = "*".join([str(mag), *factors])
+                body = f"{mag}*{monomial_text(e, names)}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -275,12 +276,16 @@ class _Parser:
             at = self.pos
             base, k = self.atom(), self.exponent()
             if isinstance(base, Poly):
-                base = base if k is None else base**k
+                if k is not None:
+                    try:
+                        base = base**k
+                    except ValueError as exc:  # its coefficients are too long to print
+                        raise self.error(f"parenthesized {exc}", at) from None
                 poly = base if poly is None else poly * base
             elif isinstance(base, str):
                 exps[self.vars[base]] += 1 if k is None else k
             else:
-                if k is not None and _too_long(base, k):
+                if k is not None and _too_long(k, base.numerator, base.denominator):
                     limit = sys.get_int_max_str_digits()
                     raise self.error(f"literal power has more than {limit} digits", at)
                 coef *= base if k is None else base**k
@@ -355,11 +360,11 @@ class _Parser:
         return src[start:end]
 
 
-def _too_long(base: Fraction | int, k: int) -> bool:
-    """Whether the numerator or denominator of base**k has more digits than
-    str() prints; the power is computed only near the limit."""
+def _too_long(k: int, *ints: int) -> bool:
+    """Whether n**k has more digits than str() prints for some n >= 0 in
+    `ints`; the power is computed only near the limit."""
     limit = sys.get_int_max_str_digits()
-    for n in (base.numerator, base.denominator):
+    for n in ints:
         # for n > 1, 2**bits > n**k >= 2**(bits / 2), and 2**(3.321 * limit) < 10**limit
         bits = k * n.bit_length()
         if limit and n > 1 and bits * 1000 > 3321 * limit and (

@@ -54,7 +54,7 @@ from .linalg import (
     unit_vector,
 )
 
-AlgebraLike = NLieAlgebra | NLiePoissonAlgebra | SkewBracketTensor
+AlgebraLike = NLieAlgebra | SkewBracketTensor
 
 DEFAULT_REDUCTION_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29)
 # words Norton's test draws before it gives up
@@ -206,9 +206,6 @@ def is_ideal(alg: AlgebraLike, S: SubspaceBasis, kind: IdealKind = IdealKind.NLI
 def _closure(
     field: Field, dim: int, seed_vectors: Sequence[Sequence], ops: list[Matrix]
 ) -> SubspaceBasis:
-    seed_vectors = list(seed_vectors)
-    if not ops:
-        return span(field, dim, seed_vectors)
     acc = EchelonAccumulator(field, dim)
     queue = [r for v in seed_vectors if (r := acc.add(v)) is not None]
     while queue and acc.dim < dim:
@@ -323,9 +320,11 @@ def quotient_algebra(alg: AlgebraLike, I: SubspaceBasis) -> tuple[NLieAlgebra, Q
     if not is_ideal(t, I):
         raise ValueError("the subspace is not an ideal: some bracket image escapes it")
     qm = _quotient_map(I)
+    # a key of representatives is increasing, and so is its renumbering
+    renumber = {j: c for c, j in enumerate(qm.rep_indices)}
     table = {
-        combo: qm.project(t.component(tuple(qm.rep_indices[c] for c in combo)))
-        for combo in itertools.combinations(range(qm.dim), t.arity)
+        tuple(renumber[j] for j in key): qm.project(t.entry(key))
+        for key in t.entries if all(j in renumber for j in key)
     }
     return NLieAlgebra(SkewBracketTensor(qm.dim, t.arity, t.field, table)), qm
 

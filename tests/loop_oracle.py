@@ -7,7 +7,8 @@ the first instance whose sides differ.  The verdicts, instance counts and
 witnesses are the ones the library must report.  `ad_operator` evaluates
 an adjoint operator on every basis vector, the dense twin of the library's
 sparse operator builders, and the center loop intersects the kernel of each
-adjoint operator one at a time.  The derivation loop checks each basis
+adjoint operator one at a time.  The quotient loop projects the bracket of
+every representative tuple.  The derivation loop checks each basis
 pair on dense images, and the determinant bracket table expands on dense
 vectors through the product's `eval`.  The truncated center is the exact
 kernel of one coefficient row per (co-argument tuple, output monomial), and
@@ -24,7 +25,7 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 
-from nlie.algebra import Verdict, Witness
+from nlie.algebra import SkewBracketTensor, Verdict, Witness
 from nlie.fields import QQ
 from nlie.linalg import (
     Matrix,
@@ -230,6 +231,18 @@ def center_oracle(t):
         if not m.is_zero():
             K = stacked_kernel_intersect(K, kernel(f, d, dense(m)))
     return K
+
+
+def quotient_oracle(t, I):
+    """The bracket on the coset representatives at the non-pivot
+    coordinates of I, from the signed `component` of every one of the
+    C(q, n) increasing representative tuples, each reduced modulo I."""
+    reps = [j for j in range(t.dim) if j not in I.pivots]
+    table = {}
+    for combo in itertools.combinations(range(len(reps)), t.arity):
+        reduced = I.reduce(t.component([reps[c] for c in combo]))
+        table[combo] = tuple(reduced[j] for j in reps)
+    return SkewBracketTensor(len(reps), t.arity, t.field, table)
 
 
 def truncated_center_oracle(bracket, arity, degree_bound):

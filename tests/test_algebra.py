@@ -5,7 +5,9 @@ and frozen here; property tests cover the invariances that hold for every
 tensor by construction.
 """
 
+import copy
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -365,6 +367,66 @@ class TestPoissonCheckers:
             NLiePoissonAlgebra(
                 carrier.product, bad_unit, SkewBracketTensor(3, 2, F3, {})
             )
+
+
+class TestContainers:
+    """A Poisson algebra extends the n-Lie algebra of its bracket: it adds
+    the product and unit slots, checks them first, and leaves the bracket,
+    the basis names and the shape properties to NLieAlgebra."""
+
+    @staticmethod
+    def _parts():
+        carrier = truncated_polynomial_algebra(1, 3)
+        bracket = SkewBracketTensor(3, 2, F3, {(0, 1): (0, 0, 1)})
+        return carrier.product, carrier.unit, bracket
+
+    def test_a_poisson_algebra_is_an_nlie_algebra(self):
+        product, unit, bracket = self._parts()
+        alg = NLiePoissonAlgebra(product, unit, bracket, ["a", "b", "c"])
+        assert isinstance(alg, NLieAlgebra)
+        assert not isinstance(NLieAlgebra(bracket), NLiePoissonAlgebra)
+        assert (alg.dim, alg.arity, alg.field) == (3, 2, F3)
+        assert alg.basis_names == ("a", "b", "c")
+        assert repr(alg) == "NLiePoissonAlgebra(dim=3, arity=2, F_3)"
+        assert repr(NLieAlgebra(bracket)) == "NLieAlgebra(dim=3, arity=2, F_3)"
+
+    def test_slots(self):
+        product, unit, bracket = self._parts()
+        assert NLieAlgebra.__slots__ == ("bracket", "basis_names")
+        assert NLiePoissonAlgebra.__slots__ == ("product", "unit")
+        for alg in (NLieAlgebra(bracket), NLiePoissonAlgebra(product, unit, bracket)):
+            assert not hasattr(alg, "__dict__")
+            with pytest.raises(AttributeError):
+                alg.extra = 1
+
+    def test_each_refusal_keeps_its_message_and_order(self):
+        product, unit, bracket = self._parts()
+        other_dim = SkewBracketTensor(4, 2, F3, {})
+        other_field = SkewBracketTensor(3, 2, F5, {})
+        names = ["a", "b"]  # wrong length: checked last
+        for args, message in [
+            ((product, unit, other_dim, names), "product and bracket live on different spaces"),
+            ((product, unit, other_field, names), "product and bracket live on different spaces"),
+            ((product, unit[:2], bracket, names), "unit vector has the wrong length"),
+            ((product, (0, 1, 0), bracket, names),
+             "unit vector is not a two-sided identity (fails on basis 0)"),
+            ((product, unit, bracket, names), "basis_names length does not match the dimension"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                NLiePoissonAlgebra(*args)
+            assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            NLieAlgebra(bracket, names)
+        assert str(info.value) == "basis_names length does not match the dimension"
+
+    def test_copy_and_pickle_round_trip(self):
+        product, unit, bracket = self._parts()
+        for alg in (NLieAlgebra(bracket, ["a", "b", "c"]),
+                    NLiePoissonAlgebra(product, unit, bracket, ["a", "b", "c"])):
+            for clone in (copy.copy(alg), copy.deepcopy(alg), pickle.loads(pickle.dumps(alg))):
+                assert type(clone) is type(alg)
+                assert all(getattr(clone, name) == getattr(alg, name)
+                           for cls in type(alg).__mro__ for name in getattr(cls, "__slots__", ()))
 
 
 class TestFastPathAgreement:

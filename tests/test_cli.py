@@ -487,6 +487,7 @@ class TestPoly:
 
     @pytest.mark.parametrize("args, position", [
         ("3^10000*x; y", 0), ("x + 3^20000000; y", 4), ("x*" + "7" * 5000 + "; y", 2),
+        ("(3)^200000*x; y", 0), ("x + (3)^20000000; y", 4),
     ])
     def test_oversized_literal_exit_two(self, capsys, args, position):
         start = time.perf_counter()
@@ -520,6 +521,7 @@ _GENERATED = {
     "cross4": ["vector-product", "--n", "4"],
     "c32": ["jacobian-trunc", "--n", "3", "--p", "2"],
     "c33": ["jacobian-trunc", "--n", "3", "--p", "3"],
+    "c11": ["jacobian-trunc", "--n", "2", "--p", "11"],
 }
 
 
@@ -600,6 +602,15 @@ def test_c33_structure_reports_match_golden(capsys, tmp_path, command):
     code, out, _ = run(capsys, [command, "--format", "json", path])
     assert code == 0
     assert _golden_text(out, path) == (GOLDEN / f"{command}_c33.json").read_text()
+
+
+def test_large_quotient_report_matches_golden(capsys, tmp_path):
+    # c11 (dimension 121): the pipeline's quotient has dimension 119; written
+    # before the quotient was read off the stored pairs
+    path = _golden_input("c11", tmp_path)
+    code, out, _ = run(capsys, ["theorem1", "--format", "json", path])
+    assert code == 0
+    assert _golden_text(out, path) == (GOLDEN / "theorem1_c11.json").read_text()
 
 
 # golden report, the command before the input, and the input: generated,

@@ -17,6 +17,8 @@ from nlie.algebra import (
     check_generalized_jacobi,
     check_leibniz,
     check_poisson_identity,
+    default_var_names,
+    monomial_text,
 )
 from nlie.constructions import (
     DerivationSet,
@@ -68,6 +70,15 @@ class TestTruncatedCarrier:
         assert carrier.names == (
             "1", "x", "y", "x^2", "x*y", "y^2", "x^2*y", "x*y^2", "x^2*y^2",
         )
+
+    # c3 and w33 share the carrier in x, y; c33's is in x, y, z
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_names_are_the_polynomial_monomials(self, nvars):
+        carrier = truncated_polynomial_algebra(nvars, 3)
+        names = default_var_names(nvars)
+        assert len(carrier.names) == len(carrier.exponents) == 3**nvars
+        for e, name in zip(carrier.exponents, carrier.names):
+            assert monomial_text(e, names) == name == Poly.monomial(e).render(names)
 
     def test_truncation_kills_pth_powers(self):
         carrier = truncated_polynomial_algebra(1, 3)

@@ -300,6 +300,37 @@ class TestParser:
         for src in ("0^100000000 + x", "1^100000000 + x - 1", "(1/1)^100000000 + x - 1"):
             assert P(src) == P("x")
 
+    def test_parenthesized_powers_refused(self, default_digit_limit):
+        # a power's coefficients are bounded from the base's largest
+        # numerator and denominator, the exact coefficient of a one-term
+        # base's power; the parser refuses at the '(' before the power is
+        # computed ((3)^20000000 ran for seconds, then failed to print)
+        limit = default_digit_limit
+        for src, position in (
+            ("(3)^200000*x", 0),
+            ("x*(3)^20000000", 2),
+            ("x - 2*((3))^9013", 6),
+            ("((3)^100)^100", 0),
+            ("(1/3)^9013", 0),  # the denominator has 4301 digits
+            ("(-3)^9013 + y", 0),
+            ("(2*x + 3)^9013", 0),
+        ):
+            with pytest.raises(PolyParseError) as info:
+                P(src)
+            want = f"parenthesized power has more than {limit} digits at position {position}"
+            assert (str(info.value), info.value.position) == (want, position)
+        for base in (Poly.const(2, 3), Poly.const(2, Fraction(1, 3)), P("3*x + y")):
+            with pytest.raises(ValueError, match=f"^power has more than {limit} digits$"):
+                base**9013
+
+    def test_parenthesized_powers_up_to_the_limit_accepted(self, default_digit_limit):
+        assert P("(3)^9012*x") == Poly.const(2, 3**9012) * P("x")
+        assert P("(-1/3)^9012") == Poly.const(2, Fraction(1, 3**9012))
+        for src in ("(0)^100000000 + x", "(1)^100000000 + x - 1", "(-1)^100000001 + x + 1"):
+            assert P(src) == P("x")
+        assert P("(x + y)^60") == poly_power_oracle(P("x + y"), 60)
+        assert P("(2*x - 1/2*y)^40") == poly_power_oracle(P("2*x - 1/2*y"), 40)
+
     def test_literal_limit_follows_the_interpreter(self):
         limit = sys.get_int_max_str_digits()
         try:

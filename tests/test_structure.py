@@ -45,6 +45,7 @@ from nlie.structure import (
     theorem1_pipeline,
     verify_simplicity_certificate,
     _ad_operators,
+    _closure,
     _exhaustive_projective,
     _gaussian_binomial,
     _mult_operators,
@@ -52,7 +53,7 @@ from nlie.structure import (
     _ops_for_kind,
     _reduce_mod_p,
 )
-from loop_oracle import ad_operator, center_oracle, vec_add
+from loop_oracle import ad_operator, center_oracle, quotient_oracle, vec_add
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -489,6 +490,15 @@ class TestIdealsAndClosures:
         assert is_ideal(alg, v.witness)
         assert verify_simplicity_certificate(alg, v)
 
+    @pytest.mark.parametrize("f", [QQ, F3])
+    def test_closure_without_operations_is_the_span(self, f):
+        rng = random.Random(5)
+        for d in (1, 3, 5):
+            for count in range(0, d + 2):
+                vectors = [tuple(f.from_int(rng.randint(-1, 1)) for _ in range(d))
+                           for _ in range(count)]
+                assert _closure(f, d, vectors, []) == span(f, d, vectors)
+
     def test_closure_needs_product_for_assoc_kind(self):
         with pytest.raises(ValueError):
             ideal_closure(vector_product_algebra(2), [(ONE, Z, Z)], IdealKind.ASSOCIATIVE)
@@ -608,6 +618,54 @@ class TestQuotients:
                     self._assert_well_defined(alg, I)
                     proper += 1
         assert proper > 0
+
+    @staticmethod
+    def _pipeline_input(t):
+        """The derived subalgebra's bracket and its central part, the
+        quotient that theorem1_pipeline builds."""
+        derived = derived_subspace(t)
+        inter = derived.intersect(center(t))
+        rows = [derived.coordinates_of(row) for row in inter.rows]
+        return subalgebra_on(t, derived).bracket, span(t.field, derived.dim, rows)
+
+    @pytest.mark.parametrize("name", [*_GOLDEN_ALGEBRAS, "c32", "c33", "c11"])
+    def test_center_and_pipeline_quotients_match_the_oracle(self, name):
+        # the quotient is read off the stored pairs; the oracle projects the
+        # signed value on every one of the C(q, n) representative tuples
+        builders = {"c32": lambda: truncated_poisson(3, 2),
+                    "c33": lambda: truncated_poisson(3, 3),
+                    "c11": lambda: truncated_poisson(2, 11)}
+        t = {**_GOLDEN_ALGEBRAS, **builders}[name]().bracket
+        for tensor, I in ((t, center(t)), self._pipeline_input(t)):
+            q, qm = quotient_algebra(tensor, I)
+            assert q.bracket == quotient_oracle(tensor, I)
+            assert qm.rep_indices == tuple(j for j in range(tensor.dim) if j not in I.pivots)
+
+    @pytest.mark.parametrize("name", ["c3", "c33", "cross_sum_f3"])
+    def test_seeded_ideal_quotients_match_the_oracle(self, name):
+        # closures of seeded sparse vectors, in the given basis and in
+        # seeded ones (seconds each for c33, so none there), so that the
+        # pivots move; a span that is not an ideal is still refused
+        alg = {"c33": lambda: truncated_poisson(3, 3), **_GOLDEN_ALGEBRAS}[name]()
+        rng = random.Random(f"quotients of {name}")
+        proper = refused = 0
+        for basis_seed in (None,) if name == "c33" else (None, 1, 2):
+            moved = seeded_basis(alg, basis_seed)[0] if basis_seed else NLieAlgebra(alg.bracket)
+            t, f, d = moved.bracket, moved.field, moved.dim
+            for _ in range(6):
+                v = [f.zero] * d
+                for k in rng.sample(range(d), rng.randint(1, 2)):
+                    v[k] = f.from_int(rng.choice((1, -1)))
+                I = ideal_closure(t, [v])
+                q, _ = quotient_algebra(t, I)
+                assert q.bracket == quotient_oracle(t, I)
+                proper += 0 < I.dim < d
+                line = span(f, d, [v])
+                if not is_ideal(t, line):
+                    with pytest.raises(ValueError, match="^the subspace is not an ideal"):
+                        quotient_algebra(t, line)
+                    refused += 1
+        assert proper > 0 and refused > 0
 
     def test_subalgebra_on_derived(self):
         char3 = truncated_poisson(2, 3)
@@ -782,7 +840,7 @@ class TestSimplicity:
     def test_zero_bracket_conventions(self):
         z = NLieAlgebra(SkewBracketTensor(3, 2, QQ, {}))
         v = is_simple(z)
-        assert v.status == "not_simple" and v.witness.dim == 1
+        assert v.status == "not_simple" and v.witness == span(QQ, 3, [(ONE, Z, Z)])
         line = NLieAlgebra(SkewBracketTensor(1, 2, F2, {}))
         v1 = is_simple(line)
         assert v1.status == "not_simple" and v1.witness is None
