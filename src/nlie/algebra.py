@@ -86,13 +86,17 @@ class _Tensor:
     index and normalised through the field once, the format of a Matrix
     column.  Keys whose value vanishes in the field are not stored.  The
     constructor takes dim-length vectors and `from_entries` takes pairs;
-    both go through `_fill`.  Dense vectors are built only at the API
-    edge: `structure` reads `entry` and `eval`, and `table` and
-    `component` serve callers outside the library.
+    both go through `_fill`.  Every tensor the library makes is built
+    with `from_entries`; the constructor (with `table` and `component`)
+    serves callers outside it, and the empty bracket of `generate zero`.
+    Dense vectors are built only at the API edge: `structure` reads
+    `entries`, and `entry` and `eval` where it needs a dense value.
 
     A tensor is immutable after construction, as a Poly is, so the
-    structure operators that `structure` builds from its `entries` on
-    first use are kept in `_ops` and shared by every later call.
+    operators that `structure` builds from its `entries` on first use are
+    kept in `_ops` and shared by every later call: one shape for both
+    tensors, a tuple of (z, Matrix) pairs, the adjoints ad_z of a bracket
+    or the multiplications ((i,), L_i) of a product.
     """
 
     __slots__ = ("dim", "field", "entries", "_ops")

@@ -32,6 +32,7 @@ from .algebra import (
     check_generalized_jacobi,
     check_leibniz,
     check_poisson_identity,
+    monomial_text,
 )
 from .fields import PrimeField, QQ
 from .guards import GuardExceeded
@@ -298,7 +299,6 @@ def _cmd_lemmas(args):
 
 def _cmd_poly(args):
     from .poly import (
-        Poly,
         _bracket_fn,
         default_var_names,
         parse_poly,
@@ -356,9 +356,7 @@ def _cmd_poly(args):
             "dim": spanned.dim,
             "ambient_dim": len(spanned.monomials),
             "is_full": spanned.is_full(),
-            "monomials": [
-                Poly.monomial(e).render(names) for e in spanned.member_monomials()
-            ],
+            "monomials": [monomial_text(e, names) for e in spanned.member_monomials()],
         }
         if spanned.is_full():
             lines = [
@@ -372,7 +370,7 @@ def _cmd_poly(args):
     else:  # center
         cen = truncated_center(args.bracket, args.n, args.degree)
         options["degree"] = args.degree
-        members = [Poly.monomial(e).render(names) for e in cen.member_monomials()]
+        members = [monomial_text(e, names) for e in cen.member_monomials()]
         results = {
             "dim": cen.basis.dim,
             "ambient_dim": len(cen.monomials),

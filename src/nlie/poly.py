@@ -15,10 +15,11 @@ grid once, by the lcm of that row's denominators; either sums the term
 products as ints and makes one Fraction per result term (w_bracket on three
 10-term arguments: 3.2 -> 1.3 ms in process).  A power refuses, through the
 instance guard, a result that could hold too many terms, refuses one whose
-base's largest numerator or denominator to the k has more digits than str()
-prints, and squares only up to the top bit of its exponent.  The parser
-folds each term's literals and variables into one coefficient and exponent
-tuple, so only a parenthesized factor is powered or multiplied as a Poly.
+coefficients could have more digits than str() prints (bounded by the sum of
+the base's scaled numerators to the k, and by its scale to the k), and
+squares only up to the top bit of its exponent.  The parser folds each
+term's literals and variables into one coefficient and exponent tuple, so
+only a parenthesized factor is powered or multiplied as a Poly.
 """
 
 from __future__ import annotations
@@ -117,10 +118,12 @@ class Poly:
         bound = min(math.comb(k + t - 1, t - 1),
                     math.comb(self.nvars + k * max(self.degree(), 0), self.nvars))
         check_instances(bound**2, None, DEFAULT_MAX_INSTANCES, "polynomial power")
-        # a one-term base's power has exactly these coefficients
-        coeffs = self.terms.values()
-        if _too_long(k, max((abs(c.numerator) for c in coeffs), default=0),
-                     max((c.denominator for c in coeffs), default=1)):
+        # scaled by the lcm L of its denominators, the base has int
+        # coefficients; each coefficient of the power is then an int no
+        # larger than the sum of theirs to the k, over a divisor of L^k
+        # (exact for a one-term base)
+        (scaled,), scale = _scaled((self,))
+        if _too_long(k, sum(abs(c) for _, c in scaled), scale):
             raise ValueError(f"power has more than {sys.get_int_max_str_digits()} digits")
         result, base = None, self
         while k:
@@ -566,23 +569,22 @@ def truncated_derived_span(
     """Span of all bracket values on monomial tuples, cut to degree <=
     degree_bound.
 
-    Both determinant brackets drop the total input degree by a fixed amount
-    (arity for 'jac', arity-1 for 'w') and send monomial tuples to scalar
-    multiples of single monomials, so inputs of total degree up to the bound
-    plus that drop are exhaustive and the intersection with the truncation
-    is just membership.  The sweep stops once every coordinate monomial is
-    hit.
+    Both determinant brackets drop the total input degree by their number
+    of variables (arity for 'jac', arity-1 for 'w') and send monomial tuples
+    to scalar multiples of single monomials, so inputs of total degree up to
+    the bound plus that drop are exhaustive and the intersection with the
+    truncation is just membership.  The sweep stops once every coordinate
+    monomial is hit.
     """
     fn, nvars = _bracket_fn(bracket, arity)
-    drop = arity if bracket == "jac" else arity - 1
-    inputs = monomials_up_to(nvars, degree_bound + drop)
+    inputs = monomials_up_to(nvars, degree_bound + nvars)
     total = math.comb(len(inputs), arity)
     check_instances(total, max_instances, DEFAULT_MAX_INSTANCES, "truncated derived span")
     coords = monomials_up_to(nvars, degree_bound)
     coord_index = {e: i for i, e in enumerate(coords)}
     hits: set[int] = set()
     for combo in itertools.combinations(inputs, arity):
-        if sum(sum(e) for e in combo) > degree_bound + drop:
+        if sum(sum(e) for e in combo) > degree_bound + nvars:
             continue
         terms = fn([Poly.monomial(e) for e in combo]).terms
         if len(terms) > 1:

@@ -92,31 +92,23 @@ def _char_flags(field: Field) -> tuple[str, ...]:
 # adjoint and multiplication operators
 
 
-def _ad_operators(t: SkewBracketTensor) -> tuple[tuple[tuple[int, ...], Matrix], ...]:
-    """The nonzero adjoint operators (z, ad_z), column k = bracket(e_k, e_z),
-    from strictly increasing basis tuples z in lexicographic order.  Built
-    on first use from the stored pairs (a column from an odd slot negated)
-    and kept on the tensor."""
+def _operators(t: SkewBracketTensor | SymProductTensor) -> tuple:
+    """The nonzero operators (z, op_z), a Matrix with column k = t(e_k, e_z),
+    from basis tuples z in lexicographic order: the adjoints of a bracket
+    on strictly increasing z, and the multiplications ((i,), L_i) of a
+    product.  Built on first use from the stored pairs and kept on the
+    tensor: the value of a key is column key[s] of the operator at the key
+    without slot s, negated from an odd slot of the alternating bracket."""
     if t._ops is None:
         f, d = t.field, t.dim
-        ad: dict = defaultdict(lambda: [()] * d)
+        alternating = isinstance(t, SkewBracketTensor)
+        ops: dict = defaultdict(lambda: [()] * d)
         for key, col in t.entries.items():
-            neg = tuple([(m, f.from_int(-c)) for m, c in col])
+            odd = tuple([(m, f.from_int(-c)) for m, c in col]) if alternating else col
             for s, k in enumerate(key):
-                ad[key[:s] + key[s + 1 :]][k] = neg if s % 2 else col
-        t._ops = tuple((z, Matrix._trusted(f, d, tuple(ad[z]))) for z in sorted(ad))
+                ops[key[:s] + key[s + 1 :]][k] = odd if s % 2 else col
+        t._ops = tuple((z, Matrix._trusted(f, d, tuple(ops[z]))) for z in sorted(ops))
     return t._ops
-
-
-def _mult_operators(product: SymProductTensor) -> tuple[Matrix, ...]:
-    """The nonzero left-multiplication matrices of the basis elements in
-    index order (commutative, so one side covers both); built on first use
-    and kept on the tensor."""
-    if product._ops is None:
-        f, d = product.field, product.dim
-        product._ops = tuple(Matrix._trusted(f, d, tuple(m.get(k, ()) for k in range(d)))
-                             for m in _mult_columns(d, product.entries) if m)
-    return product._ops
 
 
 def _ops_for_kind(
@@ -127,11 +119,11 @@ def _ops_for_kind(
     both."""
     ops: list[Matrix] = []
     if kind in (IdealKind.NLIE, IdealKind.POISSON):
-        ops.extend(m for _, m in _ad_operators(t))
+        ops.extend(m for _, m in _operators(t))
     if kind in (IdealKind.ASSOCIATIVE, IdealKind.POISSON):
         if product is None:
             raise ValueError(f"{kind.value} ideal operations require the product")
-        ops.extend(_mult_operators(product))
+        ops.extend(m for _, m in _operators(product))
     return ops
 
 
@@ -179,7 +171,7 @@ def center(alg: AlgebraLike) -> SubspaceBasis:
     if t.is_zero():
         return SubspaceBasis.full(f, d)
     rows: dict = defaultdict(lambda: [f.zero] * d)
-    for z, m in _ad_operators(t):
+    for z, m in _operators(t):
         for k, col in enumerate(m.columns):
             for r, c in col:
                 rows[z, r][k] = c
@@ -235,13 +227,6 @@ def ideal_closure(
 # nilradical
 
 
-def _require_unit(product: SymProductTensor, unit: Sequence) -> tuple:
-    unit = tuple(unit)
-    if unit_failure(product, unit) is not None:
-        raise ValueError("the supplied vector is not a unit for the product")
-    return unit
-
-
 def element_power(product: SymProductTensor, unit: Sequence, v: Sequence, k: int) -> tuple:
     """v^k under the product, by binary powering (k >= 0; v^0 = unit)."""
     if k < 0:
@@ -268,7 +253,9 @@ def nilradical(product: SymProductTensor, unit: Sequence) -> SubspaceBasis:
     """
     field = product.field
     d = product.dim
-    unit = _require_unit(product, unit)
+    unit = tuple(unit)
+    if unit_failure(product, unit) is not None:
+        raise ValueError("the supplied vector is not a unit for the product")
     if isinstance(field, RationalField):
         # tau_k = trace(L_{e_k}), and the Gram entry (i, j) = trace(L_{e_i e_j})
         mult = _mult_columns(d, product.entries)
@@ -284,7 +271,7 @@ def nilradical(product: SymProductTensor, unit: Sequence) -> SubspaceBasis:
             size *= field.p
         cols = [element_power(product, unit, unit_vector(field, d, k), size) for k in range(d)]
         nil = kernel(field, d, zip(*cols))
-    if not _is_invariant(nil, _mult_operators(product)):
+    if not _is_invariant(nil, [m for _, m in _operators(product)]):
         raise AssertionError("nilpotent set is not an ideal; the product is not associative")
     return nil
 
@@ -304,11 +291,6 @@ class QuotientMap(Record):
         return tuple(reduced[j] for j in self.rep_indices)
 
 
-def _quotient_map(I: SubspaceBasis) -> QuotientMap:
-    reps = tuple(j for j in range(I.ambient_dim) if j not in I.pivots)
-    return QuotientMap(I, reps)
-
-
 # ---------------------------------------------------------------------------
 # quotients and restrictions
 
@@ -319,14 +301,15 @@ def quotient_algebra(alg: AlgebraLike, I: SubspaceBasis) -> tuple[NLieAlgebra, Q
     t = _bracket_of(alg)
     if not is_ideal(t, I):
         raise ValueError("the subspace is not an ideal: some bracket image escapes it")
-    qm = _quotient_map(I)
+    qm = QuotientMap(I, tuple(j for j in range(t.dim) if j not in I.pivots))
     # a key of representatives is increasing, and so is its renumbering
     renumber = {j: c for c, j in enumerate(qm.rep_indices)}
-    table = {
-        tuple(renumber[j] for j in key): qm.project(t.entry(key))
-        for key in t.entries if all(j in renumber for j in key)
-    }
-    return NLieAlgebra(SkewBracketTensor(qm.dim, t.arity, t.field, table)), qm
+    entries = {}
+    for key in t.entries:
+        if all(j in renumber for j in key):
+            value = qm.project(t.entry(key))
+            entries[tuple(renumber[j] for j in key)] = [(c, x) for c, x in enumerate(value) if x]
+    return NLieAlgebra(SkewBracketTensor.from_entries(qm.dim, t.arity, t.field, entries)), qm
 
 
 def subalgebra_on(alg: AlgebraLike, S: SubspaceBasis) -> NLieAlgebra:
@@ -334,14 +317,14 @@ def subalgebra_on(alg: AlgebraLike, S: SubspaceBasis) -> NLieAlgebra:
     under it."""
     t = _bracket_of(alg)
     _check_space(S, t.field, t.dim)
-    k = S.dim
-    table: dict[tuple[int, ...], tuple] = {}
-    for combo in itertools.combinations(range(k), t.arity):
+    entries: dict[tuple[int, ...], list] = {}
+    for combo in itertools.combinations(range(S.dim), t.arity):
         coords = S.coordinates_of(t.eval([S.rows[c] for c in combo]))
         if coords is None:
             raise ValueError("the subspace is not closed under the bracket")
-        table[combo] = coords
-    return NLieAlgebra(SkewBracketTensor(k, t.arity, t.field, table))
+        if pairs := [(c, x) for c, x in enumerate(coords) if x]:
+            entries[combo] = pairs
+    return NLieAlgebra(SkewBracketTensor.from_entries(S.dim, t.arity, t.field, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +337,6 @@ class SimplicityVerdict(Record):
 
     __slots__ = ("status", "kind", "certificate", "witness", "reason", "seed")
     _defaults = {"certificate": None, "witness": None, "reason": None, "seed": 0}
-
-
-def _projective_count(p: int, k: int) -> int:
-    return (p**k - 1) // (p - 1)
 
 
 def _projective_points(p: int, k: int):
@@ -394,7 +373,7 @@ def _exhaustive_projective(
     t: SkewBracketTensor, kind: IdealKind, ops: list[Matrix], limit: int, seed: int
 ) -> SimplicityVerdict:
     p, d = t.field.p, t.dim
-    points = _projective_count(p, d)
+    points = _gaussian_binomial(d, 1, p)
     if points > limit:
         raise GuardExceeded(
             f"exhaustive projective enumeration needs {points} closures > limit {limit}"
@@ -580,7 +559,7 @@ def _is_simple_fp(
     seed: int,
 ) -> SimplicityVerdict:
     ops = _ops_for_kind(t, kind, product)
-    if _projective_count(t.field.p, t.dim) <= limit:
+    if _gaussian_binomial(t.dim, 1, t.field.p) <= limit:
         return _exhaustive_projective(t, kind, ops, limit, seed)
     return _norton(t, kind, ops, seed)
 
@@ -893,9 +872,8 @@ def _contained_images(
     t: SkewBracketTensor, source: SubspaceBasis, target: SubspaceBasis
 ) -> Witness | None:
     """First bracket(source row, basis tuple) escaping the target."""
-    ads = _ad_operators(t)
     for v in source.rows:
-        for idx, m in ads:
+        for idx, m in _operators(t):
             value = m.matvec(v)
             if not target.contains(value):
                 return Witness(
@@ -970,7 +948,7 @@ def probe_lemma(
             witness = Witness("nilpotent_element", {"vector": v, "power": k})
     elif which == "L5":
         conclusion_ok = True
-        for idx, m in _ad_operators(t):
+        for idx, m in _operators(t):
             step, k = m, 1
             while k < t.dim and not step.is_zero():
                 step = step.mul(m)

@@ -8,7 +8,8 @@ witnesses are the ones the library must report.  `ad_operator` evaluates
 an adjoint operator on every basis vector, the dense twin of the library's
 sparse operator builders, and the center loop intersects the kernel of each
 adjoint operator one at a time.  The quotient loop projects the bracket of
-every representative tuple.  The derivation loop checks each basis
+every representative tuple, and the subalgebra loop keeps the coordinates of
+every bracket of a subspace's rows in a dense table.  The derivation loop checks each basis
 pair on dense images, and the determinant bracket table expands on dense
 vectors through the product's `eval`.  The truncated center is the exact
 kernel of one coefficient row per (co-argument tuple, output monomial), and
@@ -243,6 +244,19 @@ def quotient_oracle(t, I):
         reduced = I.reduce(t.component([reps[c] for c in combo]))
         table[combo] = tuple(reduced[j] for j in reps)
     return SkewBracketTensor(len(reps), t.arity, t.field, table)
+
+
+def subalgebra_oracle(t, S):
+    """The bracket in the coordinates of S, from a dense table: the
+    coordinates of the bracket of every increasing tuple of S's rows, each
+    a dim(S)-length vector, zero ones included."""
+    table = {}
+    for combo in itertools.combinations(range(S.dim), t.arity):
+        coords = S.coordinates_of(t.eval([S.rows[c] for c in combo]))
+        if coords is None:
+            raise ValueError("the subspace is not closed under the bracket")
+        table[combo] = coords
+    return SkewBracketTensor(S.dim, t.arity, t.field, table)
 
 
 def truncated_center_oracle(bracket, arity, degree_bound):

@@ -176,6 +176,111 @@ class TestMalformedInput:
         assert err == f"error: max_enum must be an integer >= 1, got {value}\n"
 
 
+POISSON_DOC = dict(CROSS, product=[{"i": 0, "j": k, "value": {str(k): "1"}} for k in range(3)],
+                   unit=["1", "0", "0"])
+
+
+def _with_entry(doc, table="bracket", at=0, **change):
+    """doc with only its entry `at` of `table`, changed by `change`."""
+    return dict(doc, **{table: [dict(doc[table][at], **change)]})
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# one malformed document per refusal of the loader, with the whole message
+_LOADER_REFUSALS = {
+    "field-keys": (dict(CROSS, field={"Fp": 3, "p": 3}),
+                   "field object must have exactly the key \"Fp\", got ['Fp', 'p']"),
+    "field-char-str": (dict(CROSS, field={"Fp": "3"}),
+                       "field characteristic must be an integer, got '3'"),
+    "field-char-bool": (dict(CROSS, field={"Fp": True}),
+                        "field characteristic must be an integer, got True"),
+    "field-not-prime": (dict(CROSS, field={"Fp": 4}), "not a prime: 4"),
+    "field-name": (dict(CROSS, field="R"), "field must be \"Q\" or {\"Fp\": p}, got 'R'"),
+    "coefficient-int": (_with_entry(CROSS, value={"2": 1}),
+                        "bracket entry 0: coefficients must be strings, got 1"),
+    "residue-fraction": (dict(_with_entry(CROSS, value={"2": "1/2"}), field={"Fp": 5}),
+                         "bracket entry 0: '1/2' is not a decimal residue"),
+    "value-list": (_with_entry(CROSS, value=["1"]),
+                   "bracket entry 0: value must be an object mapping index to coefficient"),
+    "value-index-range": (_with_entry(CROSS, value={"3": "1"}),
+                          "bracket entry 0: value index 3 out of range for dimension 3"),
+    "document-list": ([CROSS], "top-level document must be a JSON object"),
+    "no-field": (_without(CROSS, "field"), 'missing required field "field"'),
+    "no-dimension": (_without(CROSS, "dimension"), 'missing required field "dimension"'),
+    "no-bracket": (_without(CROSS, "bracket"), 'missing required field "bracket"'),
+    "dimension-zero": (dict(CROSS, dimension=0), '"dimension" must be an integer >= 1, got 0'),
+    "dimension-str": (dict(CROSS, dimension="3"),
+                      "\"dimension\" must be an integer >= 1, got '3'"),
+    "dimension-bool": (dict(CROSS, dimension=True),
+                       '"dimension" must be an integer >= 1, got True'),
+    "arity-zero": (dict(CROSS, arity=0), '"arity" must be an integer >= 1, got 0'),
+    "bracket-object": (dict(CROSS, bracket={"args": [0, 1]}),
+                       '"bracket" must be a list of entries'),
+    "names-length": (dict(CROSS, basis_names=["a", "b"]),
+                     '"basis_names" must be a list of 3 nonempty strings'),
+    "names-empty": (dict(CROSS, basis_names=["a", "", "c"]),
+                    '"basis_names" must be a list of 3 nonempty strings'),
+    "names-string": (dict(CROSS, basis_names="abc"),
+                     '"basis_names" must be a list of 3 nonempty strings'),
+    "names-repeat": (dict(CROSS, basis_names=["a", "b", "a"]),
+                     '"basis_names" must be distinct'),
+    "entry-keys": (dict(CROSS, bracket=[{"args": [0, 1]}]),
+                   'bracket entry 0: must be an object with exactly "args" and "value"'),
+    "entry-extra": (_with_entry(CROSS, sign=1),
+                    'bracket entry 0: must be an object with exactly "args" and "value"'),
+    "entry-list": (dict(CROSS, bracket=[[0, 1]]),
+                   'bracket entry 0: must be an object with exactly "args" and "value"'),
+    "args-length": (_with_entry(CROSS, args=[0, 1, 2]),
+                    "bracket entry 0: args must be a list of 2 integers"),
+    "args-string": (_with_entry(CROSS, args=[0, "1"]),
+                    "bracket entry 0: args must be a list of 2 integers"),
+    "args-bool": (_with_entry(CROSS, args=[False, True]),
+                  "bracket entry 0: args must be a list of 2 integers"),
+    "args-range": (_with_entry(CROSS, args=[1, 3]),
+                   "bracket entry 0: args [1, 3] out of range for dimension 3"),
+    "args-repeat": (dict(CROSS, bracket=[CROSS["bracket"][0]] * 2),
+                    "bracket entry 1: duplicate args [0, 1]"),
+    "product-object": (dict(POISSON_DOC, product={"i": 0}),
+                       '"product" must be a list of entries'),
+    "product-keys": (_with_entry(POISSON_DOC, "product", 1, k=0),
+                     'product entry 0: must be an object with exactly "i", "j", "value"'),
+    "product-i-string": (_with_entry(POISSON_DOC, "product", 1, i="0"),
+                         "product entry 0: \"i\" must be an integer in [0, 3), got '0'"),
+    "product-j-bool": (_with_entry(POISSON_DOC, "product", 1, j=True),
+                       'product entry 0: "j" must be an integer in [0, 3), got True'),
+    "product-j-range": (_with_entry(POISSON_DOC, "product", 1, j=3),
+                        'product entry 0: "j" must be an integer in [0, 3), got 3'),
+    "product-repeat": (dict(POISSON_DOC, product=POISSON_DOC["product"]
+                            + [{"i": 1, "j": 0, "value": {}}]),
+                       "product entry 3: duplicate pair (1, 0)"),
+    "unit-length": (dict(POISSON_DOC, unit=["1", "0"]),
+                    '"unit" must be a list of 3 coefficient strings'),
+    "unit-string": (dict(POISSON_DOC, unit="100"),
+                    '"unit" must be a list of 3 coefficient strings'),
+    "unit-coefficient": (dict(POISSON_DOC, unit=["1", "0", "x"]),
+                         "unit[2]: 'x' is not a rational of the form \"a\" or \"a/b\""),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOADER_REFUSALS))
+def test_loader_refusal_named(capsys, tmp_path, name):
+    doc, message = _LOADER_REFUSALS[name]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, ["check", str(path)]) == (2, "", f"error: {message}\n")
+
+
+def test_loader_refusal_base_documents_load(capsys, tmp_path):
+    # the documents the table breaks are valid as they stand
+    for doc in (CROSS, POISSON_DOC):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, ["check", str(path)])[0] in (0, 1)
+
+
 def test_wide_file_loads_in_memory_of_its_size():
     # a 2 KB file declaring dimension 10^5: the loader parses values into
     # sparse pairs, so no allocation follows the dimension
@@ -473,6 +578,20 @@ class TestPoly:
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
         assert err.startswith("error: polynomial power: ")
+
+    def test_multi_term_power_too_long_to_print_exit_two(self, capsys):
+        # 4^1100 has 663 digits: refused at once, at the '(' (the power took
+        # about a second, then str() failed naming neither factor nor position)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            start = time.perf_counter()
+            got = run(capsys, ["poly", "eval", "--bracket", "jac", "--n", "2",
+                               "--args", "(x+3*y)^1100; y"])
+            assert time.perf_counter() - start < 1
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert got == (2, "", "error: parenthesized power has more than 640 digits at position 0\n")
 
     def test_bad_expression_exit_two(self, capsys):
         code, _, err = run(capsys, ["poly", "eval", "--bracket", "jac", "--n", "2",

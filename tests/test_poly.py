@@ -15,6 +15,7 @@ from loop_oracle import (
     truncated_derived_span_oracle,
 )
 
+from nlie.algebra import Verdict, Witness
 from nlie.guards import GuardExceeded
 from nlie.poly import (
     Poly,
@@ -314,14 +315,19 @@ class TestParser:
             ("(1/3)^9013", 0),  # the denominator has 4301 digits
             ("(-3)^9013 + y", 0),
             ("(2*x + 3)^9013", 0),
+            # a multi-term base: the sum of its numerators scaled by the lcm
+            # L of its denominators (4), or L itself (6), to the k
+            ("(x + 3*y)^7143", 0),
+            ("y - (1/2*x + 1/3*y)^5527", 4),
         ):
             with pytest.raises(PolyParseError) as info:
                 P(src)
             want = f"parenthesized power has more than {limit} digits at position {position}"
             assert (str(info.value), info.value.position) == (want, position)
-        for base in (Poly.const(2, 3), Poly.const(2, Fraction(1, 3)), P("3*x + y")):
+        for base, k in ((Poly.const(2, 3), 9013), (Poly.const(2, Fraction(1, 3)), 9013),
+                        (P("3*x + y"), 9013), (P("x + 3*y"), 7143), (P("1/2*x + 1/3*y"), 5527)):
             with pytest.raises(ValueError, match=f"^power has more than {limit} digits$"):
-                base**9013
+                base**k
 
     def test_parenthesized_powers_up_to_the_limit_accepted(self, default_digit_limit):
         assert P("(3)^9012*x") == Poly.const(2, 3**9012) * P("x")
@@ -457,6 +463,16 @@ class TestTruncatedVerification:
         assert data["args"] == ((0,), (0,), (1,))
         assert data["lhs"] == "1"
         assert data["rhs"] == "2"
+
+    def test_w_fails_shift_frozen_witness(self):
+        v = verify_identity_truncated("shift", "w", 2, 2)
+        assert v == Verdict(False, Witness("truncated_shift", {
+            "bracket": "w", "arity": 2, "degree_bound": 2,
+            "args": ((0,), (0,), (1,)), "lhs": "1", "rhs": "2"}), 27)
+
+    @pytest.mark.parametrize("arity, degree", [(3, 2), (4, 1)])
+    def test_w_satisfies_jacobi_at_higher_arity(self, arity, degree):
+        assert verify_identity_truncated("jacobi", "w", arity, degree).ok
 
     def test_witness_replays_symbolically(self):
         one = Poly.monomial((0,))

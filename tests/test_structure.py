@@ -44,16 +44,15 @@ from nlie.structure import (
     subalgebra_on,
     theorem1_pipeline,
     verify_simplicity_certificate,
-    _ad_operators,
     _closure,
     _exhaustive_projective,
     _gaussian_binomial,
-    _mult_operators,
     _norton,
+    _operators,
     _ops_for_kind,
     _reduce_mod_p,
 )
-from loop_oracle import ad_operator, center_oracle, quotient_oracle, vec_add
+from loop_oracle import ad_operator, center_oracle, quotient_oracle, subalgebra_oracle, vec_add
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -157,6 +156,43 @@ def seeded_basis(alg: NLieAlgebra, seed: int):
     return NLieAlgebra(SkewBracketTensor(d, t.arity, f, table)), to_new
 
 
+def dense_basis(alg: NLieAlgebra, seed: int) -> NLieAlgebra:
+    """The rational algebra in the basis f_a = M e_a for a seeded invertible
+    M with every entry in -2..2, so that no f_a lies in a summand."""
+    t, d = alg.bracket, alg.dim
+    rng = random.Random(seed)
+    while True:
+        M = [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+        cols = [tuple(M[i][a] for i in range(d)) for a in range(d)]
+        if span(QQ, d, cols).is_full():
+            break
+    # Gauss-Jordan on [M | I] leaves M^-1 on the right
+    aug = [row + [ONE if i == j else Z for j in range(d)] for i, row in enumerate(M)]
+    for c in range(d):
+        r = next(r for r in range(c, d) if aug[r][c])
+        aug[c], aug[r] = aug[r], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(d):
+            if r != c and aug[r][c]:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    inv = [row[d:] for row in aug]
+    table = {
+        key: tuple(sum(inv[i][j] * x for j, x in enumerate(t.eval([cols[a] for a in key])))
+                   for i in range(d))
+        for key in itertools.combinations(range(d), t.arity)
+    }
+    return NLieAlgebra(SkewBracketTensor(d, t.arity, QQ, table))
+
+
+def rational_poisson(extra: dict | None = None) -> NLiePoissonAlgebra:
+    """Q^3 with the cross bracket and the product of Q[x,y]/(x,y)^2 on the
+    basis 1, x, y (unit e_0), with the product entries `extra` added."""
+    e = [unit_vector(QQ, 3, k) for k in range(3)]
+    table = {(0, k): e[k] for k in range(3)}
+    product = SymProductTensor(3, QQ, {**table, **(extra or {})})
+    return NLiePoissonAlgebra(product, e[0], vector_product_algebra(2).bracket)
+
+
 _OPERATOR_FIELDS = (QQ, F3, PrimeField(2**61 - 1))
 
 
@@ -195,8 +231,8 @@ def test_operators_match_evaluation(seed):
     ]
     dense_mults = [Matrix(f, zip(*(product.eval(e[k], e[j]) for j in range(d)))) for k in range(d)]
     want_ads = [(idx, m) for idx, m in dense_ads if not m.is_zero()]
-    want_mults = [m for m in dense_mults if not m.is_zero()]
-    ads, mults = _ad_operators(t), _mult_operators(product)
+    want_mults = [((k,), m) for k, m in enumerate(dense_mults) if not m.is_zero()]
+    ads, mults = _operators(t), _operators(product)
 
     def same(m, want):
         return m == want and [m.matvec(x) for x in e] == [want.matvec(x) for x in e]
@@ -204,10 +240,10 @@ def test_operators_match_evaluation(seed):
     assert [idx for idx, _ in ads] == [idx for idx, _ in want_ads]
     for (idx, m), (_, want) in zip(ads, want_ads):
         assert same(m, want), idx
-    assert len(mults) == len(want_mults)
-    for k, (m, want) in enumerate(zip(mults, want_mults)):
+    assert [k for k, _ in mults] == [k for k, _ in want_mults]
+    for (k, m), (_, want) in zip(mults, want_mults):
         assert same(m, want), k
-    assert _ops_for_kind(t, IdealKind.POISSON, product) == [m for _, m in ads] + list(mults)
+    assert _ops_for_kind(t, IdealKind.POISSON, product) == [m for _, m in ads + mults]
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -253,9 +289,9 @@ _GOLDEN_ALGEBRAS = {
 def _kept_operators(alg) -> list:
     """The operators kept on each of the algebra's tensors, built now if
     they are not kept yet."""
-    kept = [_ad_operators(alg.bracket)]
+    kept = [_operators(alg.bracket)]
     if isinstance(alg, NLiePoissonAlgebra):
-        kept.append(_mult_operators(alg.product))
+        kept.append(_operators(alg.product))
     return kept
 
 
@@ -305,7 +341,7 @@ class TestKeptOperators:
         kind = IdealKind.POISSON if product is not None else IdealKind.NLIE
         ops = _ops_for_kind(alg.bracket, kind, product)
         kept = _kept_operators(alg)
-        want = [m for _, m in kept[0]] + [m for mults in kept[1:] for m in mults]
+        want = [m for ops in kept for _, m in ops]
         assert type(ops) is list and ops == want
         ops.clear()
         again = _ops_for_kind(alg.bracket, kind, product)
@@ -343,6 +379,18 @@ class TestKeptOperators:
         assert got[3] is True
         assert _kept_operators(warm) == kept
 
+    def test_one_shape_for_both_tensors(self, name):
+        # a product's kept tuple holds (z, Matrix) pairs as a bracket's
+        # does, with z = (i,) for multiplication by e_i, in index order
+        alg = _GOLDEN_ALGEBRAS[name]()
+        for ops in _kept_operators(alg):
+            assert all(type(z) is tuple and type(m) is Matrix for z, m in ops)
+            assert [z for z, _ in ops] == sorted({z for z, _ in ops})
+        if isinstance(alg, NLiePoissonAlgebra):
+            mults = _operators(alg.product)
+            assert all(len(z) == 1 for z, _ in mults)
+            assert {i for (i,), _ in mults} == {i for key in alg.product.entries for i in key}
+
     def test_tampered_certificate_refused_warm(self, name):
         alg = _GOLDEN_ALGEBRAS[name]()
         verdict = is_simple(alg, max_enum=100)
@@ -368,12 +416,13 @@ class TestAdjoints:
     def test_basis_operator_enumeration(self):
         # every pair of basis vectors of the 4-dim cross product brackets
         # nonzero against some third one
-        ads = _ad_operators(vector_product_algebra(3).bracket)
+        ads = _operators(vector_product_algebra(3).bracket)
         assert [idx for idx, _ in ads] == list(itertools.combinations(range(4), 2))
 
     def test_mult_operators_unital(self):
         prod, unit = poly_quotient_ring(3)
-        l0 = _mult_operators(prod)[0]  # multiplication by 1
+        z, l0 = _operators(prod)[0]  # multiplication by 1
+        assert z == (0,)
         assert l0.matvec((ONE, Fraction(2), Z)) == (ONE, Fraction(2), Z)
 
 
@@ -522,7 +571,7 @@ class TestIdealsAndClosures:
 
 
 def test_projective_points_order_and_laziness():
-    from nlie.structure import _projective_count, _projective_points
+    from nlie.structure import _projective_points
 
     for p in (2, 3, 5):
         for k in range(5):
@@ -532,7 +581,7 @@ def test_projective_points_order_and_laziness():
                 for tail in itertools.product(range(p), repeat=k - 1 - lead)
             ]
             assert list(_projective_points(p, k)) == old
-            assert len(old) == _projective_count(p, k)
+            assert len(old) == _gaussian_binomial(k, 1, p)
     # the first points arrive at once however large the field
     p = 2**61 - 1
     points = _projective_points(p, 6)
@@ -667,6 +716,33 @@ class TestQuotients:
                     refused += 1
         assert proper > 0 and refused > 0
 
+    @pytest.mark.parametrize("name", ["c3", "c33", "c11"])
+    def test_subalgebras_match_the_dense_oracle(self, name):
+        # the derived algebra, the center and the closures of a few basis
+        # vectors, read into pairs; a seeded span that is not closed is
+        # refused by both
+        alg = {"c33": lambda: truncated_poisson(3, 3), "c11": lambda: truncated_poisson(2, 11),
+               **_GOLDEN_ALGEBRAS}[name]()
+        t, f, d = alg.bracket, alg.field, alg.dim
+        closed = [derived_subspace(t), center(t)]
+        closed += [ideal_closure(t, [unit_vector(f, d, k)]) for k in (1, d // 2, d - 1)]
+        for S in closed:
+            assert subalgebra_on(t, S).bracket == subalgebra_oracle(t, S)
+        rng = random.Random(f"subalgebras of {name}")
+        refused = 0
+        for _ in range(3):
+            rows = [[f.from_int(rng.randint(-1, 1)) for _ in range(d)] for _ in range(t.arity)]
+            S = span(f, d, rows)
+            try:
+                want = subalgebra_oracle(t, S)
+            except ValueError:
+                with pytest.raises(ValueError, match="^the subspace is not closed"):
+                    subalgebra_on(t, S)
+                refused += 1
+            else:
+                assert subalgebra_on(t, S).bracket == want
+        assert refused > 0
+
     def test_subalgebra_on_derived(self):
         char3 = truncated_poisson(2, 3)
         sub = subalgebra_on(char3, derived_subspace(char3))
@@ -778,9 +854,10 @@ class TestSimplicity:
          {"kind": IdealKind.POISSON}, {"certificate": "ExhaustiveProjective"},
          {"certificate": ["x"]}, {"certificate": 5}, {"certificate": None},
          {"status": "not_simple", "witness": "x"}, {"extra": 1}, {"scale": 1},
-         {"method": "modpreduction"}],
+         {"method": "modpreduction"}, {"extra": {1}}],
         ids=["status", "no-status", "kind-str", "kind-poisson", "cert-str", "cert-list",
-             "cert-int", "cert-none", "witness-str", "extra-key", "scale-int", "method"],
+             "cert-int", "cert-none", "witness-str", "extra-key", "scale-int", "method",
+             "extra-set"],
     )
     def test_malformed_verdict_replays_false(self, change):
         # every verdict replays to a bool: a wrong shape is False, never an error
@@ -912,6 +989,79 @@ class TestSimplicity:
         with pytest.raises(GuardExceeded):
             exhaustive(char3, 10)
 
+    def test_rational_unknown_in_a_dense_basis(self):
+        # cross + cross with no basis vector in a summand: every probe
+        # closes to the whole space, and every reduction is a direct sum
+        # again, so no prime certifies and the honest verdict is "unknown"
+        alg = dense_basis(direct_sum_cross(QQ), seed=0)
+        v = is_simple(alg)
+        attempts = "; ".join(f"p={p}: reduction is not_simple"
+                             for p in (5, 7, 11, 13, 17, 19, 23, 29))
+        assert v == nlie.SimplicityVerdict(
+            "unknown", IdealKind.NLIE, None, None,
+            f"no admissible prime certified simplicity ({attempts})", 0)
+        assert verify_simplicity_certificate(alg, v)
+
+    def test_rational_poisson_reduces_its_product(self):
+        # the product is reduced with the bracket; a product denominator
+        # that p divides makes p inadmissible, on deciding and on replay
+        alg = rational_poisson()
+        v = is_simple(alg)
+        assert v.kind is IdealKind.POISSON
+        assert v.certificate == {"method": "ModPReduction", "p": 5, "scale": "1", "inner": {
+            "method": "ExhaustiveProjective", "p": 5, "dim": 3, "points": 31}}
+        assert verify_simplicity_certificate(alg, v)
+        fifth = rational_poisson({(1, 1): (Z, Z, Fraction(1, 5))})
+        assert not verify_simplicity_certificate(fifth, v)
+        v7 = is_simple(fifth)
+        assert (v7.status, v7.certificate["p"], v7.certificate["inner"]["points"]) == (
+            "simple", 7, 57)
+        assert verify_simplicity_certificate(fifth, v7)
+        v5 = is_simple(fifth, mod_p=5)
+        assert (v5.status, v5.certificate) == ("unknown", None)
+        assert v5.reason == "no admissible prime certified simplicity (p=5: inadmissible reduction)"
+        assert verify_simplicity_certificate(fifth, v5)
+
+    @pytest.mark.parametrize("factor", [Fraction(1, 5), Fraction(5)])
+    def test_rational_reduction_inadmissible_at_p(self, factor):
+        # 5 divides a denominator, or every value once the denominators are
+        # cleared: p = 5 is skipped, and the next prime certifies
+        entries = {key: [(m, factor * c) for m, c in value]
+                   for key, value in vector_product_algebra(2).bracket.entries.items()}
+        alg = NLieAlgebra(SkewBracketTensor.from_entries(3, 2, QQ, entries))
+        v = is_simple(alg)
+        assert (v.status, v.certificate["p"]) == ("simple", 7)
+        assert verify_simplicity_certificate(alg, v)
+        v5 = is_simple(alg, mod_p=5)
+        assert v5.reason == "no admissible prime certified simplicity (p=5: inadmissible reduction)"
+
+    def test_rational_reduction_past_the_word_budget(self, monkeypatch):
+        from nlie import structure
+
+        monkeypatch.setattr(structure, "_NORTON_WORDS", 0)
+        v = is_simple(vector_product_algebra(2), max_enum=1, mod_p=5)
+        assert (v.status, v.certificate) == ("unknown", None)
+        assert v.reason == ("no admissible prime certified simplicity (p=5: Norton's test drew "
+                            "its budget of 0 words without a decisive irreducible factor)")
+
+    def test_replay_refuses_a_certificate_for_another_field(self):
+        # a finite-field certificate on a rational algebra, a mod-p
+        # reduction on a finite-field one, and a witness that is zero, the
+        # whole space, or missing while the bracket is nonzero
+        from nlie.structure import SimplicityVerdict
+
+        cross, cross5 = vector_product_algebra(2), cross_mod(5)
+        reduction = is_simple(cross)
+        exhaustive_cert = reduction.certificate["inner"]
+        assert verify_simplicity_certificate(
+            cross5, SimplicityVerdict("simple", IdealKind.NLIE, exhaustive_cert, None, None, 0))
+        for alg, certificate in ((cross, exhaustive_cert), (cross5, reduction.certificate)):
+            verdict = SimplicityVerdict("simple", IdealKind.NLIE, certificate, None, None, 0)
+            assert verify_simplicity_certificate(alg, verdict) is False
+        for witness in (SubspaceBasis.zero(QQ, 3), SubspaceBasis.full(QQ, 3), None):
+            verdict = SimplicityVerdict("not_simple", IdealKind.NLIE, None, witness, None, 0)
+            assert verify_simplicity_certificate(cross, verdict) is False
+
 
 class TestBruteForce:
     def test_subspace_count_f5_d3(self):
@@ -1036,6 +1186,51 @@ class TestProbes:
         r = probe_lemma(alg, "L1")
         assert not r.hypotheses_hold
         assert not r.conclusion_holds  # x is nilpotent
+
+    @pytest.mark.parametrize("which", ["L6_0", "L6", "L8"])
+    def test_nonzero_bracket_witness(self, which):
+        # Q^2 with [e_0, e_1] = e_1: U = span(e_1) is the derived algebra
+        # and abelian, and [e_0, e_1] is the first bracket against it
+        alg = NLieAlgebra(SkewBracketTensor(2, 2, QQ, {(0, 1): (Z, ONE)}))
+        r = probe_lemma(alg, which, span(QQ, 2, [(Z, ONE)]))
+        assert not r.hypotheses_hold and not r.conclusion_holds
+        assert r.witness == nlie.Witness("nonzero_bracket", {
+            "basis_indices": (0,), "middle": (), "last": (Z, ONE), "value": (Z, ONE)})
+
+    def test_l2_walks_the_generated_ideal(self):
+        # U = the derived algebra of c3 is its own third derived term, and
+        # every bracket of the ideal it generates lands back in it
+        char3 = truncated_poisson(2, 3)
+        r = probe_lemma(char3, "L2", derived_subspace(char3))
+        assert r.hypotheses_hold and r.conclusion_holds and r.witness is None
+
+    def test_l2_escaping_bracket_witness(self):
+        # cross + cross on Q^6 with unit e_0 and e_1 * e_3 = e_1 (not an
+        # associative product: the probe reads it only as operations); the
+        # second summand U generates e_1, and [e_1, e_0] = -e_2 escapes U
+        e = [unit_vector(QQ, 6, k) for k in range(6)]
+        table = {(0, k): e[k] for k in range(6)}
+        table[(1, 3)] = e[1]
+        alg = NLiePoissonAlgebra(SymProductTensor(6, QQ, table), e[0],
+                                 direct_sum_cross(QQ).bracket)
+        r = probe_lemma(alg, "L2", span(QQ, 6, e[3:]))
+        assert not r.conclusion_holds
+        assert r.witness == nlie.Witness("escaping_bracket", {
+            "source": e[1], "basis_indices": (0,), "value": (Z, Z, -ONE, Z, Z, Z)})
+
+    def test_l3_proper_ideal_witness_and_refusal(self):
+        # Q x Q with [e_0, e_1] = e_1: span(e_1) is an associative ideal
+        # stable under the derived algebra, and the unit's line is not an
+        # associative ideal
+        product = SymProductTensor(2, QQ, {(0, 0): (ONE, Z), (1, 1): (Z, ONE)})
+        alg = NLiePoissonAlgebra(product, (ONE, ONE),
+                                 SkewBracketTensor(2, 2, QQ, {(0, 1): (Z, ONE)}))
+        r = probe_lemma(alg, "L3", span(QQ, 2, [(Z, ONE)]))
+        assert r.hypothesis_notes == ("simplicity (poisson): not_simple", "I nonzero: True")
+        assert not r.conclusion_holds
+        assert r.witness == nlie.Witness("proper_ideal", {"dim": 1})
+        with pytest.raises(ValueError, match="^the subspace is not an associative ideal$"):
+            probe_lemma(alg, "L3", span(QQ, 2, [(ONE, ONE)]))
 
 
 class TestPipeline:
