@@ -370,10 +370,11 @@ def _first_proper_closure(
 
 
 def _exhaustive_projective(
-    t: SkewBracketTensor, kind: IdealKind, ops: list[Matrix], limit: int, seed: int
+    t: SkewBracketTensor, kind: IdealKind, ops: list[Matrix], points: int, limit: int, seed: int
 ) -> SimplicityVerdict:
+    """The search over all projective points; `points` is their count,
+    _gaussian_binomial(dim, 1, p), made once by the caller."""
     p, d = t.field.p, t.dim
-    points = _gaussian_binomial(d, 1, p)
     if points > limit:
         raise GuardExceeded(
             f"exhaustive projective enumeration needs {points} closures > limit {limit}"
@@ -559,8 +560,9 @@ def _is_simple_fp(
     seed: int,
 ) -> SimplicityVerdict:
     ops = _ops_for_kind(t, kind, product)
-    if _gaussian_binomial(t.dim, 1, t.field.p) <= limit:
-        return _exhaustive_projective(t, kind, ops, limit, seed)
+    points = _gaussian_binomial(t.dim, 1, t.field.p)
+    if points <= limit:
+        return _exhaustive_projective(t, kind, ops, points, limit, seed)
     return _norton(t, kind, ops, seed)
 
 
@@ -680,7 +682,8 @@ def _replay(
             return False
         ops = _ops_for_kind(t, kind, product)
         if method == "ExhaustiveProjective":
-            rerun = _exhaustive_projective(t, kind, ops, limit, verdict.seed)
+            points = _gaussian_binomial(t.dim, 1, t.field.p)
+            rerun = _exhaustive_projective(t, kind, ops, points, limit, verdict.seed)
         else:
             word = certificate.get("word")
             if type(word) is not int or word < 0:

@@ -18,11 +18,15 @@ budget, swept to the end.  Polynomial products multiply and sum one
 Fraction at a time, and the determinant brackets expand over every
 permutation on those products; `poly_det_oracle` expands them through
 `det_expand` on whole `Poly` values, one sum and product at a time.  The
-polynomial parser builds a whole `Poly` for every literal and variable and
-combines them one `+`, `-`, `*` and `^` at a time.
+tuple-keyed kernel is the library's scaled-int product and determinant with
+a new exponent tuple built for every term product.  The polynomial parser
+builds a whole `Poly` for every literal and variable and combines them one
+`+`, `-`, `*` and `^` at a time.
 """
 
 import itertools
+import math
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -36,6 +40,8 @@ from nlie.linalg import (
     kernel,
     normalized,
     span,
+    sparse_add,
+    sparse_neg,
     unit_vector,
 )
 from nlie.poly import (
@@ -347,6 +353,64 @@ def poly_det_oracle(bracket: str, args) -> Poly:
     zero = Poly.zero(args[0].nvars)
     return det_expand(bracket_grid(bracket, args), zero, Poly.__add__, Poly.__neg__,
                       Poly.__mul__, Poly.is_zero)
+
+
+def _tuple_scaled(polys) -> tuple[list, int]:
+    """Each polynomial's (exponent tuple, int) pairs, scaled by the lcm of
+    all their denominators, and that lcm."""
+    scale = math.lcm(*{c.denominator for p in polys for c in p.terms.values()})
+    return [[(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
+            for p in polys], scale
+
+
+def _tuple_int_product(a, b):
+    """The (exponent tuple, int sum) pairs of a product, zero sums kept."""
+    out: dict[tuple, int] = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out.items()
+
+
+def _tuple_fractions(sums, scale: int) -> dict:
+    return {e: Fraction(s, scale) for e, s in sums if s}
+
+
+def tuple_product(a: Poly, b: Poly) -> Poly:
+    """a * b on scaled ints keyed by exponent tuples."""
+    (x, y), scale = _tuple_scaled((a, b))
+    return Poly(a.nvars, _tuple_fractions(_tuple_int_product(x, y), scale * scale))
+
+
+def tuple_power(a: Poly, k: int) -> Poly:
+    """a ** k by the library's squarings, up to the top bit of k, each a
+    tuple-keyed product."""
+    result, base = None, a
+    while k:
+        if k & 1:
+            result = base if result is None else tuple_product(result, base)
+        k >>= 1
+        if k:
+            base = tuple_product(base, base)
+    return Poly.const(a.nvars, 1) if result is None else result
+
+
+def tuple_bracket(bracket: str, args) -> Poly:
+    """The determinant bracket on the library's grid, one row per argument
+    (its partials, after the argument itself for 'w'), each row scaled once
+    and expanded by `det_expand` on tuple-keyed pairs."""
+    n = len(args)
+    if bracket == "jac":
+        grid = [[u.partial(r) for r in range(n)] for u in args]
+    else:
+        grid = [[u, *(u.partial(r) for r in range(n - 1))] for u in args]
+    value = Poly(args[0].nvars)
+    if all(any(p.terms for p in line) for line in grid):
+        rows, scales = zip(*map(_tuple_scaled, grid))
+        sums = det_expand(rows, {}, sparse_add, sparse_neg, _tuple_int_product, operator.not_)
+        value.terms = _tuple_fractions(sums.items(), math.prod(scales))
+    return value
 
 
 _DIGITS = frozenset("0123456789")

@@ -13,6 +13,9 @@ from loop_oracle import (
     poly_product_oracle,
     truncated_center_oracle,
     truncated_derived_span_oracle,
+    tuple_bracket,
+    tuple_power,
+    tuple_product,
 )
 
 from nlie.algebra import Verdict, Witness
@@ -218,6 +221,72 @@ class TestScaledDeterminant:
             assert got == bracket_oracle(bracket, args)
 
         check()
+
+
+# exponents at the edges of a packed key's fields: 2^k - 1 fills a field of
+# k bits, and 2^k needs one more
+FIELD_EDGES = sorted({0, 1, 2, 3} | {2**k - 1 for k in range(1, 21)} | {2**k for k in range(21)})
+
+
+def edge_polys(nvars: int, max_terms: int = 3):
+    """Polynomials of up to max_terms rational terms with exponents at field
+    edges: the zero one, constants, and monomials among them."""
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 7, 12]))
+    exponents = st.tuples(*[st.sampled_from(FIELD_EDGES)] * nvars)
+    return st.dictionaries(exponents, coeffs, max_size=max_terms).map(
+        lambda terms: Poly(nvars, terms)
+    )
+
+
+def assert_same_terms(got: Poly, want: Poly) -> None:
+    """The same terms, in the same insertion order, with Fraction
+    coefficients."""
+    assert got.nvars == want.nvars
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+class TestPackedKeys:
+    """Products and brackets on packed exponent keys against the
+    tuple-keyed kernel, on terms and on their order."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_products_and_powers_match_tuple_kernel(self, data):
+        nvars = data.draw(st.integers(0, 4))
+        a, b = data.draw(edge_polys(nvars)), data.draw(edge_polys(nvars))
+        assert_same_terms(a * b, tuple_product(a, b))
+        assert_same_terms(b * a, tuple_product(b, a))
+        k = data.draw(st.integers(0, 4))
+        assert_same_terms(a**k, tuple_power(a, k))
+
+    @pytest.mark.parametrize("bracket, arity, examples", [
+        ("jac", 1, 40), ("jac", 2, 40), ("jac", 3, 20), ("jac", 4, 20),
+        ("w", 2, 40), ("w", 3, 20), ("w", 4, 20), ("w", 5, 10),
+    ])
+    def test_brackets_match_tuple_kernel(self, bracket, arity, examples):
+        fn, nvars = (jac_bracket, arity) if bracket == "jac" else (w_bracket, arity - 1)
+
+        @given(st.data())
+        @settings(max_examples=examples, deadline=None, derandomize=True)
+        def check(data):
+            args = [data.draw(edge_polys(nvars, 2 if arity > 3 else 3)) for _ in range(arity)]
+            assert_same_terms(fn(args), tuple_bracket(bracket, args))
+
+        check()
+
+    @pytest.mark.parametrize("bracket, args", [
+        # every exponent of a product fills its field exactly: 2 * (2^k - 1)
+        # = 2^(k+1) - 2 and 2 * 2^k = 2^(k+1), either side of a field edge
+        ("jac", ("x^1048575*y^1048576 + 1/3*x", "x^1048576*y^1048575 - 2*y^7")),
+        ("w", ("x^255 + y^256", "x^256*y^255 - 1/2", "x + y")),
+        ("jac", ("3", "x*y")),
+        ("w", ("0", "x", "y")),
+    ])
+    def test_field_edge_brackets(self, bracket, args):
+        polys = [P(text) for text in args]
+        fn = jac_bracket if bracket == "jac" else w_bracket
+        assert_same_terms(fn(polys), tuple_bracket(bracket, polys))
 
 
 class TestParser:

@@ -75,7 +75,7 @@ def _decider_args(alg):
 def exhaustive(alg, limit=DEFAULT_MAX_ENUM):
     """The F_p verdict of the exhaustive projective search alone."""
     t, kind, ops = _decider_args(alg)
-    return _exhaustive_projective(t, kind, ops, limit, 0)
+    return _exhaustive_projective(t, kind, ops, _gaussian_binomial(t.dim, 1, t.field.p), limit, 0)
 
 
 def norton(alg, seed=0):
@@ -816,6 +816,14 @@ class TestSimplicity:
             v.status, v.kind, dict(v.certificate, points=points), None, None, v.seed
         )
         assert not verify_simplicity_certificate(cross, altered)
+
+    def test_exhaustive_replay_past_the_limit_refused(self):
+        # the rerun counts its 31 points itself, so a lower limit refuses it
+        cross = cross_mod(5)
+        v = is_simple(cross)
+        assert verify_simplicity_certificate(cross, v, max_enum=31)
+        with pytest.raises(GuardExceeded, match="needs 31 closures > limit 30"):
+            verify_simplicity_certificate(cross, v, max_enum=30)
 
     @pytest.mark.parametrize(
         "inner",
